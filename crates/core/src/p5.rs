@@ -98,8 +98,9 @@ struct TraceState {
     last_rx: RxCounters,
 }
 
-/// Above this many pending wire-out bytes the fused Tx path declares
-/// backpressure and hands the frame to the staged pipeline instead.
+/// Above this many pending wire-out bytes the transmitter deasserts
+/// ready: [`P5::offer_frame`] answers *not now* and the frame waits in
+/// the caller's queue until the PHY side drains.
 /// [`crate::stream::TxStage`] uses the same mark to bound how far it
 /// runs ahead of an unconsuming downstream.
 pub const FUSED_WIRE_HIGH_WATER: usize = 64 * 1024;
@@ -276,19 +277,25 @@ impl P5 {
         let len = payload.len() as u32;
         let res = self.tx.submit(TxDescriptor { protocol, payload });
         if res.is_ok() && self.trace_enabled {
-            let id = if id != 0 {
-                id
-            } else {
-                self.trace.next_id += 1;
-                self.trace.next_id
-            };
-            self.trace.tx_ids.push_back(id);
-            self.sink.record(Event {
-                cycle: self.cycles,
-                kind: EventKind::Submit { id, len },
-            });
+            self.trace_submit(id, len);
         }
         res
+    }
+
+    /// Open a frame's traced lifecycle on either transmit path
+    /// (`id == 0` = assign the next internal id).
+    fn trace_submit(&mut self, id: FrameId, len: u32) {
+        let id = if id != 0 {
+            id
+        } else {
+            self.trace.next_id += 1;
+            self.trace.next_id
+        };
+        self.trace.tx_ids.push_back(id);
+        self.sink.record(Event {
+            cycle: self.cycles,
+            kind: EventKind::Submit { id, len },
+        });
     }
 
     /// Wire bytes the transmitter has produced since the last call.
@@ -318,12 +325,6 @@ impl P5 {
     /// bytes, leaving the rest to back-pressure the transmitter.
     pub fn drain_wire_into_bounded(&mut self, out: &mut WireBuf, max: usize) -> usize {
         out.move_from(&mut self.wire_out, max)
-    }
-
-    /// Move up to `max` wire bytes from `src` to the receiver's wire-in
-    /// buffer. Returns bytes moved.
-    pub fn offer_wire_from(&mut self, src: &mut WireBuf, max: usize) -> usize {
-        self.wire_in.move_from(src, max)
     }
 
     pub fn has_wire_out(&self) -> bool {
@@ -423,18 +424,41 @@ impl P5 {
         self.sync_oam();
     }
 
-    /// Can [`P5::fused_submit_wire`] take the next frame?  True when the
-    /// staged transmitter is drained (nothing to reorder around), the
-    /// device is in plain PPP duty (no idle-fill flag stream, no
-    /// loopback), and the wire-out buffer is below its backpressure
+    /// Cycle-model duty on transmit: the fused path is switched off
+    /// (`fused_enabled = false`, the reference mode of the equivalence
+    /// suites) or cannot stand in for the staged transmitter — Tx
+    /// disabled, diagnostic loopback, or a continuous idle-fill line.
+    fn staged_tx_duty(&self) -> bool {
+        !self.fused_enabled || !self.cfg.tx_en || self.cfg.loopback || self.tx.escape.idle_fill
+    }
+
+    /// Can [`P5::fused_submit_wire`] take the next frame?  True in plain
+    /// duty when the staged transmitter is drained (nothing to reorder
+    /// around) and the wire-out buffer is below its backpressure
     /// high-water mark.
-    pub fn fused_tx_ready(&self) -> bool {
-        self.fused_enabled
-            && self.cfg.tx_en
-            && !self.cfg.loopback
-            && !self.tx.escape.idle_fill
-            && self.tx.idle()
-            && self.wire_out.len() < FUSED_WIRE_HIGH_WATER
+    fn fused_tx_ready(&self) -> bool {
+        !self.staged_tx_duty() && self.tx.idle() && self.wire_out.len() < FUSED_WIRE_HIGH_WATER
+    }
+
+    /// The one transmit admission rule (ready/valid, DESIGN.md §15.3):
+    /// `true` — the device took the frame; `false` — *not now*: nothing
+    /// happened or was counted, and the caller keeps the frame in the
+    /// bounded queue it already owns.
+    ///
+    /// In plain duty the frame becomes wire bytes within this call
+    /// ([`P5::fused_submit_wire`]).  Only a device in cycle-model duty
+    /// copies it into the staged transmit queue, for [`P5::clock`] to
+    /// move ([`P5::needs_clock`]); there *not now* means queue full.
+    pub fn offer_frame(&mut self, protocol: u16, payload: &[u8], id: FrameId) -> bool {
+        if self.fused_submit_wire(protocol, payload, id) {
+            return true;
+        }
+        if !self.staged_tx_duty() || self.tx.control.queue_free() == 0 {
+            return false;
+        }
+        let mut buf = self.lease_tx_buf();
+        buf.extend_from_slice(payload);
+        self.submit_tagged(protocol, buf, id).is_ok()
     }
 
     /// Fused encap → FCS → stuff → wire fast path: one call takes a
@@ -444,9 +468,10 @@ impl P5 {
     /// same flow counters; per-cycle occupancy/latency statistics remain
     /// cycle-model-only, and `cycles` does not advance.
     ///
-    /// Returns `false` without side effects when the fast path is not
-    /// eligible (see [`P5::fused_tx_ready`]) — the caller then falls
-    /// back to [`P5::submit_tagged`] and the staged pipeline.
+    /// Returns `false` without side effects when the fast path cannot
+    /// take the frame now (cycle-model duty, staged frames still in
+    /// flight, or wire-out at its high-water mark).  Callers that must
+    /// work in either duty use [`P5::offer_frame`].
     pub fn fused_submit_wire(&mut self, protocol: u16, payload: &[u8], id: FrameId) -> bool {
         self.refresh_cfg();
         if !self.fused_tx_ready() {
@@ -494,20 +519,7 @@ impl P5 {
         self.tx.escape.frames_stuffed += 1;
         self.tx.escape.escapes_inserted += escapes as u64;
         if self.trace_enabled {
-            let id = if id != 0 {
-                id
-            } else {
-                self.trace.next_id += 1;
-                self.trace.next_id
-            };
-            self.trace.tx_ids.push_back(id);
-            self.sink.record(Event {
-                cycle: self.cycles,
-                kind: EventKind::Submit {
-                    id,
-                    len: payload.len() as u32,
-                },
-            });
+            self.trace_submit(id, payload.len() as u32);
             // The counter bumps above turn into Framed/Stuffed events
             // through the same delta bookkeeping the staged path uses.
             self.trace_tick(None);
@@ -528,12 +540,34 @@ impl P5 {
     /// when the staged receiver is drained and has nothing queued (a
     /// fused frame in progress keeps the staged pipeline idle, so the
     /// fast path stays engaged across partial deliveries).
-    pub fn fused_rx_ready(&self) -> bool {
+    fn fused_rx_ready(&self) -> bool {
         self.fused_enabled
             && self.cfg.rx_en
             && !self.cfg.loopback
             && self.wire_in.is_empty()
             && self.rx.idle()
+    }
+
+    /// Receive twin of [`P5::offer_frame`]: take up to `max_bytes` wire
+    /// octets from `input`, delineated in bulk in plain duty
+    /// ([`P5::fused_ingest_wire`]) and queued for the staged receiver's
+    /// clock in cycle-model duty.  Returns the octets taken.
+    pub fn ingest_wire(&mut self, input: &mut WireBuf, max_bytes: usize) -> usize {
+        if input.is_empty() {
+            return 0;
+        }
+        match self.fused_ingest_wire(input, max_bytes) {
+            Some(n) => n,
+            None => self.wire_in.move_from(input, max_bytes),
+        }
+    }
+
+    /// Does the cycle model hold work that only [`P5::clock`] moves —
+    /// staged frames in either pipeline, or wire octets waiting for the
+    /// staged receiver?  Never true in plain duty for a device fed
+    /// through [`P5::offer_frame`] and [`P5::ingest_wire`].
+    pub fn needs_clock(&self) -> bool {
+        !self.tx.idle() || !self.rx.idle() || !self.wire_in.is_empty()
     }
 
     /// No partially delineated fused-Rx frame is in flight.
@@ -549,8 +583,9 @@ impl P5 {
     /// events — as the staged receiver.
     ///
     /// Returns `None` without consuming anything when the fast path is
-    /// not eligible (see [`P5::fused_rx_ready`]); the caller then feeds
-    /// the staged pipeline instead.
+    /// not eligible (cycle-model duty, or the staged receiver still
+    /// holds work).  Callers that must work in either duty use
+    /// [`P5::ingest_wire`].
     pub fn fused_ingest_wire(&mut self, input: &mut WireBuf, max_bytes: usize) -> Option<usize> {
         self.refresh_cfg();
         if !self.fused_rx_ready() {
@@ -748,7 +783,7 @@ impl P5 {
     /// Returns cycles consumed.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> u64 {
         let start = self.cycles;
-        while !(self.tx.idle() && self.rx.idle() && self.wire_in.is_empty()) {
+        while self.needs_clock() {
             self.clock();
             assert!(
                 self.cycles - start < max_cycles,

@@ -11,9 +11,12 @@
 
 use crate::p5::{FUSED_WIRE_HIGH_WATER, P5};
 use p5_stream::{
-    shrink_scratch, FrameId, Observable, Poll, Snapshot, StageStats, StreamStage, WireBuf,
-    WordStream,
+    FrameId, Observable, Poll, Snapshot, StageStats, StreamStage, WireBuf, WordStream,
 };
+
+/// Device clocks one `Stack` sweep may spend in a stage — only a device
+/// in cycle-model duty ([`P5::needs_clock`]) spends any.
+const BURST: u64 = 256;
 
 /// Append one `[proto_be, payload]` frame to a tagged stream.
 pub fn encap(protocol: u16, payload: &[u8], out: &mut WireBuf) {
@@ -38,26 +41,18 @@ pub fn decap(frame: &[u8]) -> Option<(u16, &[u8])> {
 }
 
 /// Transmit half of a P⁵ as a stage: tagged `[proto, payload]` frames in,
-/// raw wire octets out.  Each `drain` call runs the device for up to
-/// `burst` clocks, so a `Stack` step advances device time.
+/// raw wire octets out.  Each `drain` call runs a device that
+/// [`P5::needs_clock`] for up to 256 clocks, so a `Stack` step advances
+/// device time.
 pub struct TxStage {
     dev: P5,
-    burst: u64,
-    scratch: Vec<u8>,
     stats: StageStats,
 }
 
 impl TxStage {
     pub fn new(dev: P5) -> Self {
-        Self::with_burst(dev, 256)
-    }
-
-    /// `burst` = device clocks ticked per `drain` call (one `Stack` step).
-    pub fn with_burst(dev: P5, burst: u64) -> Self {
         TxStage {
             dev,
-            burst: burst.max(1),
-            scratch: Vec::new(),
             stats: StageStats::default(),
         }
     }
@@ -69,22 +64,23 @@ impl TxStage {
     pub fn device_mut(&mut self) -> &mut P5 {
         &mut self.dev
     }
-
-    pub fn into_device(self) -> P5 {
-        self.dev
-    }
 }
 
 impl WordStream for TxStage {
     fn offer(&mut self, input: &mut WireBuf) -> Poll {
         let mut accepted = 0;
-        while input.frame_ready() {
-            // Fused fast path: staged pipeline drained, plain PPP duty,
-            // wire headroom — the frame goes straight to wire bytes in
-            // one call, skipping the per-word stage hops.
-            let fused = self.dev.fused_tx_ready();
-            if !fused && self.dev.tx.control.queue_free() == 0 {
-                // Bounded shared-memory queue full: deassert ready.
+        // The frame is peeked in place: it leaves `input` only once the
+        // device has taken it ([`P5::offer_frame`]), so *not now* costs
+        // nothing and the frame waits where it already is.
+        while let Some((frame, meta)) = input.peek_frame() {
+            let taken = match decap(frame) {
+                Some((protocol, payload)) if !meta.abort => {
+                    self.dev.offer_frame(protocol, payload, meta.id)
+                }
+                // An aborted (or headless) frame never reaches the device.
+                _ => true,
+            };
+            if !taken {
                 self.stats.stall_cycles += 1;
                 return if accepted == 0 {
                     Poll::Blocked
@@ -92,53 +88,26 @@ impl WordStream for TxStage {
                     Poll::Ready(accepted)
                 };
             }
-            let meta = input
-                .pop_frame_into(&mut self.scratch)
-                .expect("frame_ready() guarantees a complete frame");
+            input.consume(meta.len);
             accepted += meta.len;
             self.stats.words_in += 1;
-            if meta.abort {
-                continue; // an aborted frame never reaches the queue
-            }
-            if let Some((protocol, payload)) = decap(&self.scratch) {
-                if fused && self.dev.fused_submit_wire(protocol, payload, meta.id) {
-                    continue;
-                }
-                // Staged path: payload storage comes from the device
-                // pool, so steady-state traffic recycles instead of
-                // allocating per frame.
-                let mut buf = self.dev.lease_tx_buf();
-                buf.extend_from_slice(payload);
-                self.dev
-                    .submit_tagged(protocol, buf, meta.id)
-                    .expect("queue_free checked above");
-            }
         }
-        shrink_scratch(&mut self.scratch);
         Poll::Ready(accepted)
     }
 
     fn drain(&mut self, output: &mut WireBuf) -> Poll {
         // Downstream has not consumed what we already delivered: deassert
-        // valid and let wire_out back up — which parks the fused fast
-        // path in `offer` and, once the bounded queue fills, propagates
-        // `Blocked` upstream.
+        // valid and let wire_out back up — which makes `offer_frame` say
+        // *not now* and propagates `Blocked` upstream.
         let room = FUSED_WIRE_HIGH_WATER.saturating_sub(output.len());
         if room == 0 {
             self.stats.stall_cycles += 1;
             return Poll::Blocked;
         }
-        for _ in 0..self.burst {
-            let done = if self.dev.tx.escape.idle_fill {
-                // Continuous line: flag fill keeps the wire busy until
-                // the frame sources drain *and* the wire is ferried.
-                self.is_idle() && !self.dev.has_wire_out()
-            } else {
-                // Plain duty: an idle datapath has nothing to add —
-                // don't burn clocks just to ferry already-made bytes.
-                self.dev.tx.idle()
-            };
-            if done {
+        // An idle datapath has nothing to add — don't burn clocks just
+        // to ferry already-made bytes.
+        for _ in 0..BURST {
+            if self.dev.tx.idle() {
                 break;
             }
             self.dev.clock();
@@ -171,15 +140,7 @@ impl StreamStage for TxStage {
     }
 
     fn is_idle(&self) -> bool {
-        let tx = &self.dev.tx;
-        // In idle_fill mode the escape unit never idles (continuous
-        // line); the stage is done when the frame sources have drained.
-        let datapath_idle = if tx.escape.idle_fill {
-            tx.source_idle()
-        } else {
-            tx.idle()
-        };
-        datapath_idle && !self.dev.has_wire_out()
+        self.dev.tx.idle() && !self.dev.has_wire_out()
     }
 
     fn stats(&self) -> StageStats {
@@ -191,11 +152,10 @@ impl StreamStage for TxStage {
 }
 
 /// Receive half of a P⁵ as a stage: raw wire octets in, tagged
-/// `[proto, payload]` frames out.  `offer` clocks the device while it
-/// chews the delivered bytes (up to `burst` words per call).
+/// `[proto, payload]` frames out.  `offer` clocks a device in cycle-model
+/// duty while it chews the delivered bytes (up to 512 clocks per call).
 pub struct RxStage {
     dev: P5,
-    burst: u64,
     stats: StageStats,
     /// Next frame id stamped onto delivered frames' stream tags.
     next_id: FrameId,
@@ -203,13 +163,8 @@ pub struct RxStage {
 
 impl RxStage {
     pub fn new(dev: P5) -> Self {
-        Self::with_burst(dev, 256)
-    }
-
-    pub fn with_burst(dev: P5, burst: u64) -> Self {
         RxStage {
             dev,
-            burst: burst.max(1),
             stats: StageStats::default(),
             next_id: 0,
         }
@@ -218,31 +173,17 @@ impl RxStage {
     pub fn device(&self) -> &P5 {
         &self.dev
     }
-
-    pub fn device_mut(&mut self) -> &mut P5 {
-        &mut self.dev
-    }
-
-    pub fn into_device(self) -> P5 {
-        self.dev
-    }
 }
 
 impl WordStream for RxStage {
     fn offer(&mut self, input: &mut WireBuf) -> Poll {
-        // Fused fast path: the staged pipeline is drained, so delineate
-        // the delivered bytes in bulk (flag-free runs move as single
-        // copies) instead of clocking them through a word at a time.
-        if let Some(n) = self.dev.fused_ingest_wire(input, FUSED_WIRE_HIGH_WATER) {
-            self.stats.words_in += u64::from(n > 0);
-            return Poll::Ready(n);
-        }
-        let max = (self.burst as usize) * self.dev.width().bytes();
-        let n = self.dev.offer_wire_from(input, max);
+        // Plain duty delineates the delivered bytes in bulk (flag-free
+        // runs move as single copies) and leaves nothing to clock.
+        let n = self.dev.ingest_wire(input, FUSED_WIRE_HIGH_WATER);
         self.stats.words_in += u64::from(n > 0);
-        // Clock the receiver through what it was just handed (bounded:
-        // destuffing shrinks, so 2x the word budget always suffices).
-        let mut budget = 2 * self.burst;
+        // Cycle-model duty: clock the receiver through what it holds
+        // (bounded per call; the rest waits for the next sweep).
+        let mut budget = 2 * BURST;
         while self.dev.wire_in_pending() > 0 && budget > 0 {
             self.dev.clock();
             budget -= 1;
@@ -358,6 +299,7 @@ mod tests {
         assert_eq!(tx.offer(&mut input), Poll::Ready(5));
         assert_eq!(input.frames_ready(), 1, "second frame still queued");
         assert!(tx.offer(&mut input).is_blocked());
+        assert_eq!(tx.stats().rejects, 0, "not now is not a reject");
         // Drain the device, then the held frame goes through.
         let mut wire = WireBuf::new();
         tx.drain(&mut wire);

@@ -111,10 +111,6 @@ impl TxControl {
         self.queue_depth.saturating_sub(self.queue.len())
     }
 
-    pub fn pending_frames(&self) -> usize {
-        self.queue.len() + usize::from(self.cur.is_some())
-    }
-
     pub fn idle(&self) -> bool {
         self.queue.is_empty() && self.cur.is_none()
     }
@@ -530,17 +526,6 @@ impl TxPipeline {
 
     pub fn submit(&mut self, desc: TxDescriptor) -> Result<(), TxQueueFull> {
         self.control.submit(desc)
-    }
-
-    /// The frame *sources* (control + CRC and the latches between them)
-    /// have drained; only the escape unit may still hold wire bytes.  In
-    /// `idle_fill` mode the escape unit never idles (the line is
-    /// continuous), so this is the termination condition driver loops use.
-    pub fn source_idle(&self) -> bool {
-        self.control.idle()
-            && self.crc.idle()
-            && self.latch_ctl_crc.is_none()
-            && self.latch_crc_esc.is_none()
     }
 
     /// Drop the inter-stage latches (test hook for abort scenarios —

@@ -1,9 +1,9 @@
 //! p5-link — the one way to assemble a P⁵ link.
 //!
 //! Every example, integration test and bench binary used to hand-wire
-//! its own stack: pick stage constructors, remember the idle-fill bit,
-//! compute the cycles-per-frame budget, clone the OAM handle before the
-//! device moves into the stack.  [`LinkBuilder`] owns that recipe once:
+//! its own stack: pick stage constructors, split the fault plan between
+//! channel and stage, clone the OAM handle before the device moves into
+//! the stack.  [`LinkBuilder`] owns that recipe once:
 //!
 //! ```
 //! use p5_link::LinkBuilder;
@@ -37,7 +37,7 @@ use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
 use p5_core::{decap, encap, DatapathWidth, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5};
 use p5_fault::{FaultError, FaultPlan, FaultSpec, FaultStage, FaultStats};
 use p5_ppp::NegotiationProfile;
-use p5_sonet::{BitErrorChannel, ByteLink, OcPath, OcPathStage, StmLevel};
+use p5_sonet::{BitErrorChannel, OcPath, OcPathStage, StmLevel};
 use p5_stream::{Offer, SharedRecorder, Snapshot, Stack, StageStats, StreamStage};
 use p5_xport::{LinkEngine, SessionDriver, Transport};
 use std::error::Error;
@@ -114,8 +114,9 @@ impl LinkBuilder {
     }
 
     /// Carry the wire over an STM-N path (scramble → frame → channel →
-    /// delineate → descramble).  Also switches the transmitter to
-    /// continuous (idle-fill) mode so the framer never pads mid-frame.
+    /// delineate → descramble).  The devices stay in plain duty, the
+    /// same carriage the fleet uses: frames enter the path whole and the
+    /// path pads an SPE with flag octets only between them.
     pub fn sonet(mut self, level: StmLevel) -> Self {
         self.sonet = Some(level);
         self
@@ -188,9 +189,8 @@ impl LinkBuilder {
         Ok((bit, structural))
     }
 
-    fn new_device(&self, idle_fill: bool) -> (P5, OamHandle) {
+    fn new_device(&self) -> (P5, OamHandle) {
         let mut dev = P5::new(self.width_or_default());
-        dev.tx.escape.idle_fill = idle_fill;
         if let Some(rec) = &self.trace {
             dev.set_trace(Box::new(rec.clone()));
         }
@@ -199,34 +199,24 @@ impl LinkBuilder {
     }
 
     /// One transmit device, one receive device, one `Stack` between
-    /// them, assembled with the canonical line-rate clocking recipe.
+    /// them.
     pub fn build(self) -> Result<Link, LinkError> {
         let (bit, structural) = self.split_fault()?;
-        let (tx, tx_oam) = self.new_device(self.sonet.is_some());
-        let (rx, rx_oam) = self.new_device(false);
-        let mut stages: Vec<Box<dyn StreamStage>> = Vec::new();
+        let (tx, tx_oam) = self.new_device();
+        let (rx, rx_oam) = self.new_device();
+        let mut stages: Vec<Box<dyn StreamStage>> = vec![Box::new(TxStage::new(tx))];
         match self.sonet {
             Some(level) => {
-                // Line-rate clocking: one SPE of wire bytes per 125 µs
-                // frame, with a few surplus cycles to keep the SPE queue
-                // primed through pipeline fill.
-                let cpf = level
-                    .payload_per_frame()
-                    .div_ceil(self.width_or_default().bytes()) as u64
-                    + 8;
                 let channel = match bit {
                     Some(plan) => BitErrorChannel::from_plan(plan),
                     None => BitErrorChannel::clean(),
                 };
-                stages.push(Box::new(TxStage::with_burst(tx, cpf)));
                 stages.push(Box::new(OcPathStage::new(OcPath::new(level, channel))));
                 if let Some(plan) = structural {
                     stages.push(Box::new(self.faulted_stage(plan)));
                 }
-                stages.push(Box::new(RxStage::with_burst(rx, 2 * cpf)));
             }
             None => {
-                stages.push(Box::new(TxStage::new(tx)));
                 // No SONET path: the whole plan (bit + structural) acts
                 // directly on the stuffed byte stream.
                 match (bit, structural) {
@@ -243,9 +233,9 @@ impl LinkBuilder {
                         stages.push(Box::new(self.faulted_stage(merged)));
                     }
                 }
-                stages.push(Box::new(RxStage::new(rx)));
             }
         }
+        stages.push(Box::new(RxStage::new(rx)));
         Ok(Link {
             stack: Stack::compose(stages),
             tx_oam,
@@ -267,9 +257,8 @@ impl LinkBuilder {
     /// each direction carries its own STM-N path.
     pub fn build_duplex(self) -> Result<DuplexLink, LinkError> {
         let (bit, structural) = self.split_fault()?;
-        let idle_fill = self.sonet.is_some();
-        let (a, a_oam) = self.new_device(idle_fill);
-        let (b, b_oam) = self.new_device(idle_fill);
+        let (a, a_oam) = self.new_device();
+        let (b, b_oam) = self.new_device();
         let mk_ferry = |lane: u64| -> Ferry {
             let path = self.sonet.map(|level| {
                 let channel = match &bit {
@@ -466,19 +455,20 @@ impl LinkEnd {
         self.p5.submit(protocol, payload)
     }
 
-    /// [`LinkEnd::submit`] under the unified admission dialect: the
-    /// device's bounded TX queue either takes the frame now
-    /// ([`Offer::Accepted`]) or refuses it ([`Offer::Rejected`]), never
-    /// blocks.  A refused payload is recycled into the device's buffer
-    /// pool rather than handed back — same contract as the fleet and
-    /// session-driver ingress boundaries.
+    /// The unified admission dialect over [`P5::offer_frame`]: the
+    /// device either takes the frame now ([`Offer::Accepted`]) or says
+    /// *not now*, and with no queue at this boundary to hold it the
+    /// frame is refused ([`Offer::Rejected`]).  Never blocks; the
+    /// payload's storage is recycled into the device's buffer pool
+    /// either way — same contract as the fleet and session-driver
+    /// ingress boundaries.
     pub fn offer(&mut self, protocol: u16, payload: Vec<u8>) -> Offer {
-        match self.p5.submit(protocol, payload) {
-            Ok(()) => Offer::Accepted,
-            Err(TxQueueFull(desc)) => {
-                self.p5.buf_pool().recycle_vec(desc.payload);
-                Offer::Rejected
-            }
+        let taken = self.p5.offer_frame(protocol, &payload, 0);
+        self.p5.buf_pool().recycle_vec(payload);
+        if taken {
+            Offer::Accepted
+        } else {
+            Offer::Rejected
         }
     }
 
@@ -525,19 +515,11 @@ struct Ferry {
 }
 
 impl Ferry {
-    fn carry(&mut self, wire: Vec<u8>, dst: &mut P5) {
+    /// `flush`: the source transmitter is between frames, so the path
+    /// may pad out its last SPE (see [`OcPath::carry`]).
+    fn carry(&mut self, wire: Vec<u8>, flush: bool, dst: &mut P5) {
         let bytes = match &mut self.path {
-            Some(path) => {
-                if !wire.is_empty() {
-                    path.send(&wire);
-                }
-                let k = path.frames_to_drain();
-                if k > 0 {
-                    // +2: delineation hunts across a frame boundary.
-                    path.run_frames(k + 2);
-                }
-                path.recv()
-            }
+            Some(path) => path.carry(&wire, flush),
             None => wire,
         };
         if bytes.is_empty() {
@@ -580,9 +562,9 @@ impl DuplexLink {
     /// direction's fault plan.
     pub fn exchange(&mut self) {
         let wire = self.a.p5.take_wire_out();
-        self.ab.carry(wire, &mut self.b.p5);
+        self.ab.carry(wire, self.a.p5.tx.idle(), &mut self.b.p5);
         let wire = self.b.p5.take_wire_out();
-        self.ba.carry(wire, &mut self.a.p5);
+        self.ba.carry(wire, self.b.p5.tx.idle(), &mut self.a.p5);
     }
 
     /// Impair both directions with forks of `plan` (deterministic per
@@ -700,23 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn sonet_link_uses_the_canonical_recipe() {
-        let mut link = LinkBuilder::new()
-            .width(DatapathWidth::W32)
-            .sonet(StmLevel::Stm4)
-            .build()
-            .unwrap();
-        let payloads: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 50 + i as usize]).collect();
-        for p in &payloads {
-            link.send(0x0021, p);
-        }
-        link.run(5_000).unwrap();
-        let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
-        assert_eq!(got, payloads);
-        assert_eq!(link.rx_errors(), 0);
-    }
-
-    #[test]
     fn faulted_link_counts_every_drop() {
         let plan = FaultSpec::clean().ber(5e-5).compile(11).unwrap();
         let mut link = LinkBuilder::new()
@@ -779,6 +744,86 @@ mod tests {
         assert_eq!(at_b.len(), 1);
         assert_eq!(at_b[0].payload, vec![1, 2, 3]);
         assert_eq!(at_a[0].payload, vec![9, 8, 7]);
+    }
+
+    #[test]
+    fn duplex_over_sonet_carries_frames_longer_than_one_burst() {
+        let payload: Vec<u8> = (0..1500u32).map(|i| (i * 7) as u8).collect();
+        for level in [StmLevel::Stm1, StmLevel::Stm4, StmLevel::Stm16] {
+            let mut link = LinkBuilder::new().sonet(level).build_duplex().unwrap();
+            // Staged: 1500 B take six 64-clock bursts to leave the
+            // transmitter, and the ferry must not pad the SPE meanwhile.
+            link.a.submit(0x0021, payload.clone()).unwrap();
+            for _ in 0..20 {
+                link.a.run(64);
+                link.b.run(64);
+                link.exchange();
+            }
+            // Through the admission rule the frame is wire bytes at once:
+            // it crosses without another clock on `a`.
+            assert_eq!(link.a.offer(0x0021, payload.clone()), Offer::Accepted);
+            link.exchange();
+            // The receiver chews the SPEs' flag fill a word per clock
+            // (six STM-16 frames are under 60 000 words).
+            link.b.run(60_000);
+            let got = link.b.take_received();
+            assert_eq!(link.b.health_counters().rx_errors, 0, "{level:?}");
+            assert_eq!(got.len(), 2, "{level:?}: frames lost");
+            assert!(got.iter().all(|f| f.payload == payload), "{level:?}");
+        }
+    }
+
+    /// Send `payloads` as one window and require the paved road: every
+    /// frame delivered in order and byte-exact, no receive error, frame
+    /// counts conserved, and not one cycle-model clock on either device.
+    fn assert_window_never_staged(mut link: Link, payloads: &[Vec<u8>], what: &str) {
+        for p in payloads {
+            link.send(0x0021, p);
+        }
+        link.run(100_000).unwrap();
+        let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got.len(), payloads.len(), "{what}: frames lost");
+        assert!(got.iter().eq(payloads), "{what}: reordered or corrupted");
+        let (n, hc) = (payloads.len() as u64, link.health_counters());
+        assert_eq!((hc.tx_frames, hc.rx_frames), (n, n), "{what}");
+        assert_eq!((hc.tx_rejects, hc.rx_errors), (0, 0), "{what}");
+        for (stage, stats) in link.stage_stats() {
+            // The path stage counts line frames as its cycles.
+            if stage != "oc-path" {
+                assert_eq!(stats.cycles, 0, "{what}: {stage} clocked");
+            }
+        }
+    }
+
+    #[test]
+    fn window_past_the_wire_high_water_mark_is_never_staged() {
+        // 256 x 1500 B is ~385 KB of wire against the 64 KiB mark.
+        let payloads: Vec<Vec<u8>> = (0..256u32)
+            .map(|i| (0..1500u32).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        assert_window_never_staged(LinkBuilder::new().build().unwrap(), &payloads, "plain");
+    }
+
+    #[test]
+    fn sonet_link_uses_the_canonical_recipe() {
+        // 40 B to 1500 B, flag and escape octets included.
+        let payloads: Vec<Vec<u8>> = (0..1024u32)
+            .map(|i| {
+                (0..40 + i * 211 % 1461)
+                    .map(|j| (i * 13 + j * 7) as u8)
+                    .collect()
+            })
+            .collect();
+        for level in [StmLevel::Stm1, StmLevel::Stm4, StmLevel::Stm16] {
+            for width in [DatapathWidth::W8, DatapathWidth::W32] {
+                let b = LinkBuilder::new().width(width).sonet(level);
+                assert_window_never_staged(
+                    b.build().unwrap(),
+                    &payloads,
+                    &format!("{level:?} {width:?}"),
+                );
+            }
+        }
     }
 
     #[test]

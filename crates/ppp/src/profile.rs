@@ -9,10 +9,6 @@
 //! one configuration object — and is consumed identically by
 //! `Session::with_profile`, `p5_link::LinkBuilder::profile` and
 //! `p5_xport::SessionDriver`.
-//!
-//! The old path ([`crate::Session::with_config`]) still works behind a
-//! `From<EndpointConfig>` shim but is deprecated; see the release note
-//! in DESIGN.md §18.
 
 use crate::endpoint::EndpointConfig;
 use crate::pap::CredentialTable;
@@ -212,18 +208,6 @@ impl NegotiationProfile {
     }
 }
 
-/// Shim for pre-redesign callers holding a bare [`EndpointConfig`]:
-/// lifts the timer bundle into a profile with every other knob at its
-/// default.
-impl From<EndpointConfig> for NegotiationProfile {
-    fn from(cfg: EndpointConfig) -> Self {
-        NegotiationProfile::new()
-            .restart_period(cfg.restart_period)
-            .max_configure(cfg.max_configure)
-            .max_terminate(cfg.max_terminate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,21 +235,5 @@ mod tests {
         assert_eq!(p.restart_budget_ticks(), (4 + 1) * 5);
         assert_eq!(p.lqr_interval(), Some(64));
         assert!(matches!(p.auth_policy(), AuthPolicy::PapClient { .. }));
-    }
-
-    #[test]
-    fn endpoint_config_shim_preserves_timers() {
-        let cfg = EndpointConfig {
-            restart_period: 7,
-            max_configure: 2,
-            max_terminate: 1,
-        };
-        let p: NegotiationProfile = cfg.into();
-        let back = p.config();
-        assert_eq!(back.restart_period, 7);
-        assert_eq!(back.max_configure, 2);
-        assert_eq!(back.max_terminate, 1);
-        assert!(matches!(p.auth_policy(), AuthPolicy::None));
-        assert_eq!(p.mru_requested(), 1500);
     }
 }

@@ -3,7 +3,7 @@
 //! unknown protocols — the full software stack a host runs on top of
 //! the P⁵'s shared-memory frame interface.
 
-use crate::endpoint::{Endpoint, EndpointConfig, LayerEvent};
+use crate::endpoint::{Endpoint, LayerEvent};
 use crate::ipcp::IpcpNegotiator;
 use crate::lcp::{Packet, PacketCode};
 use crate::lcp_negotiator::LcpNegotiator;
@@ -81,12 +81,6 @@ impl Session {
         }
     }
 
-    #[deprecated(note = "use Session::with_profile with a NegotiationProfile \
-                (release note: DESIGN.md §18)")]
-    pub fn with_config(magic: u32, ip: [u8; 4], cfg: EndpointConfig) -> Self {
-        Self::with_profile(&NegotiationProfile::from(cfg).magic(magic).ip(ip))
-    }
-
     /// Begin: administrative open + PHY up.
     pub fn start(&mut self) {
         self.lcp.open();
@@ -116,8 +110,8 @@ impl Session {
 
     /// Force a full LCP renegotiation (RFC 1661 restart): bounce the
     /// lower layer.  The automaton re-enters Req-Sent and the session
-    /// re-opens within [`EndpointConfig::restart_budget_ticks`] provided
-    /// the peer is responsive.
+    /// re-opens within [`NegotiationProfile::restart_budget_ticks`]
+    /// provided the peer is responsive.
     pub fn renegotiate(&mut self) {
         self.lower_down();
         self.lower_up();

@@ -192,8 +192,10 @@ pub struct FleetStats {
     /// Fleet-scope flow counters; see [`LinkCounters`] for the
     /// conservation law.
     pub flow: LinkCounters,
-    /// TX-queue refusals as the devices count them
-    /// (`submit_rejects`) — must equal `flow.rejected`.
+    /// Staged TX-queue refusals as the devices count them
+    /// (`submit_rejects`) — must equal `flow.rejected`, and like it
+    /// reads 0: the runtime admits through `P5::offer_frame`, which
+    /// never submits to a full staged queue.
     pub device_tx_rejects: u64,
     /// The same refusals as the OAM `TX_REJECTS` registers mirror them.
     pub oam_tx_rejects: u64,

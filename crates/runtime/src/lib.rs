@@ -23,13 +23,14 @@
 //!   immediately, so a 10k-link fleet with 100 active links pays for
 //!   100.
 //! * **Graceful overload shedding.**  Each direction has a bounded
-//!   ingress queue in front of the device's bounded TX queue; overflow
-//!   is shed at admission ([`Offer::Shed`]) or rejected by the
-//!   device (counted in `TX_REJECTS`), never silently lost:
-//!   `offered == accepted + shed + rejected + queued`.
-//! * **Fused fast paths end to end.**  While a link is uncongested,
-//!   frames ride `fused_submit_wire`/`fused_ingest_wire`; the staged
-//!   pipeline clocks only when a device actually has work.
+//!   ingress queue in front of the device; a frame the device will not
+//!   take now (`P5::offer_frame`) waits there, and overflow of that
+//!   queue is shed at admission ([`Offer::Shed`]), never silently
+//!   lost: `offered == accepted + shed + rejected + queued`.
+//! * **One admission rule, no overflow datapath.**  Frames become wire
+//!   bytes on the fused path or wait upstream; the cycle model clocks
+//!   only for a device explicitly in cycle-model duty
+//!   (`P5::needs_clock`), never as a degradation step under load.
 //!
 //! ```
 //! use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
@@ -55,8 +56,6 @@ pub mod traffic;
 pub use fleet::{
     Carrier, Fleet, FleetConfig, FleetStats, LinkReport, RuntimeError, Sharding, WorkerStats,
 };
-#[allow(deprecated)]
-pub use link::OfferOutcome;
 pub use link::{Dir, LinkCounters};
 pub use p5_stream::Offer;
 pub use p5_xport::LinkEngine;

@@ -8,19 +8,14 @@
 use std::collections::VecDeque;
 
 use p5_core::p5::FUSED_WIRE_HIGH_WATER;
-use p5_core::{TxQueueFull, P5};
+use p5_core::P5;
 use p5_fault::{FaultPlan, FaultStats};
-use p5_sonet::{BitErrorChannel, ByteLink, OcPath, StmLevel, TributaryGroup};
+use p5_sonet::{BitErrorChannel, OcPath, StmLevel, TributaryGroup};
 use p5_stream::{Histogram, Offer, SharedRecorder, WireBuf};
 use p5_xport::LinkEngine;
 
 use crate::fleet::TickParams;
 use crate::traffic::template_payload;
-
-/// The former name of the unified [`Offer`] outcome type, kept so
-/// pre-redesign callers keep compiling for one release.
-#[deprecated(note = "use `p5_stream::Offer` (re-exported as `p5_runtime::Offer`)")]
-pub type OfferOutcome = Offer;
 
 /// Per-link flow accounting.  The fleet-scope conservation law (the
 /// `StageStats` invariant lifted to the runtime boundary) is
@@ -31,13 +26,14 @@ pub type OfferOutcome = Offer;
 pub struct LinkCounters {
     /// Frames offered to the link (external `offer` + generated load).
     pub offered: u64,
-    /// Frames that entered the device (fused fast path or the staged
-    /// bounded TX queue).
+    /// Frames the device took ([`P5::offer_frame`]).
     pub accepted: u64,
     /// Frames refused at the bounded ingress queue.
     pub shed: u64,
-    /// Frames dropped at the device's bounded TX queue — each one is
-    /// counted by the device in `TX_REJECTS`.
+    /// Frames dropped at a device's bounded staged TX queue (counted in
+    /// `TX_REJECTS`).  Reads 0: [`P5::offer_frame`] answers *not now*
+    /// in either duty and the frame stays in `ingress`, held.  Kept as
+    /// the conservation law's named drop-at-device leg.
     pub rejected: u64,
     /// Frames delivered out of the peer device.
     pub delivered: u64,
@@ -95,12 +91,31 @@ impl DirState {
             scratch: Vec::new(),
         }
     }
+
+    /// Land one transfer's octets on the line towards the sink device,
+    /// through this direction's fault model: whole-transfer loss, then
+    /// the full corruption pipeline.
+    fn land(&mut self, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        let Some(plan) = &mut self.plan else {
+            self.wire.push_slice(bytes);
+            return;
+        };
+        if plan.lose_transfer() {
+            return;
+        }
+        self.scratch.clear();
+        plan.corrupt_into(bytes, &mut self.scratch);
+        self.wire.push_slice(&self.scratch);
+    }
 }
 
-/// Offer one frame to a direction: fused fast path when the device and
-/// the wire are both clear, bounded ingress queue otherwise, shed when
-/// that queue is full.  `stamp` is the submit tick when this link
-/// tracks latency, `None` otherwise.
+/// Offer one frame to a direction: straight into the device when
+/// nothing is queued ahead and the line is clear, the bounded ingress
+/// queue otherwise, shed when that queue is full.  `stamp` is the
+/// submit tick when this link tracks latency, `None` otherwise.
 fn offer_into(
     dev: &mut P5,
     dir: &mut DirState,
@@ -113,12 +128,10 @@ fn offer_into(
     counters.offered += 1;
     if dir.ingress.is_empty()
         && dir.wire.len() < FUSED_WIRE_HIGH_WATER
-        && dev.fused_submit_wire(protocol, payload, 0)
+        && dev.offer_frame(protocol, payload, 0)
     {
         counters.accepted += 1;
-        if let Some(now) = stamp {
-            dir.stamps.push_back(now);
-        }
+        dir.stamps.extend(stamp);
         return Offer::Accepted;
     }
     if dir.ingress.len() >= ingress_depth {
@@ -131,48 +144,25 @@ fn offer_into(
     Offer::Queued
 }
 
-/// Move queued ingress frames into the device.  Fused while the wire is
-/// clear; the staged bounded TX queue as the degradation step; and when
-/// *that* refuses, the frame is dropped through the device's
-/// `TX_REJECTS` accounting (one per tick — the queue gets a chance to
-/// drain before the next probe).  Frames left queued are the "blocked"
-/// leg of the conservation law and are retried next tick.
+/// Move queued ingress frames into the device while the line is clear
+/// and the device takes them ([`P5::offer_frame`]).  Frames left queued
+/// are the "blocked" leg of the conservation law — held, not dropped —
+/// and are retried next tick.
 fn drain_ingress(
     dev: &mut P5,
     dir: &mut DirState,
     counters: &mut LinkCounters,
-    now: u64,
-    track_latency: bool,
+    stamp: Option<u64>,
 ) {
-    while !dir.ingress.is_empty() {
-        if dir.wire.len() >= FUSED_WIRE_HIGH_WATER {
-            // Line backlog: hold the queue (blocked, not dropped).
+    while let Some((protocol, payload)) = dir.ingress.front() {
+        if dir.wire.len() >= FUSED_WIRE_HIGH_WATER || !dev.offer_frame(*protocol, payload, 0) {
             return;
         }
-        let (protocol, payload) = dir.ingress.pop_front().expect("checked non-empty");
-        if dev.fused_tx_ready() {
-            let ok = dev.fused_submit_wire(protocol, &payload, 0);
-            debug_assert!(ok, "fused_tx_ready implies fused_submit_wire");
+        if let Some((_, payload)) = dir.ingress.pop_front() {
             dev.buf_pool().recycle_vec(payload);
-            counters.accepted += 1;
-            if track_latency {
-                dir.stamps.push_back(now);
-            }
-            continue;
         }
-        match dev.submit(protocol, payload) {
-            Ok(()) => {
-                counters.accepted += 1;
-                if track_latency {
-                    dir.stamps.push_back(now);
-                }
-            }
-            Err(TxQueueFull(desc)) => {
-                counters.rejected += 1;
-                dev.buf_pool().recycle_vec(desc.payload);
-                return;
-            }
-        }
+        counters.accepted += 1;
+        dir.stamps.extend(stamp);
     }
 }
 
@@ -180,71 +170,21 @@ fn drain_ingress(
 /// optionally through this direction's STM-N path, then through the
 /// fault plan, into `dir.wire`.
 fn ferry(src: &mut P5, dir: &mut DirState) {
+    if dir.path.is_none() && dir.plan.is_none() {
+        src.drain_wire_into(&mut dir.wire);
+        return;
+    }
+    let bytes = src.take_wire_out();
     match &mut dir.path {
-        None => {
-            if dir.plan.is_none() {
-                src.drain_wire_into(&mut dir.wire);
-                return;
-            }
-            if !src.has_wire_out() {
-                return;
-            }
-            let bytes = src.take_wire_out();
-            impair_into(
-                dir.plan.as_mut().expect("checked"),
-                &bytes,
-                &mut dir.scratch,
-            );
-            dir.wire.push_slice(&dir.scratch);
-            src.recycle_wire_vec(bytes);
-        }
+        // Fleet devices put whole frames on the wire, so every
+        // transfer may pad out its last SPE.
         Some(path) => {
-            if src.has_wire_out() {
-                let bytes = src.take_wire_out();
-                path.send(&bytes);
-                src.recycle_wire_vec(bytes);
-            }
-            let k = path.frames_to_drain();
-            if k > 0 {
-                // +2: delineation hunts across a frame boundary.
-                path.run_frames(k + 2);
-            }
-            let out = path.recv();
-            if out.is_empty() {
-                return;
-            }
-            match &mut dir.plan {
-                None => dir.wire.push_slice(&out),
-                Some(plan) => {
-                    impair_into(plan, &out, &mut dir.scratch);
-                    dir.wire.push_slice(&dir.scratch);
-                }
-            }
+            let out = path.carry(&bytes, true);
+            dir.land(&out);
         }
+        None => dir.land(&bytes),
     }
-}
-
-/// Apply one transfer's worth of the fault model: whole-transfer loss,
-/// then the full corruption pipeline into `scratch`.
-fn impair_into(plan: &mut FaultPlan, bytes: &[u8], scratch: &mut Vec<u8>) {
-    scratch.clear();
-    if plan.lose_transfer() {
-        return;
-    }
-    plan.corrupt_into(bytes, scratch);
-}
-
-/// Deliver at most `budget` pending wire octets into the sink device —
-/// fused bulk ingest when eligible, the staged receiver's wire-in
-/// buffer otherwise.
-fn ingest(dst: &mut P5, dir: &mut DirState, budget: usize) {
-    if dir.wire.is_empty() {
-        return;
-    }
-    let max = budget.min(dir.wire.len());
-    if dst.fused_ingest_wire(&mut dir.wire, max).is_none() {
-        dst.offer_wire_from(&mut dir.wire, max);
-    }
+    src.recycle_wire_vec(bytes);
 }
 
 /// Collect delivered frames from the sink device, closing latency
@@ -267,18 +207,6 @@ fn collect(
         }
         dst.recycle_rx_payload(f.payload);
     }
-}
-
-/// Does the device need staged clocking this tick?
-///
-/// Runtime devices never run `idle_fill` mode, even under SONET
-/// carriage: the carrier's own frame fill is the HDLC flag
-/// ([`p5_sonet::frame::IDLE_FILL`]), so inter-frame delineation works
-/// without a continuous device-side flag stream — and the fused TX
-/// fast path (which `idle_fill` disables) stays available in every
-/// carrier mode.
-fn staged_busy(dev: &P5) -> bool {
-    !dev.tx.idle() || !dev.rx.idle() || dev.wire_in_pending() > 0
 }
 
 /// One duplex link in the fleet: two devices, two directions of
@@ -422,9 +350,9 @@ impl ShardLink {
     /// Tick phase 1 — everything up to the device producing wire bytes:
     /// generated load, ingress drain, staged clocking.
     pub fn begin_tick(&mut self, p: &TickParams) {
+        let stamp = self.track_latency.then_some(self.tick);
         if let Some(t) = &p.traffic {
             if self.tick < t.ticks {
-                let stamp = self.track_latency.then_some(self.tick);
                 for _ in 0..t.frames_per_tick {
                     offer_into(
                         &mut self.a,
@@ -449,24 +377,12 @@ impl ShardLink {
                 }
             }
         }
-        drain_ingress(
-            &mut self.a,
-            &mut self.ab,
-            &mut self.counters,
-            self.tick,
-            self.track_latency,
-        );
-        drain_ingress(
-            &mut self.b,
-            &mut self.ba,
-            &mut self.counters,
-            self.tick,
-            self.track_latency,
-        );
-        if staged_busy(&self.a) {
+        drain_ingress(&mut self.a, &mut self.ab, &mut self.counters, stamp);
+        drain_ingress(&mut self.b, &mut self.ba, &mut self.counters, stamp);
+        if self.a.needs_clock() {
             self.a.run(p.cycles_per_tick);
         }
-        if staged_busy(&self.b) {
+        if self.b.needs_clock() {
             self.b.run(p.cycles_per_tick);
         }
     }
@@ -496,29 +412,17 @@ impl ShardLink {
     /// Channelized ingress: accept one direction's bytes recovered from
     /// the shared envelope (fault plan applied here, per link).
     pub fn ingress_from_envelope(&mut self, dir: Dir, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        let d = match dir {
-            Dir::AtoB => &mut self.ab,
-            Dir::BtoA => &mut self.ba,
-        };
-        match &mut d.plan {
-            None => d.wire.push_slice(bytes),
-            Some(plan) => {
-                impair_into(plan, bytes, &mut d.scratch);
-                let scratch = std::mem::take(&mut d.scratch);
-                d.wire.push_slice(&scratch);
-                d.scratch = scratch;
-            }
+        match dir {
+            Dir::AtoB => self.ab.land(bytes),
+            Dir::BtoA => self.ba.land(bytes),
         }
     }
 
     /// Tick phase 3 — deliver wire into the sink devices (budgeted),
     /// collect received frames, advance the link clock.
     pub fn finish_tick(&mut self, p: &TickParams) {
-        ingest(&mut self.b, &mut self.ab, p.wire_budget);
-        ingest(&mut self.a, &mut self.ba, p.wire_budget);
+        self.b.ingest_wire(&mut self.ab.wire, p.wire_budget);
+        self.a.ingest_wire(&mut self.ba.wire, p.wire_budget);
         collect(
             &mut self.b,
             &mut self.ab,
@@ -552,8 +456,8 @@ impl ShardLink {
             || !self.ba.wire.is_empty()
             || self.a.has_wire_out()
             || self.b.has_wire_out()
-            || staged_busy(&self.a)
-            || staged_busy(&self.b)
+            || self.a.needs_clock()
+            || self.b.needs_clock()
             || !self.a.fused_rx_idle()
             || !self.b.fused_rx_idle()
     }

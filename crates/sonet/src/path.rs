@@ -110,6 +110,27 @@ impl OcPath {
             .backlog()
             .div_ceil(self.level.payload_per_frame())
     }
+
+    /// Carry one transfer across the path: queue `wire`, advance the
+    /// line, return what the far end recovered.  Every SPE the backlog
+    /// fills goes out; the last, partly filled one — padded with flag
+    /// octets, and followed by two frames because delineation hunts
+    /// across a frame boundary — only when `flush`.  Pass `flush = false`
+    /// while the source is mid-frame: padding inside an HDLC frame
+    /// aborts it at the receiver.
+    pub fn carry(&mut self, wire: &[u8], flush: bool) -> Vec<u8> {
+        self.send(wire);
+        let frames = if flush {
+            match self.frames_to_drain() {
+                0 => 0,
+                k => k + 2,
+            }
+        } else {
+            self.transmitter.backlog() / self.level.payload_per_frame()
+        };
+        self.run_frames(frames);
+        self.recv()
+    }
 }
 
 impl ByteLink for OcPath {

@@ -3,11 +3,8 @@
 //! Every bounded ingress boundary in the workspace — a device's TX
 //! queue, a fleet link's ingress ring, a transport session's staging
 //! queue — answers the same question when handed a frame: did it go in,
-//! and if not, why.  Historically each layer answered in its own
-//! dialect (`Result<(), TxQueueFull>` at the device, a three-variant
-//! `OfferOutcome` at the fleet); `Offer` is the union, defined here in
-//! the lowest common crate so `p5-link`, `p5-runtime` and `p5-xport`
-//! all speak it.
+//! and if not, why.  `Offer` is that answer, defined here in the lowest
+//! common crate so `p5-link`, `p5-runtime` and `p5-xport` all speak it.
 //!
 //! The variants map onto the conservation law the stats layer already
 //! enforces (`offered == accepted + shed + rejected + queued`): exactly
@@ -18,8 +15,7 @@
 /// boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Offer {
-    /// Went straight into the device (fused fast path or an empty
-    /// staged queue): the frame is in flight now.
+    /// The device took it: the frame is in flight now.
     Accepted,
     /// Admitted to a bounded staging queue; a later tick moves it into
     /// the device.  The frame is safe but not yet in flight.
@@ -28,8 +24,9 @@ pub enum Offer {
     /// depth.  The frame is dropped here — graceful shedding, counted
     /// by the owner.
     Shed,
-    /// Refused by the device itself (its bounded TX queue is full).
-    /// Counted by the device in `TX_REJECTS`.
+    /// Refused at a boundary with no queue to hold it: the device said
+    /// *not now*, or (at a session endpoint) the protocol is not one
+    /// the network phase carries.
     Rejected,
 }
 

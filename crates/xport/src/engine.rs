@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use p5_core::p5::FUSED_WIRE_HIGH_WATER;
-use p5_core::{DatapathWidth, TxQueueFull, P5};
+use p5_core::{DatapathWidth, P5};
 use p5_ppp::{NegotiationProfile, Protocol, Session, SessionEvent};
 use p5_stream::{Observable, Offer, Snapshot, WireBuf};
 
@@ -37,7 +37,7 @@ use crate::transport::{IoOp, Transport};
 const TX_RING_CAPACITY: usize = 64 * 1024;
 /// Read granularity per transport recv.
 const RECV_CHUNK: usize = 4096;
-/// Staged-clock budget per service pass.
+/// Cycle-model clock budget per service pass.
 const CLOCK_BUDGET: u64 = 256 * 1024;
 /// Flag octets pushed per idle-fill burst in session mode, keeping the
 /// peer's delineation hunting and the pipe demonstrably alive.
@@ -94,12 +94,6 @@ pub struct XportCounters {
     pub delivered: u64,
     /// Payload octets delivered.
     pub delivered_bytes: u64,
-}
-
-/// Does the device need staged clocking?  (Same predicate the fleet
-/// runtime uses — fused paths don't need cycles.)
-fn staged_busy(dev: &P5) -> bool {
-    !dev.tx.idle() || !dev.rx.idle() || dev.wire_in_pending() > 0
 }
 
 /// One real endpoint: device + optional PPP session + transport.
@@ -237,12 +231,11 @@ impl LinkEngine {
                 return Offer::Shed;
             }
         }
-        // Fast path: nothing queued ahead and the device's fused TX
-        // will take it now.
+        // Nothing queued ahead and the device takes it now.
         if self.ingress.is_empty()
             && self.ctl.is_empty()
             && self.tx_stage.is_empty()
-            && self.dev.fused_submit_wire(protocol, payload, 0)
+            && self.dev.offer_frame(protocol, payload, 0)
         {
             self.counters.accepted += 1;
             return Offer::Accepted;
@@ -278,7 +271,7 @@ impl LinkEngine {
             || !self.tx_ring.is_empty()
             || !self.wire_in.is_empty()
             || self.dev.has_wire_out()
-            || staged_busy(&self.dev)
+            || self.dev.needs_clock()
     }
 
     /// Administrative close: terminate the session (the Terminate
@@ -355,7 +348,7 @@ impl LinkEngine {
 
         progress |= self.flush_ctl();
 
-        if staged_busy(&self.dev) {
+        if self.dev.needs_clock() {
             progress |= self.dev.run_until_idle(CLOCK_BUDGET) > 0;
         }
 
@@ -363,9 +356,9 @@ impl LinkEngine {
         self.idle_fill();
         progress |= self.pump_socket_out();
         progress |= self.pump_socket_in();
-        progress |= self.ingest_wire_in();
+        progress |= self.dev.ingest_wire(&mut self.wire_in, usize::MAX) > 0;
 
-        if staged_busy(&self.dev) {
+        if self.dev.needs_clock() {
             progress |= self.dev.run_until_idle(CLOCK_BUDGET) > 0;
         }
 
@@ -407,31 +400,22 @@ impl LinkEngine {
         }
     }
 
-    /// Move queued control/user frames into the device — fused when
-    /// clear, the staged TX queue as the degradation step, retrying
-    /// (not dropping) when even that refuses.
+    /// Move queued control/user frames into the device.  A frame the
+    /// device will not take now ([`P5::offer_frame`]) stays queued —
+    /// held, never dropped — until the egress side drains.
     fn flush_ctl(&mut self) -> bool {
         let mut progress = false;
-        while let Some((protocol, payload)) = self.ctl.pop_front() {
-            if self.tx_stage.len() + self.tx_ring.len() >= TX_RING_CAPACITY {
-                // Egress backlog: hold the queue, backpressure stands.
-                self.ctl.push_front((protocol, payload));
+        while let Some((protocol, payload)) = self.ctl.front() {
+            // Egress backlog: hold the queue, backpressure stands.
+            if self.tx_stage.len() + self.tx_ring.len() >= TX_RING_CAPACITY
+                || !self.dev.offer_frame(*protocol, payload, 0)
+            {
                 break;
             }
-            if self.dev.fused_tx_ready() && self.dev.fused_submit_wire(protocol, &payload, 0) {
+            if let Some((_, payload)) = self.ctl.pop_front() {
                 self.dev.buf_pool().recycle_vec(payload);
-                progress = true;
-                continue;
             }
-            match self.dev.submit(protocol, payload) {
-                Ok(()) => progress = true,
-                Err(TxQueueFull(desc)) => {
-                    // Control frames are never dropped here: requeue
-                    // and let the device drain first.
-                    self.ctl.push_front((desc.protocol, desc.payload));
-                    break;
-                }
-            }
+            progress = true;
         }
         progress
     }
@@ -543,18 +527,6 @@ impl LinkEngine {
         progress
     }
 
-    /// Wire-in buffer → device (fused bulk ingest when eligible).
-    fn ingest_wire_in(&mut self) -> bool {
-        if self.wire_in.is_empty() {
-            return false;
-        }
-        let max = self.wire_in.len().min(FUSED_WIRE_HIGH_WATER);
-        if self.dev.fused_ingest_wire(&mut self.wire_in, max).is_none() {
-            self.dev.offer_wire_from(&mut self.wire_in, max);
-        }
-        true
-    }
-
     /// Device deliveries → session (or straight out, transparent).
     fn collect_received(&mut self) -> bool {
         let mut progress = false;
@@ -609,6 +581,9 @@ impl Observable for LinkEngine {
             .counter("rejected", c.rejected)
             .counter("delivered", c.delivered)
             .counter("delivered_bytes", c.delivered_bytes)
+            // Clocks the cycle model has run: 0 for as long as every
+            // frame rides the fused paths.
+            .counter("device_cycles", self.dev.cycles)
     }
 }
 
@@ -645,6 +620,45 @@ mod tests {
         assert_eq!(got_a[0].1, b"and back again");
         assert_eq!(a.counters.delivered, 1);
         assert_eq!(b.counters.delivered, 1);
+    }
+
+    #[test]
+    fn deep_window_offered_before_the_first_pass_is_never_staged() {
+        use p5_stream::SharedRecorder;
+        let (ta, tb) = PipeTransport::pair();
+        let mut a = LinkEngine::transparent(DatapathWidth::W32, Box::new(ta));
+        let mut b = LinkEngine::transparent(DatapathWidth::W32, Box::new(tb));
+        a.set_ingress_depth(256);
+        let rec = SharedRecorder::with_capacity(1 << 12);
+        b.set_trace(Box::new(rec.clone()));
+        // ~385 KB of wire against the 64 KiB high-water mark.
+        let frames: Vec<Vec<u8>> = (0..256u32)
+            .map(|i| (0..1500u32).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        for f in &frames {
+            assert!(a.offer(0x0021, f).is_admitted());
+        }
+        let mut got = Vec::new();
+        while a.service() | b.service() {
+            got.extend(b.take_deliveries());
+        }
+        assert_eq!(got.len(), frames.len(), "frames lost");
+        assert!(
+            got.iter().map(|(_, p)| p).eq(&frames),
+            "reordered or corrupted"
+        );
+        let (ca, cb) = (a.counters, b.counters);
+        assert_eq!(
+            (ca.offered, ca.accepted, ca.shed, ca.rejected),
+            (256, 256, 0, 0)
+        );
+        assert_eq!(cb.delivered, ca.accepted);
+        // Every receive error class begins as a delineated frame.
+        let delineated = |e: &&p5_stream::Event| e.kind.name() == "delineated";
+        assert_eq!(rec.events().iter().filter(delineated).count(), 256);
+        // The live twin of the benchmark's `core.staged_cycles_per_frame`.
+        assert_eq!(a.snapshot().get("device_cycles"), Some(0));
+        assert_eq!(b.snapshot().get("device_cycles"), Some(0));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Gigabit IP over SDH/SONET — the paper's title scenario, end to end:
 //!
-//!   IP datagrams → 32-bit P⁵ transmitter (cycle accurate)
+//!   IP datagrams → 32-bit P⁵ transmitter
 //!     → x⁴³+1 payload scrambler → STM-16 framing (A1/A2, B1/B2, POH)
 //!     → bit-error channel → frame delineation + descrambling
 //!     → 32-bit P⁵ receiver → shared memory,
 //!
 //! with the Protocol OAM counters read out over the register bus at the
 //! end, exactly as a host microprocessor would.  The whole assembly —
-//! idle-fill mode, line-rate clocking, the seeded error channel — comes
-//! from [`LinkBuilder`] (DESIGN.md §14).
+//! stages, SONET path, the seeded error channel — comes from
+//! [`LinkBuilder`] (DESIGN.md §14).
 //!
 //! ```sh
 //! cargo run --release --example ip_over_sonet
@@ -18,9 +18,8 @@ use p5::prelude::*;
 
 fn main() {
     // An OC-48 path with a 1e-6 bit error rate (a poor-quality section).
-    // The builder switches the transmitter to continuous (idle-fill)
-    // mode and clocks one SPE of wire bytes per 125 µs frame, exactly as
-    // the hardware is driven.
+    // Frames enter the path whole; it pads each SPE with flag octets
+    // only between them.
     let plan = FaultSpec::clean()
         .ber(1e-6)
         .compile(42)

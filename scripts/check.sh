@@ -17,6 +17,12 @@ cargo build -q --offline --examples
 echo "==> cargo test (workspace)"
 cargo test -q --workspace --offline
 
+echo "==> cargo test (benchmark/, outside the workspace)"
+# The benchmark package compiles against the crates' public API but is
+# not a workspace member: a device-API change that breaks its build or
+# its delivery checks fails here, before the PR's benchmark run does.
+(cd benchmark && cargo test -q --offline)
+
 echo "==> cargo doc (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 

@@ -1,4 +1,4 @@
-//! Full-stack integration: IP datagrams through the cycle-accurate P⁵,
+//! Full-stack integration: IP datagrams through the P⁵,
 //! over STM-16/STM-4 with overheads, scrambling and injected bit
 //! errors, back up through the receiving P⁵ — the paper's deployment
 //! scenario end to end, assembled by [`LinkBuilder`].
@@ -8,9 +8,7 @@ use p5::prelude::*;
 /// Push `datagrams` through P⁵ → OC path → P⁵ as one [`Link`]; returns
 /// (delivered payloads, receiver error total).
 ///
-/// The builder clocks the transmitter in continuous (idle-fill) mode at
-/// exactly the line rate — one SPE's worth of wire bytes per 125 µs
-/// frame — as the real hardware is, so the SONET framer never has to
+/// Frames enter the path whole, so the SONET framer never has to
 /// invent fill octets in the middle of an HDLC frame.
 fn run_stack(
     width: DatapathWidth,

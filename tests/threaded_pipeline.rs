@@ -1,17 +1,17 @@
 //! The hardware pipeline as an actual parallel program: transmitter,
-//! channel and receiver on separate threads connected by crossbeam
+//! channel and receiver on separate threads connected by bounded
 //! channels, with the OAM register file shared through `parking_lot`
 //! exactly as the datapath/host split works on the SoPC.
 
-use crossbeam::channel;
 use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
 use p5_core::{DatapathWidth, WireBuf, WordStream, P5};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 
 #[test]
 fn three_stage_threaded_pipeline_delivers_in_order() {
-    let (wire_tx, wire_rx) = channel::bounded::<Vec<u8>>(64);
-    let (chan_tx, chan_rx) = channel::bounded::<Vec<u8>>(64);
+    let (wire_tx, wire_rx) = sync_channel::<Vec<u8>>(64);
+    let (chan_tx, chan_rx) = sync_channel::<Vec<u8>>(64);
     let datagrams: Vec<Vec<u8>> = (0..200u16)
         .map(|i| {
             (0..(40 + (i % 60) as usize))
@@ -81,12 +81,12 @@ fn three_stage_threaded_pipeline_delivers_in_order() {
 #[test]
 fn duplex_threads_cross_traffic() {
     // Two P5s, each on its own thread, full duplex over two channels.
-    let (a2b_tx, a2b_rx) = channel::bounded::<Vec<u8>>(16);
-    let (b2a_tx, b2a_rx) = channel::bounded::<Vec<u8>>(16);
+    let (a2b_tx, a2b_rx) = sync_channel::<Vec<u8>>(16);
+    let (b2a_tx, b2a_rx) = sync_channel::<Vec<u8>>(16);
 
     let station = |name: &'static str,
-                   outbound: channel::Sender<Vec<u8>>,
-                   inbound: channel::Receiver<Vec<u8>>,
+                   outbound: SyncSender<Vec<u8>>,
+                   inbound: Receiver<Vec<u8>>,
                    count: u16| {
         thread::spawn(move || {
             let mut p5 = P5::new(DatapathWidth::W32);
