@@ -15,6 +15,10 @@
 //!   has ≥ 4 cores — below that, the scaling claim is vacuous);
 //! * `--max-p99-ticks <n>`: p99 submit→delivery latency ceiling on
 //!   every uncongested sweep row;
+//! * `--min-channelized-over-single <x>`: the channelized-STM-4 row
+//!   over the single-link row of the same process — a ratio, so host
+//!   speed cancels; a bit-serial SONET path reads ~0.02, the word-wide
+//!   one ~0.16;
 //! * conservation is always enforced: an uncongested fleet must
 //!   deliver every offered frame (zero shed, zero rejected, zero
 //!   lost).
@@ -121,6 +125,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let min_uplift = arg_value(&args, "--min-uplift");
     let max_p99 = arg_value(&args, "--max-p99-ticks");
+    let min_channelized = arg_value(&args, "--min-channelized-over-single");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -204,6 +209,7 @@ fn main() {
     // dealt to workers, and what per-tributary SDH carriage costs.
     let cmp_links = if smoke { 64 } else { 256 };
     let mut modes = String::new();
+    let mut channelized_gbps = 0f64;
     for (name, sharding, carrier, links, budget) in [
         (
             "work_stealing",
@@ -231,6 +237,9 @@ fn main() {
         ),
     ] {
         let m = measure(&sweep_config(links, budget, sharding, carrier), 2);
+        if matches!(carrier, Carrier::Channelized(_)) {
+            channelized_gbps = m.aggregate_gbps;
+        }
         println!(
             "mode {name:<17} links {links:>4}: {:.4} Gbps, p99 {} ticks",
             m.aggregate_gbps,
@@ -250,13 +259,29 @@ fn main() {
         );
     }
 
+    let channelized_over_single = if single_gbps > 0.0 {
+        channelized_gbps / single_gbps
+    } else {
+        0.0
+    };
+    println!("channelized_over_single: {channelized_over_single:.3}");
+    if let Some(floor) = min_channelized {
+        if channelized_over_single < floor {
+            gate_failures.push(format!(
+                "channelized STM-4 at {channelized_over_single:.3} of the single link, \
+                 below floor {floor:.3}"
+            ));
+        }
+    }
+
     let json = format!(
         "{{\n  \"bench\": \"runtime\",\n  \"smoke\": {smoke},\n  \
          \"cores\": {cores},\n  \"payload_len\": {PAYLOAD_LEN},\n  \
          \"frames_per_tick\": {FRAMES_PER_TICK},\n  \
          \"single_link_gbps\": {single_gbps:.4},\n  \
          \"best_aggregate_gbps\": {best_at_scale:.4},\n  \
-         \"scaling_uplift\": {uplift:.2},\n  \"sweep\": [\n{rows}\n  ],\n  \
+         \"scaling_uplift\": {uplift:.2},\n  \
+         \"channelized_over_single\": {channelized_over_single:.3},\n  \"sweep\": [\n{rows}\n  ],\n  \
          \"modes\": [\n{modes}\n  ]\n}}\n"
     );
     std::fs::create_dir_all("results").expect("create results/");

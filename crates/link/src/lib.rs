@@ -270,6 +270,7 @@ impl LinkBuilder {
             Ferry {
                 path,
                 plan: structural.as_ref().map(|p| p.fork(lane)),
+                carried: Vec::new(),
                 scratch: Vec::new(),
             }
         };
@@ -511,6 +512,8 @@ impl LinkEnd {
 struct Ferry {
     path: Option<OcPath>,
     plan: Option<FaultPlan>,
+    /// What the path recovered from the current transfer.
+    carried: Vec<u8>,
     scratch: Vec<u8>,
 }
 
@@ -519,20 +522,24 @@ impl Ferry {
     /// may pad out its last SPE (see [`OcPath::carry`]).
     fn carry(&mut self, wire: Vec<u8>, flush: bool, dst: &mut P5) {
         let bytes = match &mut self.path {
-            Some(path) => path.carry(&wire, flush),
-            None => wire,
+            Some(path) => {
+                self.carried.clear();
+                path.carry_into(&wire, flush, &mut self.carried);
+                &self.carried
+            }
+            None => &wire,
         };
         if bytes.is_empty() {
             return;
         }
         match &mut self.plan {
-            None => dst.put_wire_in(&bytes),
+            None => dst.put_wire_in(bytes),
             Some(plan) => {
                 if plan.lose_transfer() {
                     return;
                 }
                 self.scratch.clear();
-                plan.corrupt_into(&bytes, &mut self.scratch);
+                plan.corrupt_into(bytes, &mut self.scratch);
                 dst.put_wire_in(&self.scratch);
             }
         }

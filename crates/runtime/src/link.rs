@@ -77,6 +77,8 @@ struct DirState {
     /// (boxed: an `OcPath` holds whole-frame buffers).
     path: Option<Box<OcPath>>,
     plan: Option<FaultPlan>,
+    /// What the path recovered from the current transfer.
+    carried: Vec<u8>,
     scratch: Vec<u8>,
 }
 
@@ -88,6 +90,7 @@ impl DirState {
             wire: WireBuf::new(),
             path,
             plan,
+            carried: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -179,8 +182,11 @@ fn ferry(src: &mut P5, dir: &mut DirState) {
         // Fleet devices put whole frames on the wire, so every
         // transfer may pad out its last SPE.
         Some(path) => {
-            let out = path.carry(&bytes, true);
-            dir.land(&out);
+            let mut carried = std::mem::take(&mut dir.carried);
+            carried.clear();
+            path.carry_into(&bytes, true, &mut carried);
+            dir.land(&carried);
+            dir.carried = carried;
         }
         None => dir.land(&bytes),
     }

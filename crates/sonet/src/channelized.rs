@@ -12,7 +12,7 @@
 
 use crate::channel::BitErrorChannel;
 use crate::frame::{FrameReceiver, FrameTransmitter, SectionStats, StmLevel};
-use crate::mux::{deinterleave, interleave};
+use crate::mux::{deinterleave_into, interleave_into};
 use crate::scramble::PayloadScrambler;
 use p5_stream::{Observable, Snapshot};
 
@@ -49,6 +49,10 @@ pub struct TributaryGroup {
     envelope: StmLevel,
     tribs: Vec<Tributary>,
     channel: BitErrorChannel,
+    /// One STM-1 line image per tributary and the envelope they
+    /// interleave into, reused every frame.
+    frames: Vec<Vec<u8>>,
+    line: Vec<u8>,
 }
 
 impl TributaryGroup {
@@ -67,6 +71,8 @@ impl TributaryGroup {
             envelope,
             tribs: (0..envelope.n()).map(|_| Tributary::new()).collect(),
             channel,
+            frames: vec![Vec::new(); envelope.n()],
+            line: Vec::new(),
         }
     }
 
@@ -108,22 +114,18 @@ impl TributaryGroup {
     /// into the STM-N envelope, crosses the shared channel once, and
     /// de-interleaves back into per-tributary receivers.
     pub fn run_frames(&mut self, k: usize) {
-        let n = self.tribs.len();
         for _ in 0..k {
-            let frames: Vec<Vec<u8>> = self
-                .tribs
-                .iter_mut()
-                .map(|t| {
-                    t.transmitter
-                        .emit_frame_scrambled(Some(&mut t.tx_scrambler))
-                })
-                .collect();
-            let mut line = interleave(&frames);
-            self.channel.transmit(&mut line);
-            for (t, trib_frame) in self.tribs.iter_mut().zip(deinterleave(&line, n)) {
-                let mut payload = t.receiver.push(&trib_frame);
-                t.rx_scrambler.descramble(&mut payload);
-                t.rx_out.extend(payload);
+            for (t, frame) in self.tribs.iter_mut().zip(&mut self.frames) {
+                t.transmitter
+                    .emit_frame_into(Some(&mut t.tx_scrambler), frame);
+            }
+            interleave_into(&self.frames, &mut self.line);
+            self.channel.transmit(&mut self.line);
+            deinterleave_into(&self.line, &mut self.frames);
+            for (t, frame) in self.tribs.iter_mut().zip(&self.frames) {
+                let landed = t.rx_out.len();
+                t.receiver.push_into(frame, &mut t.rx_out);
+                t.rx_scrambler.descramble(&mut t.rx_out[landed..]);
             }
         }
     }

@@ -85,7 +85,9 @@ pub fn bip8(bytes: &[u8]) -> u8 {
 #[derive(Debug, Clone)]
 pub struct FrameTransmitter {
     level: StmLevel,
-    queue: VecDeque<u8>,
+    /// Payload octets awaiting a frame slot: `queue[head..]`.
+    queue: Vec<u8>,
+    head: usize,
     /// B1 value for the next frame = BIP-8 of the previous *scrambled*
     /// frame.
     next_b1: u8,
@@ -117,7 +119,8 @@ impl FrameTransmitter {
     pub fn new(level: StmLevel) -> Self {
         Self {
             level,
-            queue: VecDeque::new(),
+            queue: Vec::new(),
+            head: 0,
             next_b1: 0,
             next_b2: 0,
             next_b3: 0,
@@ -151,12 +154,18 @@ impl FrameTransmitter {
 
     /// Queue payload bytes (the P⁵ transmitter's wire output).
     pub fn offer_payload(&mut self, bytes: &[u8]) {
-        self.queue.extend(bytes);
+        // Reclaim the emitted prefix once it is at least as long as the
+        // backlog behind it, so the move is amortised over the emits.
+        if self.head >= self.queue.len() - self.head {
+            self.queue.drain(..self.head);
+            self.head = 0;
+        }
+        self.queue.extend_from_slice(bytes);
     }
 
     /// Bytes waiting for a frame slot.
     pub fn backlog(&self) -> usize {
-        self.queue.len()
+        self.queue.len() - self.head
     }
 
     pub fn frames_emitted(&self) -> u64 {
@@ -176,22 +185,29 @@ impl FrameTransmitter {
         self.emit_frame_scrambled(None)
     }
 
-    /// Emit a frame, passing every payload byte (data *and* idle fill)
-    /// through the self-synchronous x⁴³+1 scrambler.  RFC 2615 requires
-    /// the scrambler to run continuously over the SPE payload — fill
-    /// octets included — or the receiver loses scrambler alignment
-    /// across idle gaps.
-    pub fn emit_frame_scrambled(&mut self, mut x43: Option<&mut PayloadScrambler>) -> Vec<u8> {
+    /// [`FrameTransmitter::emit_frame_into`] into a fresh `Vec`.
+    pub fn emit_frame_scrambled(&mut self, x43: Option<&mut PayloadScrambler>) -> Vec<u8> {
+        let mut f = Vec::new();
+        self.emit_frame_into(x43, &mut f);
+        f
+    }
+
+    /// Emit a frame into `f` (overwritten; a caller that keeps one line
+    /// image per path allocates it once), passing every payload byte
+    /// (data *and* idle fill) through the self-synchronous x⁴³+1
+    /// scrambler.  RFC 2615 requires the scrambler to run continuously
+    /// over the SPE payload — fill octets included — or the receiver
+    /// loses scrambler alignment across idle gaps.
+    pub fn emit_frame_into(&mut self, mut x43: Option<&mut PayloadScrambler>, f: &mut Vec<u8>) {
         let n = self.level.n();
         let row = self.level.row_bytes();
         let soh = self.level.soh_bytes();
-        let mut f = vec![0u8; self.level.frame_bytes()];
+        f.clear();
+        f.resize(self.level.frame_bytes(), 0);
 
         // Row 0 SOH: A1 ×3N, A2 ×3N, J0, zero-fill.
-        for i in 0..3 * n {
-            f[i] = A1;
-            f[3 * n + i] = A2;
-        }
+        f[..3 * n].fill(A1);
+        f[3 * n..6 * n].fill(A2);
         f[6 * n] = self.section_trace; // J0 section trace
 
         // Row 1 SOH: B1.
@@ -220,71 +236,51 @@ impl FrameTransmitter {
         self.rei_backlog -= rei as u64;
         f[3 * row + poh_col] = (rei << 4) | (u8::from(self.send_rdi) << 3);
 
-        // Fill the payload (everything right of the POH column).
+        // Fill the payload (everything right of the POH column) a row
+        // at a time: queued octets, then idle fill.  B3 for the next
+        // frame is the path BIP-8 over this frame's SPE (POH column
+        // included), before line scrambling.
         let mut payload_filled = 0usize;
-        let mut fill_used = 0usize;
-        for r in 0..9 {
-            for c in (soh + 1)..row {
-                let idx = r * row + c;
-                let byte = match self.queue.pop_front() {
-                    Some(b) => {
-                        payload_filled += 1;
-                        b
-                    }
-                    None => {
-                        fill_used += 1;
-                        self.idle_fill
-                    }
-                };
-                f[idx] = match x43.as_deref_mut() {
-                    Some(scr) => scr.scramble_byte(byte),
-                    None => byte,
-                };
-            }
-        }
-
-        // B3 for the next frame: path BIP-8 over this frame's SPE
-        // (everything right of the SOH columns), before line scrambling.
         let mut b3 = 0u8;
-        for r in 0..9 {
-            for c in soh..row {
-                b3 ^= f[r * row + c];
+        for spe in f.chunks_exact_mut(row).map(|r| &mut r[soh..]) {
+            let payload = &mut spe[1..];
+            let take = payload.len().min(self.queue.len() - self.head);
+            payload[..take].copy_from_slice(&self.queue[self.head..self.head + take]);
+            payload[take..].fill(self.idle_fill);
+            self.head += take;
+            payload_filled += take;
+            if let Some(scr) = x43.as_deref_mut() {
+                scr.scramble(payload);
             }
+            b3 ^= bip8(spe);
         }
         self.next_b3 = b3;
 
-        // Scramble everything except row-0 SOH.
+        // The frame-synchronous scrambler runs over the whole frame but
+        // the first row of SOH is transmitted unscrambled; the keystream
+        // still advances under it.
         let mut scr = FrameScrambler::new();
-        // The scrambler runs over the whole frame but the first row of
-        // SOH is transmitted unscrambled; keystream still advances.
-        for (i, b) in f.iter_mut().enumerate() {
-            let key = scr.keystream_byte();
-            let in_row0_soh = i < soh;
-            if !in_row0_soh {
-                *b ^= key;
-            }
-        }
+        scr.skip(soh);
+        scr.apply(&mut f[soh..]);
 
-        // Parity for the *next* frame.
-        self.next_b1 = bip8(&f);
-        let mut b2 = 0u8;
-        for r in 0..9 {
-            for c in 0..row {
-                // Exclude regenerator-section overhead (rows 0..3 of the
-                // SOH columns).
-                if r < 3 && c < soh {
-                    continue;
-                }
-                b2 ^= f[r * row + c];
-            }
-        }
-        self.next_b2 = b2;
+        // Parity for the *next* frame.  B2 excludes the regenerator
+        // section overhead (rows 0..3 of the SOH columns), and XOR
+        // parity cancels: B2 = B1 ^ BIP-8(RSOH).
+        self.next_b1 = bip8(f);
+        self.next_b2 = self.next_b1 ^ rsoh_parity(f, row, soh);
 
         self.frames_emitted += 1;
         self.payload_bytes_sent += payload_filled as u64;
-        self.fill_bytes_sent += fill_used as u64;
-        f
+        self.fill_bytes_sent += (self.level.payload_per_frame() - payload_filled) as u64;
     }
+}
+
+/// BIP-8 over the regenerator section overhead of a line image: rows
+/// 0–2 of the SOH columns.
+fn rsoh_parity(line: &[u8], row: usize, soh: usize) -> u8 {
+    line.chunks_exact(row)
+        .take(3)
+        .fold(0, |acc, r| acc ^ bip8(&r[..soh]))
 }
 
 /// Receive-side defects.
@@ -354,15 +350,21 @@ impl p5_stream::Observable for SectionStats {
 enum RxState {
     /// Searching the byte stream for the A1/A2 signature.
     Hunt,
-    /// Aligned; collecting one frame worth of bytes.
+    /// Aligned; taking one frame worth of bytes at a time.
     Aligned,
 }
+
+/// Most recent defects a [`FrameReceiver`] keeps for
+/// [`FrameReceiver::poll_defects`].  Nobody has to poll: older entries
+/// fall off, and [`SectionStats`] carries the totals.
+pub const DEFECT_WINDOW: usize = 64;
 
 /// Delineates frames from a raw line-byte stream and recovers the payload.
 pub struct FrameReceiver {
     level: StmLevel,
     state: RxState,
-    window: VecDeque<u8>,
+    /// Aligned: the head of a frame split across pushes.  Hunt: the
+    /// last ≤ 3N octets seen, in case the signature straddles pushes.
     buf: Vec<u8>,
     stats: SectionStats,
     expected_b1: Option<u8>,
@@ -371,7 +373,7 @@ pub struct FrameReceiver {
     /// Provisioned trace values to police (None = don't check).
     pub expected_section_trace: Option<u8>,
     pub expected_path_trace: Option<u8>,
-    defects: Vec<RxDefect>,
+    defects: VecDeque<RxDefect>,
     /// Consecutive bad framing patterns while aligned (≥ 2 ⇒ re-hunt,
     /// mirroring the M=... out-of-frame persistency check).
     bad_framings: u32,
@@ -382,15 +384,14 @@ impl FrameReceiver {
         Self {
             level,
             state: RxState::Hunt,
-            window: VecDeque::new(),
-            buf: Vec::with_capacity(level.frame_bytes()),
+            buf: Vec::new(),
             stats: SectionStats::default(),
             expected_b1: None,
             expected_b2: None,
             expected_b3: None,
             expected_section_trace: None,
             expected_path_trace: None,
-            defects: Vec::new(),
+            defects: VecDeque::new(),
             bad_framings: 0,
         }
     }
@@ -399,54 +400,97 @@ impl FrameReceiver {
         &self.stats
     }
 
-    /// Drain defects observed since the last call.
+    /// Drain the defects observed since the last call — the most recent
+    /// [`DEFECT_WINDOW`] of them, oldest first.
     pub fn poll_defects(&mut self) -> Vec<RxDefect> {
-        std::mem::take(&mut self.defects)
+        self.defects.drain(..).collect()
+    }
+
+    fn note(&mut self, defect: RxDefect) {
+        if self.defects.len() == DEFECT_WINDOW {
+            self.defects.pop_front();
+        }
+        self.defects.push_back(defect);
     }
 
     /// Push line bytes; returns recovered payload bytes (in order).
     pub fn push(&mut self, bytes: &[u8]) -> Vec<u8> {
         let mut payload = Vec::new();
-        for &b in bytes {
+        self.push_into(bytes, &mut payload);
+        payload
+    }
+
+    /// Push line bytes, appending the recovered payload to `out`.  A
+    /// whole frame at the expected offset is read straight from `bytes`;
+    /// only a frame split across pushes is copied.
+    pub fn push_into(&mut self, mut bytes: &[u8], out: &mut Vec<u8>) {
+        let frame_bytes = self.level.frame_bytes();
+        while !bytes.is_empty() {
             match self.state {
-                RxState::Hunt => {
-                    self.window.push_back(b);
-                    let sig = 4; // hunt for A1 A1 A2 A2 ... wait, need A1×k A2×k boundary
-                    let _ = sig;
-                    // Keep the window at the signature length: the last
-                    // 3N bytes of A1 run plus first byte of A2 suffices,
-                    // but to place the frame start we need the *start* of
-                    // the A1 run.  We hunt for exactly A1×3N followed by
-                    // A2: then the A1 run started 3N+1 bytes ago.
-                    let need = 3 * self.level.n() + 1;
-                    if self.window.len() > need {
-                        self.window.pop_front();
-                    }
-                    if self.window.len() == need
-                        && self.window.iter().take(need - 1).all(|&x| x == A1)
-                        && *self.window.back().unwrap() == A2
-                    {
-                        // Frame begins at the first A1 in the window.
-                        self.buf.clear();
-                        self.buf.extend(self.window.iter());
-                        self.window.clear();
-                        self.state = RxState::Aligned;
-                        self.stats.hunts += 1;
-                    }
+                RxState::Hunt => bytes = self.hunt(bytes),
+                RxState::Aligned if self.buf.is_empty() && bytes.len() >= frame_bytes => {
+                    let (frame, rest) = bytes.split_at(frame_bytes);
+                    self.process_frame(frame, out);
+                    bytes = rest;
                 }
                 RxState::Aligned => {
-                    self.buf.push(b);
-                    if self.buf.len() == self.level.frame_bytes() {
+                    let (head, rest) =
+                        bytes.split_at(bytes.len().min(frame_bytes - self.buf.len()));
+                    self.buf.extend_from_slice(head);
+                    bytes = rest;
+                    if self.buf.len() == frame_bytes {
                         let frame = std::mem::take(&mut self.buf);
-                        payload.extend(self.process_frame(&frame));
+                        self.process_frame(&frame, out);
+                        self.buf = frame;
+                        self.buf.clear();
                     }
                 }
             }
         }
-        payload
     }
 
-    fn process_frame(&mut self, line: &[u8]) -> Vec<u8> {
+    /// Search for the signature A1 ×3N followed by one A2 — the frame
+    /// begins at the first A1 of that run — and return the bytes still
+    /// to be taken.  On a hit the receiver is aligned, with whatever
+    /// part of the new frame was already consumed in `buf`.
+    fn hunt<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        let n = self.level.n();
+        let overlap = 3 * n; // signature length - 1
+        if !self.buf.is_empty() {
+            // A signature that began in an earlier push ends within the
+            // first 3N octets of this one.
+            let (head, rest) = bytes.split_at(bytes.len().min(overlap));
+            self.buf.extend_from_slice(head);
+            if let Some(at) = find_signature(&self.buf, n) {
+                self.buf.drain(..at);
+                self.lock();
+                return rest;
+            }
+            if rest.is_empty() {
+                self.buf.drain(..self.buf.len().saturating_sub(overlap));
+                return rest;
+            }
+            self.buf.clear();
+        }
+        match find_signature(bytes, n) {
+            Some(at) => {
+                self.lock();
+                &bytes[at..]
+            }
+            None => {
+                self.buf
+                    .extend_from_slice(&bytes[bytes.len().saturating_sub(overlap)..]);
+                &[]
+            }
+        }
+    }
+
+    fn lock(&mut self) {
+        self.state = RxState::Aligned;
+        self.stats.hunts += 1;
+    }
+
+    fn process_frame(&mut self, line: &[u8], out: &mut Vec<u8>) {
         let n = self.level.n();
         let row = self.level.row_bytes();
         let soh = self.level.soh_bytes();
@@ -458,90 +502,75 @@ impl FrameReceiver {
             self.bad_framings += 1;
             if self.bad_framings >= 2 {
                 self.state = RxState::Hunt;
-                self.window.clear();
                 self.stats.oof_events += 1;
-                self.defects.push(RxDefect::OutOfFrame);
+                self.note(RxDefect::OutOfFrame);
                 self.expected_b1 = None;
                 self.expected_b2 = None;
                 self.expected_b3 = None;
                 self.bad_framings = 0;
-                return Vec::new();
+                return;
             }
         } else {
             self.bad_framings = 0;
         }
 
         // Parity over the line image (B1 of frame k covers scrambled
-        // frame k-1).
+        // frame k-1; B2 is the same less the regenerator section).
         let this_b1 = bip8(line);
-        let mut this_b2 = 0u8;
-        for r in 0..9 {
-            for c in 0..row {
-                if r < 3 && c < soh {
-                    continue;
-                }
-                this_b2 ^= line[r * row + c];
-            }
-        }
+        let this_b2 = this_b1 ^ rsoh_parity(line, row, soh);
 
-        // Descramble (all but row-0 SOH).
-        let mut f = line.to_vec();
-        let mut scr = FrameScrambler::new();
-        for (i, b) in f.iter_mut().enumerate() {
-            let key = scr.keystream_byte();
-            if i >= soh {
-                *b ^= key;
-            }
-        }
+        // One descrambled overhead octet (row-0 SOH is never scrambled
+        // and never read through here).
+        let clear = |at: usize| line[at] ^ FrameScrambler::key_at(at);
 
         // Check parity carried in this frame against the previous frame.
-        if let Some(exp) = self.expected_b1 {
-            if f[row] != exp {
-                self.stats.b1_errors += 1;
-                self.defects.push(RxDefect::B1Error);
-            }
+        if self.expected_b1.is_some_and(|exp| clear(row) != exp) {
+            self.stats.b1_errors += 1;
+            self.note(RxDefect::B1Error);
         }
-        if let Some(exp) = self.expected_b2 {
-            if f[4 * row] != exp {
-                self.stats.b2_errors += 1;
-                self.defects.push(RxDefect::B2Error);
-            }
+        if self.expected_b2.is_some_and(|exp| clear(4 * row) != exp) {
+            self.stats.b2_errors += 1;
+            self.note(RxDefect::B2Error);
         }
         self.expected_b1 = Some(this_b1);
         self.expected_b2 = Some(this_b2);
 
-        // Path BIP-8 over this frame's descrambled SPE; checked against
-        // the B3 carried in the *next* frame.
+        // Extract the payload (everything right of the POH column) a
+        // row at a time, descrambling it where it lands in `out`.  Path
+        // BIP-8 runs over the descrambled SPE, POH column included, and
+        // is checked against the B3 carried in the *next* frame.
         let mut this_b3 = 0u8;
         for r in 0..9 {
-            for c in soh..row {
-                this_b3 ^= f[r * row + c];
-            }
+            let poh = r * row + soh;
+            let landed = out.len();
+            out.extend_from_slice(&line[poh + 1..(r + 1) * row]);
+            let mut scr = FrameScrambler::new();
+            scr.skip(poh + 1);
+            scr.apply(&mut out[landed..]);
+            this_b3 ^= clear(poh) ^ bip8(&out[landed..]);
         }
-        if let Some(exp) = self.expected_b3 {
-            if f[row + soh] != exp {
-                self.stats.b3_errors += 1;
-                self.defects.push(RxDefect::B3Error);
-            }
+        if self.expected_b3.is_some_and(|exp| clear(row + soh) != exp) {
+            self.stats.b3_errors += 1;
+            self.note(RxDefect::B3Error);
         }
         self.expected_b3 = Some(this_b3);
 
         // Pointer-borne alarms: all-ones H1/H2 is path AIS (H1/H2 are
         // under the frame-synchronous scrambler, so check descrambled).
-        if f[3 * row] == 0xFF && f[3 * row + n] == 0xFF {
+        if clear(3 * row) == 0xFF && clear(3 * row + n) == 0xFF {
             self.stats.path_ais_frames += 1;
-            self.defects.push(RxDefect::PathAis);
+            self.note(RxDefect::PathAis);
         }
 
         // G1: remote error/defect indications from the far end.
-        let g1 = f[3 * row + soh];
+        let g1 = clear(3 * row + soh);
         let rei = (g1 >> 4) as u64;
         if rei <= 8 {
             self.stats.remote_errors += rei;
         }
         if g1 & 0x08 != 0 {
             self.stats.remote_defect_frames += 1;
-            self.defects.push(RxDefect::RemoteDefect);
+            self.note(RxDefect::RemoteDefect);
         }
 
         // Trace supervision.
@@ -549,32 +578,31 @@ impl FrameReceiver {
             let j0 = line[6 * n];
             if j0 != exp {
                 self.stats.section_trace_mismatches += 1;
-                self.defects.push(RxDefect::SectionTraceMismatch(j0));
+                self.note(RxDefect::SectionTraceMismatch(j0));
             }
         }
         if let Some(exp) = self.expected_path_trace {
-            let j1 = f[soh];
+            let j1 = clear(soh);
             if j1 != exp {
                 self.stats.path_trace_mismatches += 1;
-                self.defects.push(RxDefect::PathTraceMismatch(j1));
+                self.note(RxDefect::PathTraceMismatch(j1));
             }
         }
 
         // Path signal label.
-        let c2 = f[2 * row + soh];
+        let c2 = clear(2 * row + soh);
         if c2 != C2_PPP_SCRAMBLED {
             self.stats.label_mismatches += 1;
-            self.defects.push(RxDefect::PayloadLabelMismatch(c2));
-        }
-
-        // Extract payload (everything right of the POH column).
-        let mut payload = Vec::with_capacity(self.level.payload_per_frame());
-        for r in 0..9 {
-            payload.extend_from_slice(&f[r * row + soh + 1..(r + 1) * row]);
+            self.note(RxDefect::PayloadLabelMismatch(c2));
         }
         self.stats.frames_ok += 1;
-        payload
     }
+}
+
+/// Offset of the first A1 ×3N, A2 run in `hay`.
+fn find_signature(hay: &[u8], n: usize) -> Option<usize> {
+    hay.windows(3 * n + 1)
+        .position(|w| w[3 * n] == A2 && w[..3 * n].iter().all(|&b| b == A1))
 }
 
 #[cfg(test)]

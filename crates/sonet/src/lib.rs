@@ -45,7 +45,7 @@ pub mod stream;
 pub use channel::{BitErrorChannel, ChannelStats};
 pub use channelized::TributaryGroup;
 pub use frame::{FrameReceiver, FrameTransmitter, RxDefect, SectionStats, StmLevel};
-pub use mux::{deinterleave, interleave};
+pub use mux::{deinterleave, deinterleave_into, interleave, interleave_into};
 pub use path::{ByteLink, OcPath};
 pub use scramble::{FrameScrambler, PayloadScrambler};
 pub use stream::{ChannelStage, OcPathStage};

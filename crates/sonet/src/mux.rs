@@ -10,40 +10,47 @@ use crate::frame::StmLevel;
 /// bytes) into a single STM-n line frame: output column `c` of row `r`
 /// comes from tributary `c % n`, column `c / n`.
 pub fn interleave(tributaries: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    interleave_into(tributaries, &mut out);
+    out
+}
+
+/// [`interleave`] into `out` (overwritten).  Rows of the envelope are
+/// `n` times as long as a tributary's, so octet `i` of tributary `t`
+/// lands at `i * n + t` whatever its row: one stride-`n` pass per
+/// tributary.
+pub fn interleave_into(tributaries: &[Vec<u8>], out: &mut Vec<u8>) {
     let n = tributaries.len();
     assert!(n == 4 || n == 16, "SDH multiplexes 4 or 16 tributaries");
-    let trib_row = StmLevel::Stm1.row_bytes();
-    for t in tributaries {
-        assert_eq!(
-            t.len(),
-            StmLevel::Stm1.frame_bytes(),
-            "tributaries are STM-1 frames"
-        );
-    }
-    let out_row = trib_row * n;
-    let mut out = vec![0u8; out_row * 9];
-    for r in 0..9 {
-        for c in 0..out_row {
-            out[r * out_row + c] = tributaries[c % n][r * trib_row + c / n];
+    let trib_bytes = StmLevel::Stm1.frame_bytes();
+    out.clear();
+    out.resize(trib_bytes * n, 0);
+    for (t, trib) in tributaries.iter().enumerate() {
+        assert_eq!(trib.len(), trib_bytes, "tributaries are STM-1 frames");
+        for (o, &b) in out[t..].iter_mut().step_by(n).zip(trib) {
+            *o = b;
         }
     }
-    out
 }
 
 /// De-interleave an STM-n line frame back into its `n` STM-1
 /// tributaries.
 pub fn deinterleave(line: &[u8], n: usize) -> Vec<Vec<u8>> {
     assert!(n == 4 || n == 16);
-    let trib_row = StmLevel::Stm1.row_bytes();
-    let out_row = trib_row * n;
-    assert_eq!(line.len(), out_row * 9, "line is one STM-{n} frame");
-    let mut tribs = vec![vec![0u8; trib_row * 9]; n];
-    for r in 0..9 {
-        for c in 0..out_row {
-            tribs[c % n][r * trib_row + c / n] = line[r * out_row + c];
-        }
-    }
+    let mut tribs = vec![Vec::new(); n];
+    deinterleave_into(line, &mut tribs);
     tribs
+}
+
+/// [`deinterleave`] into `tribs.len()` tributary buffers (overwritten).
+pub fn deinterleave_into(line: &[u8], tribs: &mut [Vec<u8>]) {
+    let n = tribs.len();
+    let trib_bytes = StmLevel::Stm1.frame_bytes();
+    assert_eq!(line.len(), trib_bytes * n, "line is one STM-{n} frame");
+    for (t, trib) in tribs.iter_mut().enumerate() {
+        trib.clear();
+        trib.extend(line[t..].iter().step_by(n));
+    }
 }
 
 #[cfg(test)]

@@ -3,15 +3,22 @@
 //! systems"), and a full OC path assembling framer → channel → deframer.
 
 use crate::channel::BitErrorChannel;
-use crate::frame::{FrameReceiver, FrameTransmitter, SectionStats, StmLevel};
+use crate::frame::{FrameReceiver, FrameTransmitter, RxDefect, SectionStats, StmLevel};
 use crate::scramble::PayloadScrambler;
 
 /// A byte-oriented duplex-capable link endpoint: the P⁵'s PHY interface.
 pub trait ByteLink {
     /// Offer transmit bytes to the link.
     fn send(&mut self, bytes: &[u8]);
-    /// Collect bytes the link has delivered.
-    fn recv(&mut self) -> Vec<u8>;
+    /// Append the bytes the link has delivered to `out`; the link keeps
+    /// its own storage for the next delivery.
+    fn recv_into(&mut self, out: &mut Vec<u8>);
+    /// [`ByteLink::recv_into`] into a fresh `Vec`.
+    fn recv(&mut self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.recv_into(&mut out);
+        out
+    }
 }
 
 /// A trivial lossless loopback link (tests, golden-model comparisons).
@@ -25,8 +32,8 @@ impl ByteLink for LoopbackLink {
         self.buf.extend_from_slice(bytes);
     }
 
-    fn recv(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
+    fn recv_into(&mut self, out: &mut Vec<u8>) {
+        out.append(&mut self.buf);
     }
 }
 
@@ -43,6 +50,9 @@ pub struct OcPath {
     transmitter: FrameTransmitter,
     channel: BitErrorChannel,
     receiver: FrameReceiver,
+    /// The one line image every frame of this path is built in, crosses
+    /// the channel in and is delineated from.
+    line: Vec<u8>,
     rx_out: Vec<u8>,
     /// x⁴³+1 scrambling enabled (RFC 2615 mandates it; RFC 1619 links
     /// ran without it).
@@ -58,6 +68,7 @@ impl OcPath {
             transmitter: FrameTransmitter::new(level),
             channel,
             receiver: FrameReceiver::new(level),
+            line: Vec::new(),
             rx_out: Vec::new(),
             scramble_payload: true,
         }
@@ -85,22 +96,26 @@ impl OcPath {
         &self.transmitter
     }
 
+    /// Drain the receive-side defects seen since the last call (see
+    /// [`FrameReceiver::poll_defects`]; bounded whether or not anybody
+    /// polls).
+    pub fn poll_defects(&mut self) -> Vec<RxDefect> {
+        self.receiver.poll_defects()
+    }
+
     /// Advance the line by `k` frames (k × 125 µs), carrying queued
     /// payload across the channel.
     pub fn run_frames(&mut self, k: usize) {
         for _ in 0..k {
-            let x43 = if self.scramble_payload {
-                Some(&mut self.tx_scrambler)
-            } else {
-                None
-            };
-            let mut line = self.transmitter.emit_frame_scrambled(x43);
-            self.channel.transmit(&mut line);
-            let mut payload = self.receiver.push(&line);
+            let x43 = self.scramble_payload.then_some(&mut self.tx_scrambler);
+            self.transmitter.emit_frame_into(x43, &mut self.line);
+            self.channel.transmit(&mut self.line);
+            // The payload lands in `rx_out` and is descrambled there.
+            let landed = self.rx_out.len();
+            self.receiver.push_into(&self.line, &mut self.rx_out);
             if self.scramble_payload {
-                self.rx_scrambler.descramble(&mut payload);
+                self.rx_scrambler.descramble(&mut self.rx_out[landed..]);
             }
-            self.rx_out.extend(payload);
         }
     }
 
@@ -119,6 +134,15 @@ impl OcPath {
     /// while the source is mid-frame: padding inside an HDLC frame
     /// aborts it at the receiver.
     pub fn carry(&mut self, wire: &[u8], flush: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.carry_into(wire, flush, &mut out);
+        out
+    }
+
+    /// [`OcPath::carry`], appending what the far end recovered to `out`
+    /// — the form for a carrier that ferries every tick and keeps one
+    /// buffer for it.
+    pub fn carry_into(&mut self, wire: &[u8], flush: bool, out: &mut Vec<u8>) {
         self.send(wire);
         let frames = if flush {
             match self.frames_to_drain() {
@@ -129,7 +153,7 @@ impl OcPath {
             self.transmitter.backlog() / self.level.payload_per_frame()
         };
         self.run_frames(frames);
-        self.recv()
+        self.recv_into(out);
     }
 }
 
@@ -140,14 +164,15 @@ impl ByteLink for OcPath {
         self.transmitter.offer_payload(bytes);
     }
 
-    fn recv(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.rx_out)
+    fn recv_into(&mut self, out: &mut Vec<u8>) {
+        out.append(&mut self.rx_out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::DEFECT_WINDOW;
 
     #[test]
     fn loopback_link_round_trips() {
@@ -188,6 +213,18 @@ mod tests {
         path.run_frames(12);
         let stats = path.section_stats();
         assert!(stats.b1_errors + stats.b2_errors > 0, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn unpolled_defect_log_stays_bounded() {
+        // Nothing on the carriage path polls defects; a path that is
+        // misprovisioned (or noisy) for its whole life must not grow.
+        let mut path = OcPath::new(StmLevel::Stm1, BitErrorChannel::clean());
+        path.receiver.expected_path_trace = Some(0x00);
+        path.run_frames(100_000);
+        assert_eq!(path.section_stats().path_trace_mismatches, 100_000);
+        assert_eq!(path.poll_defects().len(), DEFECT_WINDOW);
+        assert!(path.poll_defects().is_empty());
     }
 
     #[test]

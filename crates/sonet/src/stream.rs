@@ -65,15 +65,14 @@ impl WordStream for OcPathStage {
             self.stats.cycles += self.frames_per_step as u64;
         }
         // Collect regardless: `finish` runs frames without draining.
-        let delivered = self.path.recv();
-        if delivered.is_empty() {
+        let delivered = output.extend_untagged_with(|wire| self.path.recv_into(wire));
+        if delivered == 0 {
             self.stats.bubble_cycles += 1;
             return Poll::Ready(0);
         }
-        output.push_slice(&delivered);
         self.stats.words_out += 1;
-        self.stats.bytes_out += delivered.len() as u64;
-        Poll::Ready(delivered.len())
+        self.stats.bytes_out += delivered as u64;
+        Poll::Ready(delivered)
     }
 }
 
