@@ -19,6 +19,11 @@
 //!   over the single-link row of the same process — a ratio, so host
 //!   speed cancels; a bit-serial SONET path reads ~0.02, the word-wide
 //!   one ~0.16;
+//! * `--max-rss-kb-per-link <n>`: resident kilobytes per link of the
+//!   largest sweep row, fleet built and run to drain — a footprint, so
+//!   it repeats where wall-clock numbers drift; with this report's
+//!   1024 B frames per-engine CRC tables read ~93, process-wide ones
+//!   ~28 (skipped where `/proc` is absent);
 //! * conservation is always enforced: an uncongested fleet must
 //!   deliver every offered frame (zero shed, zero rejected, zero
 //!   lost).
@@ -95,6 +100,25 @@ fn measure(cfg: &FleetConfig, reps: usize) -> RowMeasure {
     out.expect("at least two reps")
 }
 
+/// `VmRSS` of this process in kB (`None` off Linux).
+fn vm_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// Resident kB per link of one fleet shape, built and run to drain so
+/// the buffers a link grows into on its first ticks are counted.  Call
+/// it before anything else has grown the heap: memory an earlier fleet
+/// freed but the allocator kept would hide part of the next one.
+fn rss_kb_per_link(cfg: &FleetConfig) -> Option<f64> {
+    let before = vm_rss_kb()?;
+    let mut fleet = Fleet::new(cfg.clone()).expect("valid fleet config");
+    assert!(fleet.run_until_drained(u64::MAX), "fleet failed to drain");
+    let after = vm_rss_kb()?;
+    Some(after.saturating_sub(before) as f64 / cfg.links as f64)
+}
+
 fn sweep_config(links: usize, budget: usize, sharding: Sharding, carrier: Carrier) -> FleetConfig {
     FleetConfig {
         links,
@@ -126,6 +150,7 @@ fn main() {
     let min_uplift = arg_value(&args, "--min-uplift");
     let max_p99 = arg_value(&args, "--max-p99-ticks");
     let min_channelized = arg_value(&args, "--min-channelized-over-single");
+    let max_rss = arg_value(&args, "--max-rss-kb-per-link");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -139,13 +164,32 @@ fn main() {
         "{}",
         heading("Runtime report - fleet scaling, 1 -> 10k links")
     );
-    println!("host cores: {cores}\n");
+    println!("host cores: {cores}");
+
+    let mut gate_failures: Vec<String> = Vec::new();
+    let largest = *link_counts.last().expect("a non-empty sweep");
+    let rss = rss_kb_per_link(&sweep_config(
+        largest,
+        budget,
+        Sharding::WorkStealing,
+        Carrier::Raw,
+    ));
+    match rss {
+        Some(kb) => println!("rss_kb_per_link: {kb:.1} ({largest} links)\n"),
+        None => println!("rss_kb_per_link: n/a (no /proc/self/status)\n"),
+    }
+    if let (Some(kb), Some(ceiling)) = (rss, max_rss) {
+        if kb > ceiling {
+            gate_failures.push(format!(
+                "{kb:.1} kB resident per link at {largest} links, above ceiling {ceiling:.0}"
+            ));
+        }
+    }
     println!(
         "{:>7} {:>8} {:>7} {:>10} {:>12} {:>10} {:>10}",
         "links", "workers", "ticks", "frames", "agg (Gbps)", "p99 (tk)", "wall (s)"
     );
 
-    let mut gate_failures: Vec<String> = Vec::new();
     let mut rows = String::new();
     let mut single_gbps = 0f64;
     let mut best_at_scale = 0f64;
@@ -274,6 +318,7 @@ fn main() {
         }
     }
 
+    let rss_json = rss.map_or("null".to_string(), |kb| format!("{kb:.1}"));
     let json = format!(
         "{{\n  \"bench\": \"runtime\",\n  \"smoke\": {smoke},\n  \
          \"cores\": {cores},\n  \"payload_len\": {PAYLOAD_LEN},\n  \
@@ -281,7 +326,8 @@ fn main() {
          \"single_link_gbps\": {single_gbps:.4},\n  \
          \"best_aggregate_gbps\": {best_at_scale:.4},\n  \
          \"scaling_uplift\": {uplift:.2},\n  \
-         \"channelized_over_single\": {channelized_over_single:.3},\n  \"sweep\": [\n{rows}\n  ],\n  \
+         \"channelized_over_single\": {channelized_over_single:.3},\n  \
+         \"rss_kb_per_link\": {rss_json},\n  \"sweep\": [\n{rows}\n  ],\n  \
          \"modes\": [\n{modes}\n  ]\n}}\n"
     );
     std::fs::create_dir_all("results").expect("create results/");

@@ -197,11 +197,9 @@ impl P5 {
         };
         let w = width.bytes();
         let pool = BufPool::new();
-        let mut tx = TxPipeline::new(w, cfg.address, fcs);
-        tx.control.set_pool(pool.clone());
-        let mut rx = RxPipeline::new(w, cfg.address, fcs, max_body);
+        let tx = TxPipeline::with_pool(w, cfg.address, fcs, pool.clone());
+        let mut rx = RxPipeline::with_pool(w, cfg.address, fcs, max_body, pool.clone());
         rx.control.promiscuous = cfg.promiscuous;
-        rx.control.set_pool(pool.clone());
         Self {
             width,
             tx,
@@ -340,6 +338,12 @@ impl P5 {
     /// Frames delivered to receive shared memory since the last call.
     pub fn take_received(&mut self) -> Vec<ReceivedFrame> {
         self.rx.take_frames()
+    }
+
+    /// The oldest undelivered frame, if any: [`P5::take_received`] for a
+    /// caller that consumes frames one by one and wants no `Vec` for it.
+    pub fn pop_received(&mut self) -> Option<ReceivedFrame> {
+        self.rx.control.pop_frame()
     }
 
     pub fn rx_counters(&self) -> &RxCounters {
@@ -884,6 +888,11 @@ mod tests {
     use super::*;
     use crate::oam::{regs, MmioBus, Oam};
 
+    // A fleet link holds two devices inline; what a device owns beyond
+    // this is heap it grows into, and none of it is a lookup table
+    // (measured 2592 B).
+    const _: () = assert!(std::mem::size_of::<P5>() <= 3072);
+
     /// Two P⁵s wired back-to-back over a perfect wire.
     fn link_pair(width: DatapathWidth) -> (P5, P5) {
         (P5::new(width), P5::new(width))
@@ -1251,6 +1260,22 @@ mod tests {
         shuttle(&mut a, &mut b, 1000);
         assert_eq!(b.take_received()[0].payload, b"a to b");
         assert_eq!(a.take_received()[0].payload, b"b to a");
+    }
+
+    #[test]
+    fn pop_received_hands_frames_over_oldest_first() {
+        let (mut a, mut b) = link_pair(DatapathWidth::W32);
+        for tag in 1..=3u8 {
+            a.submit(0x0021, vec![tag; 8]).unwrap();
+        }
+        shuttle(&mut a, &mut b, 1000);
+        assert_eq!(b.pop_received().map(|f| f.payload), Some(vec![1; 8]));
+        assert_eq!(b.pop_received().map(|f| f.payload), Some(vec![2; 8]));
+        // The batch form sees exactly what the single form left behind.
+        let rest = b.take_received();
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].payload, vec![3; 8]);
+        assert!(b.pop_received().is_none());
     }
 
     #[test]

@@ -277,15 +277,15 @@ pub struct RxControl {
     /// Bytes discarded while hunting for the next SOF.
     pub resync_bytes_skipped: u64,
     out: VecDeque<ReceivedFrame>,
-    /// Recycled payload storage (shared with the device pool via
-    /// [`RxControl::set_pool`]).
+    /// Recycled payload storage (the device-wide pool inside a
+    /// [`crate::P5`]).
     pool: BufPool,
     pub counters: RxCounters,
     pub stats: StageStats,
 }
 
 impl RxControl {
-    pub fn new(fcs: FcsMode, address: u8, max_body: usize) -> Self {
+    pub fn new(fcs: FcsMode, address: u8, max_body: usize, pool: BufPool) -> Self {
         Self {
             fcs,
             address,
@@ -297,15 +297,10 @@ impl RxControl {
             in_frame: false,
             resync_bytes_skipped: 0,
             out: VecDeque::new(),
-            pool: BufPool::new(),
+            pool,
             counters: RxCounters::default(),
             stats: StageStats::default(),
         }
-    }
-
-    /// Share payload storage with a device-wide buffer pool.
-    pub fn set_pool(&mut self, pool: BufPool) {
-        self.pool = pool;
     }
 
     pub fn ready(&self) -> bool {
@@ -319,6 +314,12 @@ impl RxControl {
     /// Drain frames delivered to shared memory.
     pub fn take_frames(&mut self) -> Vec<ReceivedFrame> {
         self.out.drain(..).collect()
+    }
+
+    /// The oldest delivered frame, if any — [`RxControl::take_frames`]
+    /// one frame at a time, without the `Vec`.
+    pub fn pop_frame(&mut self) -> Option<ReceivedFrame> {
+        self.out.pop_front()
     }
 
     /// Frames delivered but not yet drained by [`RxControl::take_frames`]
@@ -455,10 +456,21 @@ pub struct RxPipeline {
 
 impl RxPipeline {
     pub fn new(width: usize, address: u8, fcs: FcsMode, max_body: usize) -> Self {
+        Self::with_pool(width, address, fcs, max_body, BufPool::new())
+    }
+
+    /// [`RxPipeline::new`] drawing payload storage from `pool`.
+    pub(crate) fn with_pool(
+        width: usize,
+        address: u8,
+        fcs: FcsMode,
+        max_body: usize,
+        pool: BufPool,
+    ) -> Self {
         Self {
             escape: EscapeDetect::new(width, EscapeDetect::default_capacity(width)),
             crc: RxCrc::new(width, fcs),
-            control: RxControl::new(fcs, address, max_body),
+            control: RxControl::new(fcs, address, max_body, pool),
             latch_esc_crc: None,
             latch_crc_ctl: None,
             cycles: 0,
@@ -757,7 +769,7 @@ mod tests {
         // upstream error recovery) must not be reassembled into a
         // phantom frame: the control unit hunts for the next SOF and
         // discards the stragglers.
-        let mut ctl = RxControl::new(FcsMode::Fcs32, 0xFF, 4096);
+        let mut ctl = RxControl::new(FcsMode::Fcs32, 0xFF, 4096, BufPool::new());
         // A mid-frame tail with no SOF, closed by an EOF.
         ctl.clock(Some(Word::data(&[0xAA, 0xBB, 0xCC, 0xDD])));
         let mut tail = Word::data(&[0xEE, 0xFF]);

@@ -58,8 +58,8 @@ pub struct TxControl {
     pub frames_sent: u64,
     /// Descriptors refused because the queue was full.
     pub submit_rejects: u64,
-    /// Recycled body/payload storage (shared with the device pool via
-    /// [`TxControl::set_pool`]).
+    /// Recycled body/payload storage (the device-wide pool inside a
+    /// [`crate::P5`]).
     pool: BufPool,
     pub stats: StageStats,
 }
@@ -68,7 +68,7 @@ impl TxControl {
     /// Default shared-memory queue bound.
     pub const DEFAULT_QUEUE_DEPTH: usize = 512;
 
-    pub fn new(width: usize, address: u8) -> Self {
+    pub fn new(width: usize, address: u8, pool: BufPool) -> Self {
         Self {
             width,
             queue: VecDeque::new(),
@@ -77,14 +77,9 @@ impl TxControl {
             queue_depth: Self::DEFAULT_QUEUE_DEPTH,
             frames_sent: 0,
             submit_rejects: 0,
-            pool: BufPool::new(),
+            pool,
             stats: StageStats::default(),
         }
-    }
-
-    /// Share frame-body storage with a device-wide buffer pool.
-    pub fn set_pool(&mut self, pool: BufPool) {
-        self.pool = pool;
     }
 
     /// Lease recycled storage for a submit payload (the zero-copy
@@ -514,8 +509,13 @@ pub struct TxPipeline {
 
 impl TxPipeline {
     pub fn new(width: usize, address: u8, fcs: FcsMode) -> Self {
+        Self::with_pool(width, address, fcs, BufPool::new())
+    }
+
+    /// [`TxPipeline::new`] drawing frame-body storage from `pool`.
+    pub(crate) fn with_pool(width: usize, address: u8, fcs: FcsMode, pool: BufPool) -> Self {
         Self {
-            control: TxControl::new(width, address),
+            control: TxControl::new(width, address, pool),
             crc: TxCrc::new(width, fcs),
             escape: EscapeGen::new(width, EscapeGen::default_capacity(width)),
             latch_ctl_crc: None,
@@ -853,7 +853,7 @@ mod abort_tests {
             if i == 30 {
                 tx.escape.abort_frame();
                 // Stop feeding the rest of the frame.
-                tx.control = TxControl::new(4, 0xFF);
+                tx.control = TxControl::new(4, 0xFF, BufPool::new());
                 tx.crc = TxCrc::new(4, FcsMode::Fcs32);
                 tx.latch_flush_for_test();
             }

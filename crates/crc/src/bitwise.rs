@@ -30,15 +30,17 @@ impl BitwiseEngine {
     }
 
     /// Stateless single-byte step used by the matrix prober.
-    pub fn step_byte(params: &CrcParams, state: u32, byte: u8) -> u32 {
+    pub const fn step_byte(params: &CrcParams, state: u32, byte: u8) -> u32 {
         let mut s = state;
-        for i in 0..8 {
+        let mut i = 0;
+        while i < 8 {
             let bit = (byte >> i) & 1;
             let fb = (s ^ bit as u32) & 1;
             s >>= 1;
             if fb != 0 {
                 s ^= params.poly;
             }
+            i += 1;
         }
         s & params.mask()
     }
@@ -64,10 +66,6 @@ impl CrcEngine for BitwiseEngine {
             }
         }
         self.state &= self.params.mask();
-    }
-
-    fn value(&self) -> u32 {
-        (self.state ^ self.params.xorout) & self.params.mask()
     }
 
     fn residue(&self) -> u32 {

@@ -71,13 +71,6 @@ impl CrcEngine for FcsEngine {
         }
     }
 
-    fn value(&self) -> u32 {
-        match self {
-            FcsEngine::Slice(e) => e.value(),
-            FcsEngine::Matrix(e) => e.value(),
-        }
-    }
-
     fn residue(&self) -> u32 {
         match self {
             FcsEngine::Slice(e) => e.residue(),

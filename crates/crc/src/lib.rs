@@ -64,26 +64,32 @@ pub trait CrcEngine {
     /// Feed bytes through the register, least-significant bit first
     /// (PPP/HDLC bit ordering).
     fn update(&mut self, data: &[u8]);
-    /// The finalised FCS over everything fed since the last reset.
-    fn value(&self) -> u32;
     /// The raw (non-complemented) register contents.
     fn residue(&self) -> u32;
     /// The parameter set this engine computes.
     fn params(&self) -> &CrcParams;
+    /// The finalised FCS over everything fed since the last reset.
+    fn value(&self) -> u32 {
+        let params = self.params();
+        (self.residue() ^ params.xorout) & params.mask()
+    }
+}
+
+/// One byte-at-a-time pass over `data` (the engine borrows its table).
+fn one_shot(params: CrcParams, data: &[u8]) -> TableEngine {
+    let mut e = TableEngine::new(params);
+    e.update(data);
+    e
 }
 
 /// One-shot FCS-32 of a buffer (complemented, ready for transmission).
 pub fn fcs32(data: &[u8]) -> u32 {
-    let mut e = TableEngine::new(FCS32);
-    e.update(data);
-    e.value()
+    one_shot(FCS32, data).value()
 }
 
 /// One-shot FCS-16 of a buffer (complemented, ready for transmission).
 pub fn fcs16(data: &[u8]) -> u16 {
-    let mut e = TableEngine::new(FCS16);
-    e.update(data);
-    e.value() as u16
+    one_shot(FCS16, data).value() as u16
 }
 
 /// Serialise an FCS-32 for the wire: PPP transmits the FCS least
@@ -100,22 +106,12 @@ pub fn fcs16_wire_bytes(fcs: u16) -> [u8; 2] {
 /// Verify a frame body whose trailing bytes are its FCS-32: running the CRC
 /// over data *and* FCS must land on the magic residue.
 pub fn check_fcs32(frame_with_fcs: &[u8]) -> bool {
-    if frame_with_fcs.len() < 4 {
-        return false;
-    }
-    let mut e = TableEngine::new(FCS32);
-    e.update(frame_with_fcs);
-    e.residue() == FCS32.good_residue
+    frame_with_fcs.len() >= 4 && one_shot(FCS32, frame_with_fcs).residue() == FCS32.good_residue
 }
 
 /// Verify a frame body whose trailing bytes are its FCS-16.
 pub fn check_fcs16(frame_with_fcs: &[u8]) -> bool {
-    if frame_with_fcs.len() < 2 {
-        return false;
-    }
-    let mut e = TableEngine::new(FCS16);
-    e.update(frame_with_fcs);
-    e.residue() == FCS16.good_residue
+    frame_with_fcs.len() >= 2 && one_shot(FCS16, frame_with_fcs).residue() == FCS16.good_residue
 }
 
 #[cfg(test)]

@@ -258,10 +258,6 @@ impl CrcEngine for MatrixEngine {
         self.pending.extend_from_slice(chunks.remainder());
     }
 
-    fn value(&self) -> u32 {
-        (self.residue() ^ self.matrix.params.xorout) & self.matrix.params.mask()
-    }
-
     fn residue(&self) -> u32 {
         let mut tmp = self.clone();
         tmp.flush_pending();

@@ -13,27 +13,13 @@
 //! populates the upper half, and XORs into only the first two bytes of
 //! each 8-byte group.
 
-use crate::{BitwiseEngine, CrcEngine, CrcParams};
+use crate::{CrcEngine, CrcParams, TableEngine};
 
 /// Slicing-by-8 engine for the reflected PPP parameter sets (FCS-16 and
-/// FCS-32).
-#[derive(Clone)]
-pub struct Slice8Engine {
-    params: CrcParams,
-    /// `tables[k][b]` = contribution of byte `b` processed `k` bytes
-    /// before the end of an 8-byte group.
-    tables: Box<[[u32; 256]; 8]>,
-    state: u32,
-}
-
-impl std::fmt::Debug for Slice8Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Slice8Engine")
-            .field("params", &self.params)
-            .field("state", &self.state)
-            .finish()
-    }
-}
+/// FCS-32): the byte-table engine's register and tables, walked eight
+/// bytes per iteration.
+#[derive(Debug, Clone)]
+pub struct Slice8Engine(pub(crate) TableEngine);
 
 impl Slice8Engine {
     pub fn new(params: CrcParams) -> Self {
@@ -41,35 +27,19 @@ impl Slice8Engine {
             params.width == 16 || params.width == 32,
             "slicing-by-8 supports the 16- and 32-bit FCS parameter sets"
         );
-        let mut t0 = [0u32; 256];
-        for (b, slot) in t0.iter_mut().enumerate() {
-            *slot = BitwiseEngine::step_byte(&params, 0, b as u8);
-        }
-        let mut tables = Box::new([[0u32; 256]; 8]);
-        tables[0] = t0;
-        for k in 1..8 {
-            for b in 0..256 {
-                let prev = tables[k - 1][b];
-                tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            }
-        }
-        Self {
-            params,
-            tables,
-            state: params.init,
-        }
+        Self(TableEngine::new(params))
     }
 }
 
 impl CrcEngine for Slice8Engine {
     fn reset(&mut self) {
-        self.state = self.params.init;
+        self.0.reset();
     }
 
     fn update(&mut self, data: &[u8]) {
-        let mut s = self.state;
+        let mut s = self.0.state;
         let mut chunks = data.chunks_exact(8);
-        let t = &self.tables;
+        let t = self.0.tables.rows();
         for c in &mut chunks {
             let lo = s ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
             let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
@@ -82,29 +52,27 @@ impl CrcEngine for Slice8Engine {
                 ^ t[1][((hi >> 16) & 0xFF) as usize]
                 ^ t[0][((hi >> 24) & 0xFF) as usize];
         }
-        for &b in chunks.remainder() {
-            s = (s >> 8) ^ self.tables[0][((s ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = s;
-    }
-
-    fn value(&self) -> u32 {
-        (self.state ^ self.params.xorout) & self.params.mask()
+        self.0.state = s;
+        self.0.update(chunks.remainder());
     }
 
     fn residue(&self) -> u32 {
-        self.state & self.params.mask()
+        self.0.residue()
     }
 
     fn params(&self) -> &CrcParams {
-        &self.params
+        self.0.params()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TableEngine, FCS16, FCS32};
+    use crate::{FCS16, FCS32};
+
+    // A fleet holds eight engines per link: each stays a few words, the
+    // tables live elsewhere.
+    const _: () = assert!(std::mem::size_of::<Slice8Engine>() <= 64);
 
     #[test]
     fn check_value() {

@@ -203,7 +203,7 @@ fn collect(
     now: u64,
     track_latency: bool,
 ) {
-    for f in dst.take_received() {
+    while let Some(f) = dst.pop_received() {
         counters.delivered += 1;
         counters.delivered_bytes += f.payload.len() as u64;
         if track_latency {

@@ -90,10 +90,14 @@ echo "==> runtime smoke + scaling gate (results/BENCH_runtime.json)"
 # of the single-link row of the same process: a ratio, so host speed
 # cancels; the word-wide SONET path reads ~0.16, a bit-serial one
 # ~0.02, so losing the word-wide scramblers or the row-slice framer
-# fails here.
+# fails here.  The largest sweep row must stay within 40 resident kB per
+# link (VmRSS, fleet built and run to drain): a footprint, so it repeats
+# to a few hundred bytes where wall-clock numbers drift; process-wide CRC
+# tables read ~28 with this report's 1024 B frames, one private table
+# per engine ~93 (self-skips where /proc is absent).
 cargo run -q --release --offline -p p5-bench --bin runtime_report -- \
     --smoke --min-uplift 2.0 --max-p99-ticks 64 \
-    --min-channelized-over-single 0.06
+    --min-channelized-over-single 0.06 --max-rss-kb-per-link 40
 
 echo "==> xport smoke + real-endpoint gates (results/BENCH_xport.json)"
 # Real-endpoint gates over actual OS sockets: LCP + IPCP bring-up on a
