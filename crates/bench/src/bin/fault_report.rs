@@ -24,10 +24,10 @@
 //! for CI; every gate still runs.
 
 use p5_bench::{heading, imix_sizes, ip_like_datagram};
-use p5_core::DatapathWidth;
+use p5_core::{DatapathWidth, LinkCore};
 use p5_fault::FaultSpec;
 use p5_hdlc::{DeframeEvent, Deframer, DeframerConfig, Framer, FramerConfig};
-use p5_link::{LinkBuilder, LinkEnd};
+use p5_link::LinkBuilder;
 use p5_ppp::lqr::{QualityDelta, QualityPolicy, QualityTracker};
 use p5_ppp::session::{Session, SessionEvent};
 use p5_ppp::NegotiationProfile;
@@ -172,13 +172,13 @@ fn resync_trial(rng: &mut StdRng, cfg: DeframerConfig) -> Option<u64> {
 }
 
 /// Drive one session pump tick; counts delivered datagrams into `got`.
-fn pump(sess: &mut Session, end: &mut LinkEnd, now: u64, got: &mut u32) {
+fn pump(sess: &mut Session, end: &mut LinkCore, now: u64, got: &mut u32) {
     sess.tick(now);
     for (proto, info) in sess.poll_output() {
-        end.submit(proto, info).unwrap();
+        end.dev.submit(proto, info).unwrap();
     }
-    end.run(512);
-    for frame in end.take_received() {
+    end.dev.run(512);
+    for frame in end.dev.take_received() {
         sess.receive(frame.protocol, &frame.payload);
     }
     for ev in sess.poll_events() {

@@ -96,9 +96,9 @@ fn duplex_run(width: DatapathWidth, frames: usize) -> DuplexOut {
         .expect("clean duplex link builds");
     // Latency is matched per direction, so each device gets its own
     // recorder (the builder's `.trace` installs one shared recorder).
-    link.a.p5.set_trace(Box::new(rec_a.clone()));
-    link.b.p5.set_trace(Box::new(rec_b.clone()));
-    let (a, b) = (&mut link.a.p5, &mut link.b.p5);
+    link.a.dev.set_trace(Box::new(rec_a.clone()));
+    link.b.dev.set_trace(Box::new(rec_b.clone()));
+    let (a, b) = (&mut link.a.dev, &mut link.b.dev);
 
     let sizes_a = imix_sizes(frames, 11);
     let sizes_b = imix_sizes(frames, 23);

@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use p5_bench::heading;
 use p5_link::LinkBuilder;
 use p5_ppp::NegotiationProfile;
+use p5_stream::Observable;
 use p5_xport::{PipeTransport, SessionDriver, TcpTransport};
 
 const IPV4: u16 = 0x0021;
@@ -171,22 +172,26 @@ fn main() {
     let (_, pre_bytes, pre_corrupt) = blast(&a, &b, 200);
     ctl.sever();
     let severed = Instant::now();
-    // First wait for the Down edge — sampling immediately after the
-    // sever still sees both sessions up (the engines observe the
-    // closed lanes on their next pass), which would time a vacuous
+    // First wait for the engines' own evidence of the sever: an engine
+    // counts a disconnect when it runs the Down transition.  Only one
+    // may: whichever re-establishes first reopens the shared lanes, and
+    // the other then renegotiates through LCP alone.  Sampling
+    // `is_network_up()` for the Down edge instead misses it — the pipe
+    // renegotiates in about a millisecond, inside one poll — and timing
+    // before an engine has seen the sever would time a vacuous
     // "reconnect" of zero.
-    let down_deadline = severed + Duration::from_secs(30);
-    while a.is_network_up() && b.is_network_up() {
+    let deadline = severed + Duration::from_secs(30);
+    let disconnects = |d: &SessionDriver| d.snapshot().get("disconnects").unwrap_or(0);
+    while disconnects(&a) + disconnects(&b) == 0 {
         assert!(
-            Instant::now() < down_deadline,
+            Instant::now() < deadline,
             "sever was never observed by the sessions"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    let reopen_deadline = severed + Duration::from_secs(30);
     while !(a.is_network_up() && b.is_network_up()) {
         assert!(
-            Instant::now() < reopen_deadline,
+            Instant::now() < deadline,
             "sessions never renegotiated after the sever"
         );
         std::thread::sleep(Duration::from_millis(1));

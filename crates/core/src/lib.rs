@@ -55,6 +55,7 @@
 pub mod behavioral;
 pub mod delay;
 pub mod firmware;
+pub mod link;
 pub mod oam;
 pub mod p5;
 pub mod rx;
@@ -65,7 +66,8 @@ pub mod tx;
 pub mod word;
 
 pub use firmware::{Driver, DriverConfig, LinkStats};
-pub use oam::{regs, Interrupt, MmioBus, Oam, OamHandle};
+pub use link::{Carriage, LinkCore, LinkCounters};
+pub use oam::{regs, HealthCounters, Interrupt, MmioBus, Oam, OamHandle};
 pub use p5::{DatapathWidth, ReceivedFrame, P5};
 pub use stats::StageStats;
 pub use stream::{decap, encap, encap_tagged, RxStage, TxStage};

@@ -250,9 +250,76 @@ impl MmioBus for Oam {
     }
 }
 
+/// Receive-side error total over the six error registers (FCS, abort,
+/// runt, giant, header, address mismatch) — the "counted drops" half of
+/// the paper's no-silent-corruption contract.  Summed in `u64`: six
+/// saturated 32-bit registers exceed `u32::MAX`.
+pub fn rx_errors(bus: &impl MmioBus) -> u64 {
+    [
+        regs::FCS_ERRORS,
+        regs::ABORTS,
+        regs::RUNTS,
+        regs::GIANTS,
+        regs::HEADER_ERRORS,
+        regs::ADDR_MISMATCHES,
+    ]
+    .iter()
+    .map(|&r| u64::from(bus.read(r)))
+    .sum()
+}
+
+/// The health-relevant OAM counters of one link in one read — the raw
+/// inputs a health scorer (`p5::obs::HealthSample`) windows into
+/// per-link verdicts.  All fields are monotone run totals; a health
+/// scorer diffs successive reads into windows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HealthCounters {
+    /// Frames accepted by the receive side.
+    pub rx_frames: u64,
+    /// Receive-side errors ([`rx_errors`]) — the counted-drop total.
+    pub rx_errors: u64,
+    /// Frames sent by the transmit side.
+    pub tx_frames: u64,
+    /// Submissions refused at the transmit queue (backpressure shed).
+    pub tx_rejects: u64,
+}
+
+impl HealthCounters {
+    /// Receive counters from `rx`'s register bus, transmit counters from
+    /// `tx`'s: the two devices of a simplex link, or one duplex end's
+    /// device twice.
+    pub fn read(rx: &impl MmioBus, tx: &impl MmioBus) -> Self {
+        HealthCounters {
+            rx_frames: u64::from(rx.read(regs::RX_FRAMES)),
+            rx_errors: rx_errors(rx),
+            tx_frames: u64::from(tx.read(regs::TX_FRAMES)),
+            tx_rejects: u64::from(tx.read(regs::TX_REJECTS)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rx_error_total_does_not_overflow_at_saturated_registers() {
+        let h = OamHandle::new();
+        h.with_state(|s| {
+            s.fcs_errors = u32::MAX;
+            s.aborts = u32::MAX;
+            s.runts = u32::MAX;
+            s.giants = u32::MAX;
+            s.header_errors = u32::MAX;
+            s.addr_mismatches = u32::MAX;
+        });
+        let bus = Oam::new(h);
+        assert_eq!(rx_errors(&bus), 6 * u64::from(u32::MAX));
+        assert_eq!(
+            HealthCounters::read(&bus, &bus).rx_errors,
+            6 * u64::from(u32::MAX)
+        );
+    }
 
     #[test]
     fn defaults_are_sane() {

@@ -133,11 +133,6 @@ impl Fused {
             rx_overrun: false,
         }
     }
-
-    /// No partially delineated fused frame in flight.
-    fn rx_idle(&self) -> bool {
-        !self.rx_in_frame && !self.rx_esc_pending
-    }
 }
 
 /// The P⁵ device.
@@ -572,11 +567,6 @@ impl P5 {
     /// through [`P5::offer_frame`] and [`P5::ingest_wire`].
     pub fn needs_clock(&self) -> bool {
         !self.tx.idle() || !self.rx.idle() || !self.wire_in.is_empty()
-    }
-
-    /// No partially delineated fused-Rx frame is in flight.
-    pub fn fused_rx_idle(&self) -> bool {
-        self.fused.rx_idle()
     }
 
     /// Fused delineate → destuff → FCS-check → deliver fast path: scans

@@ -42,6 +42,17 @@ impl RxCounters {
             + self.address_mismatches
             + self.header_errors
     }
+
+    /// Accumulate another receiver's counters (link and fleet merges).
+    pub fn add(&mut self, o: &RxCounters) {
+        self.frames_ok += o.frames_ok;
+        self.fcs_errors += o.fcs_errors;
+        self.aborts += o.aborts;
+        self.runts += o.runts;
+        self.giants += o.giants;
+        self.address_mismatches += o.address_mismatches;
+        self.header_errors += o.header_errors;
+    }
 }
 
 impl p5_stream::Observable for RxCounters {

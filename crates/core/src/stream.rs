@@ -239,10 +239,11 @@ impl StreamStage for RxStage {
         // Delivered-but-undrained frames hold the stage busy: the fused
         // path completes frames with zero pipeline latency, so unlike
         // the staged path there may be no trailing clocks left to keep
-        // `rx.idle()` false until the next `drain` picks them up.
+        // `rx.idle()` false until the next `drain` picks them up.  A
+        // half-delineated fused frame is not work: only more input can
+        // finish it, and none is pending.
         self.dev.rx.idle()
             && self.dev.wire_in_pending() == 0
-            && self.dev.fused_rx_idle()
             && self.dev.rx.control.queued_frames().is_empty()
     }
 

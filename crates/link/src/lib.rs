@@ -26,22 +26,26 @@
 //!
 //! [`LinkBuilder::build`] yields a simplex [`Link`] (one `Stack`:
 //! `TxStage → [OcPathStage] → [FaultStage] → RxStage`);
-//! [`LinkBuilder::build_duplex`] yields a [`DuplexLink`] — two devices
-//! and a seeded, optionally-impaired ferry between them — for the
-//! control-plane (LCP/IPCP) scenarios that need traffic both ways.
+//! [`LinkBuilder::build_duplex`] yields a [`DuplexLink`] — two
+//! [`LinkCore`] ends and a seeded, optionally-impaired [`Carriage`]
+//! each way — for the control-plane (LCP/IPCP) scenarios that need
+//! traffic both ways.
 //!
 //! The raw `stack!` macro remains the supported low-level escape hatch
 //! for custom topologies; this crate is the paved road.
 
-use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
-use p5_core::{decap, encap, DatapathWidth, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5};
+use p5_core::link::{Carriage, LinkCore, DEFAULT_INGRESS_DEPTH};
+use p5_core::oam::{rx_errors, Oam, OamHandle};
+use p5_core::{decap, encap, DatapathWidth, RxStage, TxStage, P5};
 use p5_fault::{FaultError, FaultPlan, FaultSpec, FaultStage, FaultStats};
 use p5_ppp::NegotiationProfile;
 use p5_sonet::{BitErrorChannel, OcPath, OcPathStage, StmLevel};
-use p5_stream::{Offer, SharedRecorder, Snapshot, Stack, StageStats, StreamStage};
+use p5_stream::{SharedRecorder, Snapshot, Stack, StageStats, StreamStage};
 use p5_xport::{LinkEngine, SessionDriver, Transport};
 use std::error::Error;
 use std::fmt;
+
+pub use p5_core::oam::HealthCounters;
 
 /// Why a link could not be built or run.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,21 +193,20 @@ impl LinkBuilder {
         Ok((bit, structural))
     }
 
-    fn new_device(&self) -> (P5, OamHandle) {
+    fn new_device(&self) -> P5 {
         let mut dev = P5::new(self.width_or_default());
         if let Some(rec) = &self.trace {
             dev.set_trace(Box::new(rec.clone()));
         }
-        let oam = dev.oam.clone();
-        (dev, oam)
+        dev
     }
 
     /// One transmit device, one receive device, one `Stack` between
     /// them.
     pub fn build(self) -> Result<Link, LinkError> {
         let (bit, structural) = self.split_fault()?;
-        let (tx, tx_oam) = self.new_device();
-        let (rx, rx_oam) = self.new_device();
+        let (tx, rx) = (self.new_device(), self.new_device());
+        let (tx_oam, rx_oam) = (tx.oam.clone(), rx.oam.clone());
         let mut stages: Vec<Box<dyn StreamStage>> = vec![Box::new(TxStage::new(tx))];
         match self.sonet {
             Some(level) => {
@@ -251,36 +254,28 @@ impl LinkBuilder {
         stage
     }
 
-    /// Two devices and a seeded ferry between them, for control-plane
+    /// Two devices and a seeded carriage each way, for control-plane
     /// scenarios (LCP/IPCP) where traffic flows both ways.  The fault
     /// plan, if any, is forked per direction; with [`LinkBuilder::sonet`]
     /// each direction carries its own STM-N path.
     pub fn build_duplex(self) -> Result<DuplexLink, LinkError> {
         let (bit, structural) = self.split_fault()?;
-        let (a, a_oam) = self.new_device();
-        let (b, b_oam) = self.new_device();
-        let mk_ferry = |lane: u64| -> Ferry {
+        let end = || LinkCore::new(self.new_device(), DEFAULT_INGRESS_DEPTH);
+        let carriage = |lane: u64| {
             let path = self.sonet.map(|level| {
                 let channel = match &bit {
                     Some(plan) => BitErrorChannel::from_plan(plan.fork(lane)),
                     None => BitErrorChannel::clean(),
                 };
-                OcPath::new(level, channel)
+                Box::new(OcPath::new(level, channel))
             });
-            Ferry {
-                path,
-                plan: structural.as_ref().map(|p| p.fork(lane)),
-                carried: Vec::new(),
-                scratch: Vec::new(),
-            }
+            Carriage::new(path, structural.as_ref().map(|p| p.fork(lane)))
         };
-        let ab = mk_ferry(0);
-        let ba = mk_ferry(1);
         Ok(DuplexLink {
-            a: LinkEnd { p5: a, oam: a_oam },
-            b: LinkEnd { p5: b, oam: b_oam },
-            ab,
-            ba,
+            a: end(),
+            b: end(),
+            ab: carriage(0),
+            ba: carriage(1),
         })
     }
 
@@ -366,32 +361,15 @@ impl Link {
     }
 
     /// Total receive-side error count, summed over the OAM error
-    /// registers — the "counted drops" half of the paper's no-silent-
-    /// corruption contract.
+    /// registers ([`p5_core::oam::rx_errors`]).
     pub fn rx_errors(&self) -> u64 {
-        let bus = self.rx_oam();
-        u64::from(
-            bus.read(regs::FCS_ERRORS)
-                + bus.read(regs::ABORTS)
-                + bus.read(regs::RUNTS)
-                + bus.read(regs::GIANTS)
-                + bus.read(regs::HEADER_ERRORS)
-                + bus.read(regs::ADDR_MISMATCHES),
-        )
+        rx_errors(&self.rx_oam())
     }
 
-    /// The health-relevant OAM counters in one read — the raw inputs a
-    /// health scorer (`p5::obs::HealthSample`) windows into per-link
-    /// verdicts.  Reads both ends' register buses; monotone.
+    /// The health-relevant OAM counters in one read.  Reads both ends'
+    /// register buses; monotone.
     pub fn health_counters(&self) -> HealthCounters {
-        let rx = self.rx_oam();
-        let tx = self.tx_oam();
-        HealthCounters {
-            rx_frames: u64::from(rx.read(regs::RX_FRAMES)),
-            rx_errors: self.rx_errors(),
-            tx_frames: u64::from(tx.read(regs::TX_FRAMES)),
-            tx_rejects: u64::from(tx.read(regs::TX_REJECTS)),
-        }
+        HealthCounters::read(&self.rx_oam(), &self.tx_oam())
     }
 
     /// Per-stage flow counters (name, stats) in pipeline order.
@@ -427,151 +405,30 @@ impl Link {
     }
 }
 
-/// The health-relevant OAM counters of one link, read in one pass via
-/// [`Link::health_counters`] / [`LinkEnd::health_counters`].  All
-/// fields are monotone run totals; a health scorer diffs successive
-/// reads into windows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthCounters {
-    /// Frames accepted by the receive side.
-    pub rx_frames: u64,
-    /// Receive-side errors (FCS + aborts + runts + giants + header +
-    /// address mismatches) — the counted-drop total.
-    pub rx_errors: u64,
-    /// Frames sent by the transmit side.
-    pub tx_frames: u64,
-    /// Submissions refused at the transmit queue (backpressure shed).
-    pub tx_rejects: u64,
-}
-
-/// One side of a [`DuplexLink`]: a device plus its OAM handle, kept
-/// reachable after the device is wired up.
-pub struct LinkEnd {
-    pub p5: P5,
-    oam: OamHandle,
-}
-
-impl LinkEnd {
-    pub fn submit(&mut self, protocol: u16, payload: Vec<u8>) -> Result<(), TxQueueFull> {
-        self.p5.submit(protocol, payload)
-    }
-
-    /// The unified admission dialect over [`P5::offer_frame`]: the
-    /// device either takes the frame now ([`Offer::Accepted`]) or says
-    /// *not now*, and with no queue at this boundary to hold it the
-    /// frame is refused ([`Offer::Rejected`]).  Never blocks; the
-    /// payload's storage is recycled into the device's buffer pool
-    /// either way — same contract as the fleet and session-driver
-    /// ingress boundaries.
-    pub fn offer(&mut self, protocol: u16, payload: Vec<u8>) -> Offer {
-        let taken = self.p5.offer_frame(protocol, &payload, 0);
-        self.p5.buf_pool().recycle_vec(payload);
-        if taken {
-            Offer::Accepted
-        } else {
-            Offer::Rejected
-        }
-    }
-
-    pub fn run(&mut self, cycles: u64) {
-        self.p5.run(cycles);
-    }
-
-    pub fn take_received(&mut self) -> Vec<ReceivedFrame> {
-        self.p5.take_received()
-    }
-
-    /// Register-bus view of this end's OAM block.
-    pub fn oam(&self) -> Oam {
-        Oam::new(self.oam.clone())
-    }
-
-    /// The health-relevant OAM counters of this end (its own transmit
-    /// and receive sides — the duplex peer has its own).
-    pub fn health_counters(&self) -> HealthCounters {
-        let bus = self.oam();
-        let rx_errors = u64::from(
-            bus.read(regs::FCS_ERRORS)
-                + bus.read(regs::ABORTS)
-                + bus.read(regs::RUNTS)
-                + bus.read(regs::GIANTS)
-                + bus.read(regs::HEADER_ERRORS)
-                + bus.read(regs::ADDR_MISMATCHES),
-        );
-        HealthCounters {
-            rx_frames: u64::from(bus.read(regs::RX_FRAMES)),
-            rx_errors,
-            tx_frames: u64::from(bus.read(regs::TX_FRAMES)),
-            tx_rejects: u64::from(bus.read(regs::TX_REJECTS)),
-        }
-    }
-}
-
-/// One direction of the duplex wire: optional STM-N path, optional
-/// structural fault plan.
-struct Ferry {
-    path: Option<OcPath>,
-    plan: Option<FaultPlan>,
-    /// What the path recovered from the current transfer.
-    carried: Vec<u8>,
-    scratch: Vec<u8>,
-}
-
-impl Ferry {
-    /// `flush`: the source transmitter is between frames, so the path
-    /// may pad out its last SPE (see [`OcPath::carry`]).
-    fn carry(&mut self, wire: Vec<u8>, flush: bool, dst: &mut P5) {
-        let bytes = match &mut self.path {
-            Some(path) => {
-                self.carried.clear();
-                path.carry_into(&wire, flush, &mut self.carried);
-                &self.carried
-            }
-            None => &wire,
-        };
-        if bytes.is_empty() {
-            return;
-        }
-        match &mut self.plan {
-            None => dst.put_wire_in(bytes),
-            Some(plan) => {
-                if plan.lose_transfer() {
-                    return;
-                }
-                self.scratch.clear();
-                plan.corrupt_into(bytes, &mut self.scratch);
-                dst.put_wire_in(&self.scratch);
-            }
-        }
-    }
-
-    fn stats(&self) -> FaultStats {
-        let mut s = self.plan.as_ref().map(|p| p.stats()).unwrap_or_default();
-        if let Some(path) = &self.path {
-            s.absorb(&path.channel().plan().stats());
-        }
-        s
-    }
-}
-
 /// Two devices and the (optionally impaired) wire between them.  The
 /// ends are public so control-plane drivers can pump their own
-/// endpoints; [`DuplexLink::exchange`] moves the wire both ways.
+/// endpoints (the device is `end.dev`); [`DuplexLink::exchange`] moves
+/// the wire both ways.
 pub struct DuplexLink {
-    pub a: LinkEnd,
-    pub b: LinkEnd,
-    ab: Ferry,
-    ba: Ferry,
+    pub a: LinkCore,
+    pub b: LinkCore,
+    ab: Carriage,
+    ba: Carriage,
 }
 
 impl DuplexLink {
-    /// Ferry pending wire bytes a → b and b → a, applying each
-    /// direction's fault plan.
+    /// Admit each end's queued frames, then carry pending wire bytes
+    /// a → b and b → a through each direction's fault plan into the
+    /// far device ([`P5::ingest_wire`]).
     pub fn exchange(&mut self) {
-        let wire = self.a.p5.take_wire_out();
-        self.ab.carry(wire, self.a.p5.tx.idle(), &mut self.b.p5);
-        let wire = self.b.p5.take_wire_out();
-        self.ba.carry(wire, self.b.p5.tx.idle(), &mut self.a.p5);
+        self.a.admit_queued(self.ab.is_clear());
+        self.b.admit_queued(self.ba.is_clear());
+        let flush = self.a.dev.tx.idle();
+        self.ab.carry(&mut self.a.dev, flush);
+        self.b.dev.ingest_wire(&mut self.ab.wire, usize::MAX);
+        let flush = self.b.dev.tx.idle();
+        self.ba.carry(&mut self.b.dev, flush);
+        self.a.dev.ingest_wire(&mut self.ba.wire, usize::MAX);
     }
 
     /// Impair both directions with forks of `plan` (deterministic per
@@ -587,17 +444,17 @@ impl DuplexLink {
         self.ba.plan = None;
     }
 
-    /// Injected-fault counters summed over both directions (ferry plans
-    /// plus the per-direction channel plans).
+    /// Injected-fault counters summed over both directions (carriage
+    /// plans plus the per-direction channel plans).
     pub fn fault_stats(&self) -> FaultStats {
         let mut s = self.ab.stats();
         s.absorb(&self.ba.stats());
         s
     }
 
-    /// The duplex stage topology: both devices and both wire ferries as
-    /// a ring (`a → wire → b → wire → a`), for link-level static
-    /// analysis.  The ferries hold whole transfers, so analysis treats
+    /// The duplex stage topology: both devices and both carriages as a
+    /// ring (`a → wire → b → wire → a`), for link-level static
+    /// analysis.  The carriages hold whole transfers, so analysis treats
     /// them as buffered stages.
     pub fn topology(&self) -> p5_stream::Topology {
         let mut t = p5_stream::Topology::new("duplex link");
@@ -616,6 +473,8 @@ impl DuplexLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p5_core::oam::{regs, MmioBus};
+    use p5_stream::Offer;
 
     #[test]
     fn build_remote_negotiates_over_a_pipe_pair() {
@@ -739,15 +598,16 @@ mod tests {
     #[test]
     fn duplex_link_carries_traffic_both_ways() {
         let mut link = LinkBuilder::new().build_duplex().unwrap();
-        link.a.submit(0x0021, vec![1, 2, 3]).unwrap();
-        link.b.submit(0x0021, vec![9, 8, 7]).unwrap();
+        link.a.dev.submit(0x0021, vec![1, 2, 3]).unwrap();
+        // Queued behind a blocked line, admitted by the exchange.
+        assert_eq!(link.b.offer(0x0021, &[9, 8, 7], false), Offer::Queued);
         for _ in 0..50 {
-            link.a.run(64);
-            link.b.run(64);
+            link.a.dev.run(64);
+            link.b.dev.run(64);
             link.exchange();
         }
-        let at_b = link.b.take_received();
-        let at_a = link.a.take_received();
+        let at_b = link.b.dev.take_received();
+        let at_a = link.a.dev.take_received();
         assert_eq!(at_b.len(), 1);
         assert_eq!(at_b[0].payload, vec![1, 2, 3]);
         assert_eq!(at_a[0].payload, vec![9, 8, 7]);
@@ -759,22 +619,19 @@ mod tests {
         for level in [StmLevel::Stm1, StmLevel::Stm4, StmLevel::Stm16] {
             let mut link = LinkBuilder::new().sonet(level).build_duplex().unwrap();
             // Staged: 1500 B take six 64-clock bursts to leave the
-            // transmitter, and the ferry must not pad the SPE meanwhile.
-            link.a.submit(0x0021, payload.clone()).unwrap();
+            // transmitter, and the carriage must not pad the SPE meanwhile.
+            link.a.dev.submit(0x0021, payload.clone()).unwrap();
             for _ in 0..20 {
-                link.a.run(64);
-                link.b.run(64);
+                link.a.dev.run(64);
+                link.b.dev.run(64);
                 link.exchange();
             }
             // Through the admission rule the frame is wire bytes at once:
-            // it crosses without another clock on `a`.
-            assert_eq!(link.a.offer(0x0021, payload.clone()), Offer::Accepted);
+            // it crosses without another clock on either device.
+            assert_eq!(link.a.offer(0x0021, &payload, true), Offer::Accepted);
             link.exchange();
-            // The receiver chews the SPEs' flag fill a word per clock
-            // (six STM-16 frames are under 60 000 words).
-            link.b.run(60_000);
-            let got = link.b.take_received();
-            assert_eq!(link.b.health_counters().rx_errors, 0, "{level:?}");
+            let got = link.b.dev.take_received();
+            assert_eq!(link.b.dev.rx_counters().errors(), 0, "{level:?}");
             assert_eq!(got.len(), 2, "{level:?}: frames lost");
             assert!(got.iter().all(|f| f.payload == payload), "{level:?}");
         }
@@ -837,23 +694,37 @@ mod tests {
     fn duplex_transfer_loss_is_counted_and_healable() {
         let plan = FaultSpec::clean().transfer_loss(1.0).compile(4).unwrap();
         let mut link = LinkBuilder::new().fault(plan).build_duplex().unwrap();
-        link.a.submit(0x0021, vec![5; 10]).unwrap();
+        link.a.dev.submit(0x0021, vec![5; 10]).unwrap();
         for _ in 0..20 {
-            link.a.run(64);
-            link.b.run(64);
+            link.a.dev.run(64);
+            link.b.dev.run(64);
             link.exchange();
         }
-        assert!(link.b.take_received().is_empty(), "all transfers lost");
+        assert!(link.b.dev.take_received().is_empty(), "all transfers lost");
         assert!(link.fault_stats().transfers_lost > 0);
         link.clear_fault();
-        link.a.submit(0x0021, vec![6; 10]).unwrap();
+        link.a.dev.submit(0x0021, vec![6; 10]).unwrap();
         for _ in 0..20 {
-            link.a.run(64);
-            link.b.run(64);
+            link.a.dev.run(64);
+            link.b.dev.run(64);
             link.exchange();
         }
-        let got = link.b.take_received();
+        let got = link.b.dev.take_received();
         assert_eq!(got.len(), 1, "healed link delivers");
         assert_eq!(got[0].payload, vec![6; 10]);
+    }
+
+    #[test]
+    fn faulted_link_drains_when_its_last_flag_is_hit() {
+        let stalled: Vec<u64> = (0..200)
+            .filter(|&seed| {
+                let plan = FaultSpec::clean().ber(5e-3).compile(seed).unwrap();
+                let mut link = LinkBuilder::new().fault(plan).build().unwrap();
+                link.send(0x0021, &[0x5A; 200]);
+                link.send(0x0021, &[0xA5; 200]);
+                link.run(10_000).is_err()
+            })
+            .collect();
+        assert!(stalled.is_empty(), "stalled at seeds {stalled:?}");
     }
 }

@@ -14,16 +14,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
+use p5_core::link::{LinkCounters, DEFAULT_INGRESS_DEPTH};
 use p5_core::rx::RxCounters;
 use p5_core::DatapathWidth;
 use p5_fault::{FaultError, FaultSpec, FaultStats};
 use p5_sonet::StmLevel;
 use p5_stream::{to_prometheus, Histogram, SharedRecorder, Snapshot};
 
-use crate::link::{Cohort, Dir, LinkCounters, ShardLink};
+use crate::link::{Cohort, Dir, ShardLink};
 use crate::traffic::TrafficSpec;
 use p5_stream::Offer;
-use p5_xport::LinkEngine;
 
 /// What carries each link's wire bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +66,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Bounded per-link, per-direction ingress queue depth.
     pub ingress_depth: usize,
-    /// Staged-pipeline cycles granted per busy device per tick.
-    pub cycles_per_tick: u64,
     /// Per-direction line-rate cap: wire octets delivered into the
     /// sink device per tick.  `None` = uncapped (maximum host speed);
     /// `Some(cap)` over-subscribes the line and exercises shedding.
@@ -100,8 +98,7 @@ impl Default for FleetConfig {
             sharding: Sharding::WorkStealing,
             fault: None,
             seed: 1,
-            ingress_depth: 64,
-            cycles_per_tick: 512,
+            ingress_depth: DEFAULT_INGRESS_DEPTH,
             wire_bytes_per_tick: None,
             traffic: None,
             fault_links: None,
@@ -145,11 +142,13 @@ impl std::error::Error for RuntimeError {
     }
 }
 
+/// Staged-pipeline cycles granted per busy device per tick (only a
+/// device in cycle-model duty spends any).
+pub(crate) const CYCLES_PER_TICK: u64 = 512;
+
 /// Per-tick parameters threaded into every cohort.
 #[derive(Debug, Clone)]
 pub(crate) struct TickParams {
-    pub ingress_depth: usize,
-    pub cycles_per_tick: u64,
     pub wire_budget: usize,
     pub traffic: Option<TrafficSpec>,
 }
@@ -273,8 +272,6 @@ pub struct Fleet {
     /// `(link id, end-a recorder, end-b recorder)` for every traced
     /// link, in `cfg.trace_links` order.
     recorders: Vec<(usize, SharedRecorder, SharedRecorder)>,
-    /// Cohort index of each attached remote endpoint, in attach order.
-    remotes: Vec<usize>,
 }
 
 impl Fleet {
@@ -306,6 +303,7 @@ impl Fleet {
                 if faulted { base_fault.as_ref() } else { None },
                 cfg.seed,
                 payload_len,
+                cfg.ingress_depth,
             )
         };
         let (cohorts, group) = match cfg.carrier {
@@ -352,7 +350,6 @@ impl Fleet {
             ticks_run: 0,
             worker_stats: vec![WorkerStats::default(); workers],
             recorders: Vec::new(),
-            remotes: Vec::new(),
         };
         for i in 0..fleet.cfg.trace_links.len() {
             let id = fleet.cfg.trace_links[i];
@@ -392,8 +389,6 @@ impl Fleet {
 
     fn params(&self) -> TickParams {
         TickParams {
-            ingress_depth: self.cfg.ingress_depth,
-            cycles_per_tick: self.cfg.cycles_per_tick,
             wire_budget: self.cfg.wire_bytes_per_tick.unwrap_or(usize::MAX),
             traffic: self.cfg.traffic,
         }
@@ -404,61 +399,6 @@ impl Fleet {
         (link / self.group, link % self.group)
     }
 
-    /// Adopt a running remote endpoint — a [`LinkEngine`] bound to a
-    /// real transport — as a cohort of this fleet.  Worker threads pump
-    /// it during [`Fleet::run_ticks`] alongside the simulated links (a
-    /// remote "tick" is one engine service pass), so a gateway process
-    /// can mix thousands of in-memory links with a handful of real
-    /// sockets on one scheduler.  Returns the remote's handle for
-    /// [`Fleet::offer_remote`] and friends.
-    pub fn attach_remote(&mut self, engine: LinkEngine) -> usize {
-        self.cohorts.push(Mutex::new(Cohort::remote(engine)));
-        self.remotes.push(self.cohorts.len() - 1);
-        self.remotes.len() - 1
-    }
-
-    /// Attached remote endpoints.
-    pub fn remote_count(&self) -> usize {
-        self.remotes.len()
-    }
-
-    fn remote_cohort(&self, remote: usize) -> &Mutex<Cohort> {
-        let idx = *self
-            .remotes
-            .get(remote)
-            .unwrap_or_else(|| panic!("remote {remote} out of range"));
-        &self.cohorts[idx]
-    }
-
-    /// Offer one frame at `remote`'s admission boundary (the unified
-    /// [`Offer`] dialect — same contract as [`Fleet::offer`]).
-    pub fn offer_remote(&self, remote: usize, protocol: u16, payload: &[u8]) -> Offer {
-        let mut c = self.remote_cohort(remote).lock();
-        c.remote
-            .as_mut()
-            .expect("remote cohort")
-            .offer(protocol, payload)
-    }
-
-    /// Frames `remote` delivered since the last call.
-    pub fn take_remote_deliveries(&self, remote: usize) -> Vec<(u16, Vec<u8>)> {
-        let mut c = self.remote_cohort(remote).lock();
-        c.remote.as_mut().expect("remote cohort").take_deliveries()
-    }
-
-    /// Is `remote`'s network phase open (IPCP up / pipe established)?
-    pub fn remote_network_up(&self, remote: usize) -> bool {
-        let c = self.remote_cohort(remote).lock();
-        c.remote.as_ref().expect("remote cohort").is_network_up()
-    }
-
-    /// `remote`'s transport/flow counter snapshot (scope `xport`).
-    pub fn remote_snapshot(&self, remote: usize) -> Snapshot {
-        use p5_stream::Observable;
-        let c = self.remote_cohort(remote).lock();
-        c.remote.as_ref().expect("remote cohort").snapshot()
-    }
-
     /// Offer one a → b frame to `link`'s bounded ingress queue.
     pub fn offer(&mut self, link: usize, protocol: u16, payload: &[u8]) -> Offer {
         self.offer_dir(link, Dir::AtoB, protocol, payload)
@@ -466,9 +406,8 @@ impl Fleet {
 
     /// Offer a frame in an explicit direction.
     pub fn offer_dir(&mut self, link: usize, dir: Dir, protocol: u16, payload: &[u8]) -> Offer {
-        let depth = self.cfg.ingress_depth;
         let (c, slot) = self.locate(link);
-        self.cohorts[c].lock().links[slot].offer(dir, protocol, payload, depth)
+        self.cohorts[c].lock().links[slot].offer(dir, protocol, payload)
     }
 
     /// Advance every cohort by up to `n` ticks, sharded across the
@@ -606,35 +545,15 @@ impl Fleet {
             let c = c.lock();
             max_work = max_work.max(c.work_ticks);
             total_work += c.work_ticks;
-            if let Some(e) = &c.remote {
-                let x = e.counters;
-                st.flow.add(&LinkCounters {
-                    offered: x.offered,
-                    accepted: x.accepted,
-                    shed: x.shed,
-                    rejected: x.rejected,
-                    delivered: x.delivered,
-                    delivered_bytes: x.delivered_bytes,
-                });
-            }
             for l in &c.links {
-                st.flow.add(&l.counters);
+                st.flow.add(&l.counters());
                 st.latency.merge(&l.latency);
                 st.fault.absorb(&l.fault_stats());
                 st.device_tx_rejects += l.device_tx_rejects();
                 st.oam_tx_rejects += l.oam_tx_rejects();
                 st.tx_frames_sent += l.tx_frames_sent();
                 st.resync_bytes += l.resync_bytes();
-                let (ra, rb) = l.rx_totals();
-                for r in [ra, rb] {
-                    st.rx.frames_ok += r.frames_ok;
-                    st.rx.fcs_errors += r.fcs_errors;
-                    st.rx.aborts += r.aborts;
-                    st.rx.runts += r.runts;
-                    st.rx.giants += r.giants;
-                    st.rx.address_mismatches += r.address_mismatches;
-                    st.rx.header_errors += r.header_errors;
-                }
+                st.rx.add(&l.rx_totals());
             }
         }
         let mean = total_work as f64 / self.cohorts.len() as f64;
@@ -649,31 +568,21 @@ impl Fleet {
     /// Per-link flow/fault/latency rows, in link order.
     pub fn link_reports(&self) -> Vec<LinkReport> {
         let mut rows = Vec::with_capacity(self.cfg.links);
-        for c in &self.cohorts {
+        for (i, c) in self.cohorts.iter().enumerate() {
             let c = c.lock();
-            for l in &c.links {
-                let (ra, rb) = l.rx_totals();
-                let mut rx = ra;
-                rx.frames_ok += rb.frames_ok;
-                rx.fcs_errors += rb.fcs_errors;
-                rx.aborts += rb.aborts;
-                rx.runts += rb.runts;
-                rx.giants += rb.giants;
-                rx.address_mismatches += rb.address_mismatches;
-                rx.header_errors += rb.header_errors;
+            for (slot, l) in c.links.iter().enumerate() {
                 rows.push(LinkReport {
-                    link: l.id,
-                    flow: l.counters,
+                    link: i * self.group + slot,
+                    flow: l.counters(),
                     fault: l.fault_stats(),
                     p99_latency_ticks: l.latency.quantile_bound(0.99),
-                    rx,
+                    rx: l.rx_totals(),
                     resync_bytes: l.resync_bytes(),
                     tx_rejects: l.device_tx_rejects(),
                     ticks: l.ticks(),
                 });
             }
         }
-        rows.sort_by_key(|r| r.link);
         rows
     }
 

@@ -56,7 +56,7 @@ pub mod traffic;
 pub use fleet::{
     Carrier, Fleet, FleetConfig, FleetStats, LinkReport, RuntimeError, Sharding, WorkerStats,
 };
-pub use link::{Dir, LinkCounters};
+pub use link::Dir;
+pub use p5_core::link::LinkCounters;
 pub use p5_stream::Offer;
-pub use p5_xport::LinkEngine;
 pub use traffic::TrafficSpec;

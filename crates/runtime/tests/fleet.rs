@@ -391,76 +391,3 @@ fn sched_snapshot_rides_the_scrape() {
     assert!(sched.get("load_skew_milli").unwrap() >= 1000);
     assert!(fleet.prometheus().contains("p5_fleet_sched_busy_ticks"));
 }
-
-#[test]
-fn remote_endpoint_rides_the_worker_pool() {
-    use p5_core::DatapathWidth;
-    use p5_ppp::NegotiationProfile;
-    use p5_xport::{LinkEngine, PipeTransport, SessionDriver};
-    use std::time::{Duration, Instant};
-
-    // A small simulated fleet adopts one transport-backed endpoint; the
-    // peer runs on its own driver thread, as a separate process would.
-    let (ta, tb) = PipeTransport::pair();
-    let gateway = LinkEngine::new(
-        DatapathWidth::W32,
-        &NegotiationProfile::new().magic(0xF1EE7).ip([172, 16, 0, 1]),
-        Box::new(ta),
-    );
-    let peer = SessionDriver::spawn(LinkEngine::new(
-        DatapathWidth::W32,
-        &NegotiationProfile::new().magic(0x9EE9).ip([172, 16, 0, 2]),
-        Box::new(tb),
-    ));
-
-    let mut fleet = Fleet::new(FleetConfig {
-        links: 4,
-        workers: 2,
-        traffic: Some(TrafficSpec {
-            ticks: 4,
-            ..TrafficSpec::default()
-        }),
-        ..FleetConfig::default()
-    })
-    .unwrap();
-    let remote = fleet.attach_remote(gateway);
-    assert_eq!(fleet.remote_count(), 1);
-
-    // Negotiation needs wall time (session restart timers), so pump in
-    // small batches until IPCP opens on both ends.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !(fleet.remote_network_up(remote) && peer.is_network_up()) {
-        assert!(Instant::now() < deadline, "bring-up timed out");
-        fleet.run_ticks(64);
-        std::thread::sleep(Duration::from_millis(1));
-    }
-
-    // Remote traffic joins the same scheduler as the simulated links.
-    let datagram = vec![0x5Au8; 200];
-    let mut sent = 0;
-    while sent < 8 {
-        assert!(Instant::now() < deadline, "admission timed out");
-        if fleet.offer_remote(remote, 0x0021, &datagram).is_admitted() {
-            sent += 1;
-        }
-        fleet.run_ticks(16);
-    }
-    let mut got = Vec::new();
-    while got.len() < 8 {
-        assert!(Instant::now() < deadline, "delivery timed out");
-        fleet.run_ticks(16);
-        got.extend(peer.take_deliveries());
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(got.iter().all(|(p, d)| *p == 0x0021 && d == &datagram));
-
-    // The simulated links drained too, and the remote's flow shows up
-    // in the merged fleet stats.
-    assert!(fleet.run_until_drained(200_000));
-    let stats = fleet.stats();
-    assert!(stats.flow.offered >= 4 * 4 + 8);
-    let snap = fleet.remote_snapshot(remote);
-    assert!(snap.get("bytes_out").unwrap() > 0);
-    assert_eq!(snap.get("offered"), Some(8));
-    peer.shutdown();
-}

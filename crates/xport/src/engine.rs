@@ -5,8 +5,8 @@
 //! [`LinkEngine::service`] call makes one pass over the whole path —
 //!
 //! ```text
-//!   offer() ─→ ingress ─→ session ─→ ctl ─→ device ─→ wire out
-//!                                                         │
+//!   offer() ─→ LinkCore ─────────────→ device ─→ wire out
+//!              session ─→ ctl ───────↗                │
 //!            deliveries ←─ session ←─ device ←─ wire in   ▼
 //!                 ▲                       ▲           ByteRing
 //!                 │                       │               │
@@ -20,10 +20,15 @@
 //! the pass, and peer loss runs the session's `lower_down` so the next
 //! successful [`Transport::establish`] renegotiates from scratch
 //! (RFC 1661 Down → Up).
+//!
+//! User frames cross the same bounded queue as every other link end
+//! ([`LinkCore`]); the session contributes only control frames (`ctl`)
+//! and, in session mode, the rule that datagrams wait for IPCP.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use p5_core::link::{LinkCore, LinkCounters, DEFAULT_INGRESS_DEPTH};
 use p5_core::p5::FUSED_WIRE_HIGH_WATER;
 use p5_core::{DatapathWidth, P5};
 use p5_ppp::{NegotiationProfile, Protocol, Session, SessionEvent};
@@ -61,7 +66,8 @@ const IDLE_FILL_INTERVAL: u64 = 64;
 /// above any scheduler hiccup while keeping reconnect budgets snappy.
 const TICK_LEN: Duration = Duration::from_millis(20);
 
-/// Flow/IO accounting for one engine, all monotonic.
+/// Transport accounting for one engine, all monotonic (flow counters
+/// live in the shared [`LinkCounters`], [`LinkEngine::flow`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XportCounters {
     /// Octets handed to the transport.
@@ -80,25 +86,12 @@ pub struct XportCounters {
     pub idle_fill_bytes: u64,
     /// Hard I/O errors (not would-block, not peer loss).
     pub io_errors: u64,
-    /// Frames offered at the ingress boundary.
-    pub offered: u64,
-    /// Offered frames that entered the device.
-    pub accepted: u64,
-    /// Offered frames refused at the bounded ingress queue (or while
-    /// the network phase is down).
-    pub shed: u64,
-    /// Offered frames refused with [`Offer::Rejected`] (wrong protocol
-    /// for the session's network phase).
-    pub rejected: u64,
-    /// Frames delivered out of the device to this endpoint's owner.
-    pub delivered: u64,
-    /// Payload octets delivered.
-    pub delivered_bytes: u64,
 }
 
 /// One real endpoint: device + optional PPP session + transport.
 pub struct LinkEngine {
-    dev: P5,
+    /// The device, its bounded user-frame queue and the flow counters.
+    core: LinkCore,
     /// `None` is *transparent* mode: raw frames in, raw frames out, no
     /// control plane — the determinism harness and protocol-agnostic
     /// carriage.
@@ -106,9 +99,6 @@ pub struct LinkEngine {
     transport: Box<dyn Transport>,
     /// Session/control frames awaiting a device slot.
     ctl: VecDeque<(u16, Vec<u8>)>,
-    /// User frames admitted but not yet in the session/device.
-    ingress: VecDeque<(u16, Vec<u8>)>,
-    ingress_depth: usize,
     /// Device wire-out bytes that did not fit the ring this pass.
     tx_stage: WireBuf,
     tx_ring: ByteRing,
@@ -153,12 +143,10 @@ impl LinkEngine {
         transport: Box<dyn Transport>,
     ) -> Self {
         LinkEngine {
-            dev: P5::new(width),
+            core: LinkCore::new(P5::new(width), DEFAULT_INGRESS_DEPTH),
             session,
             transport,
             ctl: VecDeque::new(),
-            ingress: VecDeque::new(),
-            ingress_depth: 64,
             tx_stage: WireBuf::new(),
             tx_ring: ByteRing::with_capacity(TX_RING_CAPACITY),
             wire_in: WireBuf::new(),
@@ -176,12 +164,17 @@ impl LinkEngine {
 
     /// Cap on frames admitted-but-unsent before `offer` sheds.
     pub fn set_ingress_depth(&mut self, depth: usize) {
-        self.ingress_depth = depth.max(1);
+        self.core.depth = depth.max(1);
     }
 
     /// Record this endpoint's frame-lifecycle events into `sink`.
     pub fn set_trace(&mut self, sink: Box<dyn p5_stream::TraceSink + Send>) {
-        self.dev.set_trace(sink);
+        self.core.dev.set_trace(sink);
+    }
+
+    /// Flow counters: offered, accepted, shed, rejected, delivered.
+    pub fn flow(&self) -> &LinkCounters {
+        &self.core.counters
     }
 
     /// Where this endpoint's bytes go (transport description).
@@ -220,34 +213,16 @@ impl LinkEngine {
     /// phase is down — PPP does not carry user traffic before IPCP
     /// opens.  Transparent mode carries any protocol.
     pub fn offer(&mut self, protocol: u16, payload: &[u8]) -> Offer {
-        self.counters.offered += 1;
         if self.session.is_some() {
             if protocol != Protocol::Ipv4.number() {
-                self.counters.rejected += 1;
-                return Offer::Rejected;
+                return self.core.refuse(Offer::Rejected);
             }
             if !self.is_network_up() {
-                self.counters.shed += 1;
-                return Offer::Shed;
+                return self.core.refuse(Offer::Shed);
             }
         }
-        // Nothing queued ahead and the device takes it now.
-        if self.ingress.is_empty()
-            && self.ctl.is_empty()
-            && self.tx_stage.is_empty()
-            && self.dev.offer_frame(protocol, payload, 0)
-        {
-            self.counters.accepted += 1;
-            return Offer::Accepted;
-        }
-        if self.ingress.len() >= self.ingress_depth {
-            self.counters.shed += 1;
-            return Offer::Shed;
-        }
-        let mut buf = self.dev.lease_tx_buf();
-        buf.extend_from_slice(payload);
-        self.ingress.push_back((protocol, buf));
-        Offer::Queued
+        let line_clear = self.ctl.is_empty() && self.tx_stage.is_empty();
+        self.core.offer(protocol, payload, line_clear)
     }
 
     /// Frames delivered to this endpoint since the last call — IPv4
@@ -261,17 +236,6 @@ impl LinkEngine {
     /// the last call.  Always empty in transparent mode.
     pub fn poll_events(&mut self) -> Vec<SessionEvent> {
         self.events.drain(..).collect()
-    }
-
-    /// Anything queued on our side of the socket?
-    pub fn has_local_work(&self) -> bool {
-        !self.ingress.is_empty()
-            || !self.ctl.is_empty()
-            || !self.tx_stage.is_empty()
-            || !self.tx_ring.is_empty()
-            || !self.wire_in.is_empty()
-            || self.dev.has_wire_out()
-            || self.dev.needs_clock()
     }
 
     /// Administrative close: terminate the session (the Terminate
@@ -314,52 +278,33 @@ impl LinkEngine {
             }
         }
 
-        // Control plane: admit datagrams, advance timers, collect
-        // output and events.
+        // Control plane: advance timers, collect output and events.
         if let Some(session) = &mut self.session {
-            while session.is_network_up() && !self.ingress.is_empty() {
-                let (_, payload) = self.ingress.pop_front().expect("checked non-empty");
-                session.send_datagram(payload);
-                self.counters.accepted += 1;
-                progress = true;
-            }
             session.tick(self.now);
-            for frame in session.poll_output() {
-                self.ctl.push_back(frame);
-            }
-            for ev in session.poll_events() {
-                match ev {
-                    SessionEvent::Datagram(data) => {
-                        self.counters.delivered += 1;
-                        self.counters.delivered_bytes += data.len() as u64;
-                        self.deliveries.push_back((Protocol::Ipv4.number(), data));
-                    }
-                    other => self.events.push_back(other),
-                }
-            }
-        } else {
-            // Transparent mode: user frames go straight to the device.
-            while let Some((protocol, payload)) = self.ingress.pop_front() {
-                self.ctl.push_back((protocol, payload));
-                self.counters.accepted += 1;
-                progress = true;
-            }
         }
+        self.drain_session();
 
-        progress |= self.flush_ctl();
+        // Control frames first; queued user frames follow while the
+        // network phase is open (always, in transparent mode).  A frame
+        // the device will not take now stays queued until the egress
+        // side drains.
+        let room = self.egress_room();
+        progress |= self.core.admit_from(&mut self.ctl, room) > 0;
+        let open = self.session.as_ref().is_none_or(|s| s.is_network_up());
+        progress |= self.core.admit_queued(open && room && self.ctl.is_empty()) > 0;
 
-        if self.dev.needs_clock() {
-            progress |= self.dev.run_until_idle(CLOCK_BUDGET) > 0;
+        if self.core.dev.needs_clock() {
+            progress |= self.core.dev.run_until_idle(CLOCK_BUDGET) > 0;
         }
 
         progress |= self.stage_wire_out();
         self.idle_fill();
         progress |= self.pump_socket_out();
         progress |= self.pump_socket_in();
-        progress |= self.dev.ingest_wire(&mut self.wire_in, usize::MAX) > 0;
+        progress |= self.core.dev.ingest_wire(&mut self.wire_in, usize::MAX) > 0;
 
-        if self.dev.needs_clock() {
-            progress |= self.dev.run_until_idle(CLOCK_BUDGET) > 0;
+        if self.core.dev.needs_clock() {
+            progress |= self.core.dev.run_until_idle(CLOCK_BUDGET) > 0;
         }
 
         progress |= self.collect_received();
@@ -400,24 +345,28 @@ impl LinkEngine {
         }
     }
 
-    /// Move queued control/user frames into the device.  A frame the
-    /// device will not take now ([`P5::offer_frame`]) stays queued —
-    /// held, never dropped — until the egress side drains.
-    fn flush_ctl(&mut self) -> bool {
-        let mut progress = false;
-        while let Some((protocol, payload)) = self.ctl.front() {
-            // Egress backlog: hold the queue, backpressure stands.
-            if self.tx_stage.len() + self.tx_ring.len() >= TX_RING_CAPACITY
-                || !self.dev.offer_frame(*protocol, payload, 0)
-            {
-                break;
+    /// The egress side (staging overflow plus ring) is below capacity;
+    /// at capacity backpressure stands and queued frames stay queued.
+    fn egress_room(&self) -> bool {
+        self.tx_stage.len() + self.tx_ring.len() < TX_RING_CAPACITY
+    }
+
+    /// Move the session's output into `ctl` and its events out to the
+    /// owner (datagrams to `deliveries`, the rest to `events`).
+    fn drain_session(&mut self) {
+        let Some(session) = &mut self.session else {
+            return;
+        };
+        self.ctl.extend(session.poll_output());
+        for ev in session.poll_events() {
+            match ev {
+                SessionEvent::Datagram(data) => {
+                    self.core.counters.record_delivery(data.len());
+                    self.deliveries.push_back((Protocol::Ipv4.number(), data));
+                }
+                other => self.events.push_back(other),
             }
-            if let Some((_, payload)) = self.ctl.pop_front() {
-                self.dev.buf_pool().recycle_vec(payload);
-            }
-            progress = true;
         }
-        progress
     }
 
     /// Device wire-out → ring (staging the overflow).
@@ -429,16 +378,16 @@ impl LinkEngine {
             self.tx_stage.consume(taken);
             progress = true;
         }
-        while self.dev.has_wire_out() {
+        while self.core.dev.has_wire_out() {
             if !self.tx_stage.is_empty() || self.tx_ring.free() == 0 {
                 break; // keep the backlog bounded at device side
             }
-            let bytes = self.dev.take_wire_out();
+            let bytes = self.core.dev.take_wire_out();
             let taken = self.tx_ring.push(&bytes);
             if taken < bytes.len() {
                 self.tx_stage.push_slice(&bytes[taken..]);
             }
-            self.dev.recycle_wire_vec(bytes);
+            self.core.dev.recycle_wire_vec(bytes);
             progress = true;
         }
         progress
@@ -454,7 +403,7 @@ impl LinkEngine {
             || !self.transport.established()
             || !self.tx_ring.is_empty()
             || !self.tx_stage.is_empty()
-            || self.dev.has_wire_out()
+            || self.core.dev.has_wire_out()
             || self.passes.wrapping_sub(self.last_fill_pass) < IDLE_FILL_INTERVAL
         {
             return;
@@ -530,42 +479,29 @@ impl LinkEngine {
     /// Device deliveries → session (or straight out, transparent).
     fn collect_received(&mut self) -> bool {
         let mut progress = false;
-        for frame in self.dev.take_received() {
+        while let Some(frame) = self.core.dev.pop_received() {
             progress = true;
             match &mut self.session {
                 Some(session) => {
                     session.receive(frame.protocol, &frame.payload);
-                    self.dev.recycle_rx_payload(frame.payload);
-                    // Surface what the receive produced without waiting
-                    // for the next pass.
-                    for out in session.poll_output() {
-                        self.ctl.push_back(out);
-                    }
-                    for ev in session.poll_events() {
-                        match ev {
-                            SessionEvent::Datagram(data) => {
-                                self.counters.delivered += 1;
-                                self.counters.delivered_bytes += data.len() as u64;
-                                self.deliveries.push_back((Protocol::Ipv4.number(), data));
-                            }
-                            other => self.events.push_back(other),
-                        }
-                    }
+                    self.core.dev.recycle_rx_payload(frame.payload);
                 }
                 None => {
-                    self.counters.delivered += 1;
-                    self.counters.delivered_bytes += frame.payload.len() as u64;
+                    self.core.counters.record_delivery(frame.payload.len());
                     self.deliveries.push_back((frame.protocol, frame.payload));
                 }
             }
         }
+        // Surface what the receives produced without waiting for the
+        // next pass.
+        self.drain_session();
         progress
     }
 }
 
 impl Observable for LinkEngine {
     fn snapshot(&self) -> Snapshot {
-        let c = &self.counters;
+        let (c, f) = (&self.counters, &self.core.counters);
         Snapshot::new("xport")
             .counter("bytes_out", c.bytes_out)
             .counter("bytes_in", c.bytes_in)
@@ -575,15 +511,15 @@ impl Observable for LinkEngine {
             .counter("disconnects", c.disconnects)
             .counter("idle_fill_bytes", c.idle_fill_bytes)
             .counter("io_errors", c.io_errors)
-            .counter("offered", c.offered)
-            .counter("accepted", c.accepted)
-            .counter("shed", c.shed)
-            .counter("rejected", c.rejected)
-            .counter("delivered", c.delivered)
-            .counter("delivered_bytes", c.delivered_bytes)
+            .counter("offered", f.offered)
+            .counter("accepted", f.accepted)
+            .counter("shed", f.shed)
+            .counter("rejected", f.rejected)
+            .counter("delivered", f.delivered)
+            .counter("delivered_bytes", f.delivered_bytes)
             // Clocks the cycle model has run: 0 for as long as every
             // frame rides the fused paths.
-            .counter("device_cycles", self.dev.cycles)
+            .counter("device_cycles", self.core.dev.cycles)
     }
 }
 
@@ -618,8 +554,8 @@ mod tests {
         assert_eq!(got_a.len(), 1);
         assert_eq!(got_a[0].0, 0x0057);
         assert_eq!(got_a[0].1, b"and back again");
-        assert_eq!(a.counters.delivered, 1);
-        assert_eq!(b.counters.delivered, 1);
+        assert_eq!(a.flow().delivered, 1);
+        assert_eq!(b.flow().delivered, 1);
     }
 
     #[test]
@@ -647,7 +583,7 @@ mod tests {
             got.iter().map(|(_, p)| p).eq(&frames),
             "reordered or corrupted"
         );
-        let (ca, cb) = (a.counters, b.counters);
+        let (ca, cb) = (*a.flow(), *b.flow());
         assert_eq!(
             (ca.offered, ca.accepted, ca.shed, ca.rejected),
             (256, 256, 0, 0)

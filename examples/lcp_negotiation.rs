@@ -20,13 +20,13 @@ use p5::prelude::*;
 
 /// One round: flush the session's control packets into the P⁵, clock
 /// it, and dispatch received frames back into the session.
-fn poll(name: &str, sess: &mut Session, end: &mut LinkEnd, now: u64) {
+fn poll(name: &str, sess: &mut Session, end: &mut LinkCore, now: u64) {
     sess.tick(now);
     for (proto, info) in sess.poll_output() {
-        end.submit(proto, info).unwrap();
+        end.dev.submit(proto, info).unwrap();
     }
-    end.run(512);
-    for frame in end.take_received() {
+    end.dev.run(512);
+    for frame in end.dev.take_received() {
         sess.receive(frame.protocol, &frame.payload);
     }
     for ev in sess.poll_events() {
@@ -59,8 +59,9 @@ fn main() {
     // Program the MAPOS station address into each OAM, as firmware
     // would over the register bus.
     let addr = MaposAddress::unicast(1).expect("valid MAPOS port");
-    link.a.oam().write(regs::ADDRESS, addr.octet() as u32);
-    link.b.oam().write(regs::ADDRESS, addr.octet() as u32);
+    for end in [&link.a, &link.b] {
+        Oam::new(end.dev.oam.clone()).write(regs::ADDRESS, addr.octet() as u32);
+    }
 
     a.start();
     b.start();
@@ -117,13 +118,13 @@ fn main() {
 }
 
 /// Poll B while watching for the proof datagram.
-fn sess_poll_datagram(sess: &mut Session, end: &mut LinkEnd, now: u64, seen: &mut bool) {
+fn sess_poll_datagram(sess: &mut Session, end: &mut LinkCore, now: u64, seen: &mut bool) {
     sess.tick(now);
     for (proto, info) in sess.poll_output() {
-        end.submit(proto, info).unwrap();
+        end.dev.submit(proto, info).unwrap();
     }
-    end.run(512);
-    for frame in end.take_received() {
+    end.dev.run(512);
+    for frame in end.dev.take_received() {
         sess.receive(frame.protocol, &frame.payload);
     }
     for ev in sess.poll_events() {

@@ -38,12 +38,18 @@
 use std::collections::HashMap;
 
 use p5::core::oam::ctrl;
+use p5::core::HealthCounters;
 use p5::ppp::mapos::MaposAddress;
 use p5::prelude::*;
 
 /// Staged-pipeline cycles granted per device per pump round — enough
 /// for a handful of short frames end to end.
 const CYCLES: u64 = 20_000;
+
+/// Register-bus view of one link end's OAM block.
+fn bus_of(end: &LinkCore) -> Oam {
+    Oam::new(end.dev.oam.clone())
+}
 
 /// One switch port: a duplex P⁵ link whose `a` end is the station and
 /// whose `b` end is the switch-side device.
@@ -66,10 +72,10 @@ impl Port {
             link,
         };
         // Station side filters on its own MAPOS address (+ broadcast).
-        let mut bus = port.link.a.oam();
+        let mut bus = bus_of(&port.link.a);
         bus.write(regs::ADDRESS, station.octet() as u32);
         // Switch side must see every destination: promiscuous RX.
-        let mut bus = port.link.b.oam();
+        let mut bus = bus_of(&port.link.b);
         let c = bus.read(regs::CTRL);
         bus.write(regs::CTRL, c | ctrl::PROMISCUOUS);
         port
@@ -82,17 +88,21 @@ impl Port {
         let mut payload = Vec::with_capacity(message.len() + 1);
         payload.push(self.station.octet());
         payload.extend_from_slice(message);
-        let mut bus = self.link.a.oam();
+        let mut bus = bus_of(&self.link.a);
         bus.write(regs::ADDRESS, dest.octet() as u32);
-        self.link.a.submit(0x0021, payload).expect("queue empty");
-        self.link.a.run(CYCLES);
+        self.link
+            .a
+            .dev
+            .submit(0x0021, payload)
+            .expect("queue empty");
+        self.link.a.dev.run(CYCLES);
         bus.write(regs::ADDRESS, self.station.octet() as u32);
     }
 
     /// Misaddressed frames the station's receiver filtered out — the
     /// visible footprint of a flood.
     fn address_mismatches(&self) -> u32 {
-        self.link.a.oam().read(regs::ADDR_MISMATCHES)
+        bus_of(&self.link.a).read(regs::ADDR_MISMATCHES)
     }
 }
 
@@ -113,7 +123,7 @@ impl Fabric {
         // re-collected within the same service pass.
         let mut pending: Vec<(usize, ReceivedFrame)> = Vec::new();
         for (i, port) in ports.iter_mut().enumerate() {
-            for frame in port.link.b.take_received() {
+            for frame in port.link.b.dev.take_received() {
                 pending.push((i, frame));
             }
         }
@@ -137,13 +147,14 @@ impl Fabric {
                 let port = &mut ports[p];
                 // Egress keeps the original destination octet so the
                 // station-side address filter has the final say.
-                let mut bus = port.link.b.oam();
+                let mut bus = bus_of(&port.link.b);
                 bus.write(regs::ADDRESS, dest as u32);
                 port.link
                     .b
+                    .dev
                     .submit(frame.protocol, frame.payload.clone())
                     .expect("switch egress queue empty");
-                port.link.b.run(CYCLES);
+                port.link.b.dev.run(CYCLES);
             }
         }
     }
@@ -154,16 +165,16 @@ impl Fabric {
 fn pump(ports: &mut [Port], fabric: &mut Fabric, rounds: usize) {
     for _ in 0..rounds {
         for port in ports.iter_mut() {
-            port.link.a.run(CYCLES);
-            port.link.b.run(CYCLES);
+            port.link.a.dev.run(CYCLES);
+            port.link.b.dev.run(CYCLES);
             port.link.exchange();
-            port.link.b.run(CYCLES);
+            port.link.b.dev.run(CYCLES);
         }
         fabric.service(ports);
         // Carry the fabric's egress back down to the stations.
         for port in ports.iter_mut() {
             port.link.exchange();
-            port.link.a.run(CYCLES);
+            port.link.a.dev.run(CYCLES);
         }
     }
 }
@@ -171,6 +182,7 @@ fn pump(ports: &mut [Port], fabric: &mut Fabric, rounds: usize) {
 fn collect(port: &mut Port) -> Vec<(u8, String)> {
     port.link
         .a
+        .dev
         .take_received()
         .into_iter()
         .map(|f| {
@@ -241,7 +253,8 @@ fn main() {
     println!("\nstation health:");
     println!("  port  addr   state     rx_frames  line_errors  filtered");
     for port in &ports {
-        let hc = port.link.a.health_counters();
+        let station = bus_of(&port.link.a);
+        let hc = HealthCounters::read(&station, &station);
         let filtered = u64::from(port.address_mismatches());
         let line_errors = hc.rx_errors - filtered;
         let state = policy.snap_judgment(&p5::obs::HealthSample {
@@ -266,7 +279,7 @@ fn main() {
     // bottleneck finder, not a raw snapshot dump).
     let mut stalls: Vec<(String, u64, u64)> = Vec::new();
     for port in &ports {
-        for (end, dev) in [("station", &port.link.a.p5), ("switch", &port.link.b.p5)] {
+        for (end, dev) in [("station", &port.link.a.dev), ("switch", &port.link.b.dev)] {
             for snap in [dev.tx.snapshot(), dev.rx.snapshot()] {
                 stalls.push((
                     format!("{} {end} {}", port.name, snap.scope),

@@ -15,12 +15,14 @@
 //! needed (the documented low-level escape hatch).
 
 pub use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
-pub use p5_core::{decap, encap, DatapathWidth, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5};
+pub use p5_core::{
+    decap, encap, DatapathWidth, LinkCore, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5,
+};
 pub use p5_fault::{
     BurstModel, FaultError, FaultKind, FaultPlan, FaultSpec, FaultStage, FaultStats, StallStorm,
 };
 pub use p5_hdlc::{DeframerConfig, FcsMode};
-pub use p5_link::{DuplexLink, Link, LinkBuilder, LinkEnd, LinkError};
+pub use p5_link::{DuplexLink, Link, LinkBuilder, LinkError};
 pub use p5_obs::{serve, Collector, CollectorConfig, HealthPolicy, HealthState, ObsHub};
 pub use p5_ppp::{AuthPolicy, CredentialTable, NegotiationProfile, Session, SessionEvent};
 pub use p5_runtime::{Carrier, Fleet, FleetConfig, FleetStats, Sharding, TrafficSpec};

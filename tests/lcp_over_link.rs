@@ -43,7 +43,7 @@ impl Peer {
         }
     }
 
-    fn poll(&mut self, end: &mut LinkEnd) {
+    fn poll(&mut self, end: &mut LinkCore) {
         // Drain both endpoints' control traffic into one tagged stream,
         // then decap into the transmit queue.
         self.lcp.drain(&mut self.ctl);
@@ -51,7 +51,7 @@ impl Peer {
         let mut frame = Vec::new();
         while self.ctl.pop_frame_into(&mut frame).is_some() {
             let (proto, packet) = decap(&frame).expect("endpoint frames carry a protocol");
-            end.submit(proto, packet.to_vec()).unwrap();
+            end.dev.submit(proto, packet.to_vec()).unwrap();
         }
         for ev in self.lcp.endpoint_mut().poll_layer_events() {
             match ev {
@@ -66,12 +66,12 @@ impl Peer {
                 _ => {}
             }
         }
-        end.run(512);
+        end.dev.run(512);
         // Route received frames to the matching endpoint stage (the
         // stage is not a demux: it rejects foreign protocols).
         let mut to_lcp = WireBuf::new();
         let mut to_ipcp = WireBuf::new();
-        for f in end.take_received() {
+        for f in end.dev.take_received() {
             match Protocol::from_number(f.protocol) {
                 Protocol::Lcp => encap(f.protocol, &f.payload, &mut to_lcp),
                 Protocol::Ipcp if self.lcp_up => encap(f.protocol, &f.payload, &mut to_ipcp),
