@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::{heading, imix_sizes, ip_like_datagram};
+use p5_bench::{heading, imix_sizes, ip_like_datagram, payload_with_flag_density};
 use p5_core::{encap, DatapathWidth, RxStage, TxStage, P5};
 use p5_fpga::devices;
 use p5_rtl::synthesize_system;
@@ -51,10 +51,13 @@ struct FastPathRun {
     /// by `alloc_count`), measured after a warm-up batch has stocked the
     /// buffer shelves.
     allocs_per_frame: f64,
+    /// Payload rate on 576-octet datagrams with one octet in four a flag
+    /// or an escape over the payload rate on the IMIX datagrams.
+    dense_over_clean: f64,
 }
 
-/// One IMIX batch through a `TxStage → RxStage` link, swept the way
-/// `Stack::step` sweeps (sink→source, drain before offer) until fully
+/// One batch of datagrams through a `TxStage → RxStage` link, swept the
+/// way `Stack::step` sweeps (sink→source, drain before offer) until fully
 /// drained; delivered frames are popped into `scratch` so every buffer
 /// is reused across batches.
 fn fast_path_batch(
@@ -85,14 +88,58 @@ fn fast_path_batch(
     while out.pop_frame_into(scratch).is_some() {}
 }
 
+/// What one timed rep of a payload set measured.
+struct Rep {
+    wall: f64,
+    wire_bytes: f64,
+    allocs: f64,
+}
+
+/// A fresh fused link, one untimed warm-up batch (it stocks the
+/// recycled-buffer shelves, so the timed rounds see the steady state),
+/// then `rounds` timed batches.
+fn fast_path_rep(width: DatapathWidth, payloads: &[Vec<u8>], rounds: usize) -> Rep {
+    let mut tx = TxStage::new(P5::new(width));
+    let mut rx = RxStage::new(P5::new(width));
+    let mut input = WireBuf::new();
+    let mut mid = WireBuf::new();
+    let mut out = WireBuf::new();
+    let mut scratch = Vec::new();
+    let mut batch = |tx: &mut TxStage, rx: &mut RxStage| {
+        fast_path_batch(
+            tx,
+            rx,
+            payloads,
+            &mut input,
+            &mut mid,
+            &mut out,
+            &mut scratch,
+        )
+    };
+    batch(&mut tx, &mut rx);
+    let bytes0 = StreamStage::stats(&tx).bytes_out;
+    let allocs0 = alloc_count::events();
+    let started = Instant::now();
+    for _ in 0..rounds {
+        batch(&mut tx, &mut rx);
+    }
+    Rep {
+        wall: started.elapsed().as_secs_f64(),
+        wire_bytes: (StreamStage::stats(&tx).bytes_out - bytes0) as f64,
+        allocs: (alloc_count::events() - allocs0) as f64,
+    }
+}
+
 fn fast_path_run(width: DatapathWidth, datagrams: usize) -> FastPathRun {
     let sizes = imix_sizes(datagrams, 42);
-    let payloads: Vec<Vec<u8>> = sizes
+    let imix: Vec<Vec<u8>> = sizes
         .iter()
         .enumerate()
         .map(|(i, len)| ip_like_datagram(*len, i as u64))
         .collect();
-    let batch_payload: usize = payloads.iter().map(Vec::len).sum();
+    let dense: Vec<Vec<u8>> = (0..datagrams)
+        .map(|i| payload_with_flag_density(576, 0.25, i as u64))
+        .collect();
     // Enough rounds per rep that the timed region moves ≥ ~2 MB of
     // payload — long enough for a stable clock reading even in smoke
     // mode.  The wall clock is noisy where the cycle count is not: one
@@ -101,56 +148,33 @@ fn fast_path_run(width: DatapathWidth, datagrams: usize) -> FastPathRun {
     // Shared hosts throttle in windows of tens of milliseconds, so the
     // reps are spread out with short sleeps — one of them lands in a
     // fast window even when a single burst would sit entirely in a
-    // slow one.
-    let rounds = (2 * 1024 * 1024 / batch_payload.max(1)).max(1);
-    let mut best_wall = f64::INFINITY;
+    // slow one.  The two payload sets alternate within each rep, so the
+    // dense/clean ratio compares readings taken side by side.
+    let payload_bytes = |set: &[Vec<u8>]| set.iter().map(Vec::len).sum::<usize>();
+    let rounds = |set: &[Vec<u8>]| (2 * 1024 * 1024 / payload_bytes(set).max(1)).max(1);
+    let (imix_rounds, dense_rounds) = (rounds(&imix), rounds(&dense));
+    let (mut best_imix, mut best_dense) = (f64::INFINITY, f64::INFINITY);
     let mut wire_bytes = 0f64;
     let mut allocs_per_frame = f64::INFINITY;
     for rep in 0..=4 {
-        let mut tx = TxStage::new(P5::new(width));
-        let mut rx = RxStage::new(P5::new(width));
-        let mut input = WireBuf::new();
-        let mut mid = WireBuf::new();
-        let mut out = WireBuf::new();
-        let mut scratch = Vec::new();
-        // Warm-up batch: stocks the recycled-buffer shelves, so the
-        // timed rounds see the steady state.
-        fast_path_batch(
-            &mut tx,
-            &mut rx,
-            &payloads,
-            &mut input,
-            &mut mid,
-            &mut out,
-            &mut scratch,
-        );
-        let bytes0 = StreamStage::stats(&tx).bytes_out;
-        let allocs0 = alloc_count::events();
-        let started = Instant::now();
-        for _ in 0..rounds {
-            fast_path_batch(
-                &mut tx,
-                &mut rx,
-                &payloads,
-                &mut input,
-                &mut mid,
-                &mut out,
-                &mut scratch,
-            );
-        }
-        let wall = started.elapsed().as_secs_f64();
-        let allocs = (alloc_count::events() - allocs0) as f64;
+        let clean = fast_path_rep(width, &imix, imix_rounds);
+        let escaped = fast_path_rep(width, &dense, dense_rounds);
         if rep == 0 {
             continue; // process warm-up
         }
-        wire_bytes = (StreamStage::stats(&tx).bytes_out - bytes0) as f64;
-        best_wall = best_wall.min(wall);
-        allocs_per_frame = allocs_per_frame.min(allocs / (rounds * payloads.len()) as f64);
+        wire_bytes = clean.wire_bytes;
+        best_imix = best_imix.min(clean.wall);
+        best_dense = best_dense.min(escaped.wall);
+        allocs_per_frame = allocs_per_frame.min(clean.allocs / (imix_rounds * imix.len()) as f64);
         std::thread::sleep(std::time::Duration::from_millis(40));
     }
+    let rate =
+        |set: &[Vec<u8>], rounds: usize, wall: f64| (payload_bytes(set) * rounds) as f64 / wall;
     FastPathRun {
-        sim_wall_gbps: wire_bytes * 8.0 / best_wall / 1e9,
+        sim_wall_gbps: wire_bytes * 8.0 / best_imix / 1e9,
         allocs_per_frame,
+        dense_over_clean: rate(&dense, dense_rounds, best_dense)
+            / rate(&imix, imix_rounds, best_imix),
     }
 }
 
@@ -181,6 +205,11 @@ fn main() {
     let min_sim8 = arg_value(&args, "--min-sim8");
     let min_sim32 = arg_value(&args, "--min-sim32");
     let max_allocs = arg_value(&args, "--max-allocs-per-frame");
+    // Byte-sorter gate: the fused link's payload rate on escape-dense
+    // datagrams over its IMIX rate, measured side by side — a ratio, so
+    // host speed cancels; per-octet escape handling reads ~0.22, the
+    // word-wide byte sorter 0.5-0.65.
+    let min_dense = arg_value(&args, "--min-dense-over-clean");
     let datagrams = if smoke { 40 } else { 200 };
     print!(
         "{}",
@@ -230,6 +259,15 @@ fn main() {
                 ));
             }
         }
+        if let Some(floor) = min_dense {
+            if fast.dense_over_clean < floor {
+                gate_failures.push(format!(
+                    "{}-bit dense_over_clean {:.3} below floor {floor:.3}",
+                    w * 8,
+                    fast.dense_over_clean,
+                ));
+            }
+        }
         if let Some(ceiling) = max_allocs {
             if fast.allocs_per_frame > ceiling {
                 gate_failures.push(format!(
@@ -265,7 +303,8 @@ fn main() {
                  \"sim_wall_gbps\": {:.4}, \
                  \"sim_wall_baseline_gbps\": {:.4}, \
                  \"sim_wall_uplift\": {:.2}, \
-                 \"allocs_per_frame\": {:.4}}}",
+                 \"allocs_per_frame\": {:.4}, \
+                 \"dense_over_clean\": {:.3}}}",
                 w * 8,
                 dev.name,
                 run.bytes_per_cycle,
@@ -278,15 +317,17 @@ fn main() {
                 sim_baseline,
                 fast.sim_wall_gbps / sim_baseline,
                 fast.allocs_per_frame,
+                fast.dense_over_clean,
             );
         }
         println!(
             "         {:<12} fused link: sim {:.4} Gbps (uplift {:.1}x vs \
-             staged baseline), {:.4} allocs/frame",
+             staged baseline), {:.4} allocs/frame, dense_over_clean {:.3}",
             "(host)",
             fast.sim_wall_gbps,
             fast.sim_wall_gbps / sim_baseline,
             fast.allocs_per_frame,
+            fast.dense_over_clean,
         );
     }
     let json = format!(

@@ -6,7 +6,8 @@ use crate::rx::{RxCounters, RxPipeline};
 use crate::tx::{fcs_params, TxDescriptor, TxPipeline, TxQueueFull};
 use crate::word::Word;
 use p5_crc::{fcs16_wire_bytes, fcs32_wire_bytes, CrcEngine, EngineKind, FcsEngine};
-use p5_hdlc::{scan, stuff_into, Accm, FcsMode, ESCAPE, ESCAPE_XOR, FLAG};
+use p5_hdlc::sorter::destuff_run;
+use p5_hdlc::{stuff_into, Accm, FcsMode, FLAG};
 use p5_stream::{
     BufPool, Event, EventKind, FrameId, NullSink, Poll, TraceSink, WireBuf, WordStream,
 };
@@ -570,8 +571,9 @@ impl P5 {
     }
 
     /// Fused delineate → destuff → FCS-check → deliver fast path: scans
-    /// up to `max_bytes` wire octets from `input` in bulk (flag/escape
-    /// free runs move as single copies), validates complete frames with
+    /// up to `max_bytes` wire octets from `input` in one pass (the byte
+    /// sorter, [`destuff_run`], destuffs each run eight octets per step
+    /// and stops at the flag that ends it), validates complete frames with
     /// the persistent slicing engine and delivers them through the same
     /// classification tail — counters, OAM mirror, interrupts and trace
     /// events — as the staged receiver.
@@ -591,22 +593,13 @@ impl P5 {
         let mut frames_closed = 0u64;
         let mut i = 0;
         while i < budget {
-            let b = bytes[i];
-            if self.fused.rx_esc_pending {
+            if bytes[i] == FLAG {
                 i += 1;
-                self.fused.rx_esc_pending = false;
-                if b == FLAG {
+                if std::mem::take(&mut self.fused.rx_esc_pending) {
                     // RFC 1662 abort sequence: 7D 7E.
                     self.close_fused_frame(true);
                     frames_closed += 1;
-                } else {
-                    self.push_fused_byte(b ^ ESCAPE_XOR, cap);
-                }
-                continue;
-            }
-            if b == FLAG {
-                i += 1;
-                if self.fused.rx_in_frame {
+                } else if self.fused.rx_in_frame {
                     self.close_fused_frame(false);
                     frames_closed += 1;
                 } else {
@@ -614,23 +607,18 @@ impl P5 {
                 }
                 continue;
             }
-            if b == ESCAPE {
-                i += 1;
-                self.fused.rx_esc_pending = true;
-                self.fused.rx_in_frame = true;
-                self.rx.escape.escapes_removed += 1;
-                continue;
-            }
-            // Bulk path: accept the whole flag/escape-free run at once.
+            // Everything up to the next flag, destuffed by the byte
+            // sorter in one pass, capped at the giant limit.
             self.fused.rx_in_frame = true;
-            let run = scan::clean_prefix_len(&bytes[i..]);
-            debug_assert!(run > 0);
-            let take = run.min(cap.saturating_sub(self.fused.rx_acc.len()));
-            self.fused.rx_acc.extend_from_slice(&bytes[i..i + take]);
-            if take < run {
-                self.fused.rx_overrun = true;
-            }
-            i += run;
+            let run = destuff_run(
+                &bytes[i..],
+                &mut self.fused.rx_esc_pending,
+                &mut self.fused.rx_acc,
+                cap,
+            );
+            self.fused.rx_overrun |= run.overrun;
+            self.rx.escape.escapes_removed += run.escapes as u64;
+            i += run.consumed;
         }
         input.consume(i);
         self.rx.escape.frames_delineated += frames_closed;
@@ -639,17 +627,6 @@ impl P5 {
         }
         self.sync_oam();
         Some(i)
-    }
-
-    /// Accept one destuffed octet into the fused accumulator, honouring
-    /// the giant cap the staged Control unit enforces.
-    fn push_fused_byte(&mut self, b: u8, cap: usize) {
-        self.fused.rx_in_frame = true;
-        if self.fused.rx_acc.len() >= cap {
-            self.fused.rx_overrun = true;
-        } else {
-            self.fused.rx_acc.push(b);
-        }
     }
 
     /// A closing flag (or abort sequence) ended the fused frame: run the

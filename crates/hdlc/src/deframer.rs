@@ -2,6 +2,7 @@
 //! check.  The behavioural mirror of the P⁵ receiver pipeline
 //! (Escape Detect → CRC → Control).
 
+use crate::sorter::destuff_run;
 use crate::{FcsMode, ESCAPE, ESCAPE_XOR, FLAG};
 use p5_crc::{CrcEngine, Slice8Engine, FCS16, FCS32};
 
@@ -112,7 +113,7 @@ pub struct Deframer {
     /// Body grew past max; discard at the closing flag.
     overrun: bool,
     /// Running CRC over the destuffed body (incremental, as hardware
-    /// does) — slicing-by-8, so the bulk `accept_run` path checks eight
+    /// does) — slicing-by-8, so the bulk `push_bytes` path checks eight
     /// octets per iteration.
     crc: Option<Slice8Engine>,
     stats: RxStats,
@@ -165,28 +166,27 @@ impl Deframer {
 
     /// Push a slice of wire bytes, collecting all resulting events.
     ///
-    /// Escape- and flag-free runs are located eight octets at a time
-    /// with the [`crate::scan`] word detector and accepted in bulk
-    /// (one CRC update, one `extend_from_slice`); only the special
-    /// octets go through the per-byte state machine.
+    /// Each flag-free run is destuffed eight octets at a time by the
+    /// byte sorter ([`crate::sorter::destuff_run`]) and checked with one
+    /// CRC update; only flags go through the per-byte state machine,
+    /// which stays the oracle this path is tested against.
     pub fn push_bytes(&mut self, bytes: &[u8]) -> Vec<DeframeEvent> {
         let mut events = Vec::new();
+        let cap = self.config.max_body + self.config.fcs.len();
         let mut rest = bytes;
-        while !rest.is_empty() {
-            if !self.escape_pending {
-                let clean = crate::scan::clean_prefix_len(rest);
-                if clean > 0 {
-                    self.accept_run(&rest[..clean]);
-                    rest = &rest[clean..];
-                }
+        while let Some((&b, tail)) = rest.split_first() {
+            if b == FLAG {
+                events.extend(self.push_byte(b));
+                rest = tail;
+                continue;
             }
-            let Some((&b, tail)) = rest.split_first() else {
-                break;
-            };
-            if let Some(ev) = self.push_byte(b) {
-                events.push(ev);
+            let start = self.body.len();
+            let run = destuff_run(rest, &mut self.escape_pending, &mut self.body, cap);
+            self.overrun |= run.overrun;
+            if let Some(crc) = &mut self.crc {
+                crc.update(&self.body[start..]);
             }
-            rest = tail;
+            rest = &rest[run.consumed..];
         }
         events
     }
@@ -201,23 +201,6 @@ impl Deframer {
             crc.update(&[byte]);
         }
         self.body.push(byte);
-    }
-
-    /// Bulk [`Self::accept`]: identical semantics (octets past the
-    /// giant cap are dropped and excluded from the CRC), one CRC
-    /// update and one copy for the whole run.
-    fn accept_run(&mut self, run: &[u8]) {
-        let cap = self.config.max_body + self.config.fcs.len();
-        let free = cap.saturating_sub(self.body.len());
-        let take = free.min(run.len());
-        if take < run.len() {
-            self.overrun = true;
-        }
-        let taken = &run[..take];
-        if let Some(crc) = &mut self.crc {
-            crc.update(taken);
-        }
-        self.body.extend_from_slice(taken);
     }
 
     /// A flag arrived: close out whatever is buffered.

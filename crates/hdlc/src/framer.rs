@@ -38,8 +38,6 @@ pub struct Framer {
     /// sharing).
     mid_stream: bool,
     frames_sent: u64,
-    body_bytes_sent: u64,
-    wire_bytes_sent: u64,
 }
 
 impl Default for Framer {
@@ -60,8 +58,6 @@ impl Framer {
             engine,
             mid_stream: false,
             frames_sent: 0,
-            body_bytes_sent: 0,
-            wire_bytes_sent: 0,
         }
     }
 
@@ -91,8 +87,6 @@ impl Framer {
         out.push(FLAG);
         self.mid_stream = true;
         self.frames_sent += 1;
-        self.body_bytes_sent += body.len() as u64;
-        self.wire_bytes_sent = out.len() as u64;
     }
 
     /// Encode one frame into a fresh vector (always opens with its own

@@ -32,14 +32,12 @@
 //! assert_eq!(events, vec![DeframeEvent::Frame(vec![0x31, 0x33, 0x7E, 0x96])]);
 //! ```
 
-pub mod bitstuff;
 pub mod deframer;
 pub mod framer;
-pub mod scan;
+pub mod sorter;
 pub mod stream;
 pub mod stuff;
 
-pub use bitstuff::{bitstuff_frame, bitstuff_overhead_bits, bitunstuff_stream};
 pub use deframer::{DeframeEvent, Deframer, DeframerConfig, FrameError, RxStats};
 pub use framer::{Framer, FramerConfig};
 pub use stream::{DeframerStage, FramerStage};

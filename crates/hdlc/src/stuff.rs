@@ -27,31 +27,21 @@ impl Accm {
 /// octets inserted.
 ///
 /// On the octet-synchronous SONET map ([`Accm::SONET`]) only `0x7E`
-/// and `0x7D` need escaping, so the body is scanned a `u64` word at a
-/// time ([`crate::scan`]) and escape-free runs are appended in bulk; a
-/// non-zero ACCM takes the exact per-byte path.
+/// and `0x7D` need escaping, so a body of a word or more goes through
+/// the word-wide byte sorter ([`crate::sorter`]).  A shorter one (a
+/// frame's header or FCS) and any body under a non-zero ACCM take the
+/// exact per-octet path, which is cheaper than a word step there.
 pub fn stuff_into(body: &[u8], accm: Accm, out: &mut Vec<u8>) -> usize {
-    if accm != Accm::SONET {
-        return stuff_into_bytewise(body, accm, out);
-    }
-    out.reserve(body.len());
-    let mut escapes = 0;
-    let mut rest = body;
-    loop {
-        let clean = crate::scan::clean_prefix_len(rest);
-        out.extend_from_slice(&rest[..clean]);
-        rest = &rest[clean..];
-        let Some((&b, tail)) = rest.split_first() else {
-            return escapes;
-        };
-        out.push(ESCAPE);
-        out.push(b ^ ESCAPE_XOR);
-        escapes += 1;
-        rest = tail;
+    if accm == Accm::SONET && body.len() >= 8 {
+        crate::sorter::stuff(body, out)
+    } else {
+        stuff_ref(body, accm, out)
     }
 }
 
-fn stuff_into_bytewise(body: &[u8], accm: Accm, out: &mut Vec<u8>) -> usize {
+/// The per-octet stuffer: the path for a non-zero ACCM, and the oracle
+/// the sorter is tested against on the SONET map.
+pub(crate) fn stuff_ref(body: &[u8], accm: Accm, out: &mut Vec<u8>) -> usize {
     let mut escapes = 0;
     for &b in body {
         if accm.must_escape(b) {
@@ -86,38 +76,26 @@ pub enum DestuffOutcome {
     Irregular(Vec<u8>),
 }
 
-/// Destuff one region of wire bytes that contains no flag octets.
-///
-/// Escape-free runs are located with the word scanner and copied in
-/// bulk; only the escape sequences themselves are decoded bytewise.
+/// Destuff one region of wire bytes that contains no flag octets, with
+/// the word-wide byte sorter ([`crate::sorter::destuff_run`]).
 pub fn destuff(wire: &[u8]) -> DestuffOutcome {
     let mut out = Vec::with_capacity(wire.len());
-    let mut irregular = false;
-    let mut rest = wire;
-    loop {
-        let clean = crate::scan::clean_prefix_len(rest);
-        out.extend_from_slice(&rest[..clean]);
-        rest = &rest[clean..];
-        let Some((&b, tail)) = rest.split_first() else {
-            break;
-        };
-        debug_assert_ne!(b, FLAG, "destuff input must be flag-free");
-        if b == ESCAPE {
-            let Some((&esc, tail)) = tail.split_first() else {
-                return DestuffOutcome::Aborted;
-            };
-            let decoded = esc ^ ESCAPE_XOR;
-            // A conforming peer only escapes octets that need it.
-            if !(decoded == FLAG || decoded == ESCAPE || decoded < 0x20) {
-                irregular = true;
-            }
-            out.push(decoded);
-            rest = tail;
-        } else {
-            out.push(b);
-            rest = tail;
-        }
+    let mut pending = false;
+    let run = crate::sorter::destuff_run(wire, &mut pending, &mut out, wire.len());
+    debug_assert_eq!(run.consumed, wire.len(), "destuff input must be flag-free");
+    if pending {
+        return DestuffOutcome::Aborted;
     }
+    // A conforming peer only escapes octets that need it: flag, escape
+    // and the control range, i.e. it sends 5E, 5D or 20..=3F after an
+    // escape.  Testing every 0x7D's successor gives the same verdict as
+    // testing only the true escapes: a 0x7D that is not an escape was
+    // itself decoded from `7D 7D`, which is irregular.
+    let regular = |b: u8| b == FLAG ^ ESCAPE_XOR || b == ESCAPE ^ ESCAPE_XOR || b & 0xE0 == 0x20;
+    let irregular = run.escapes > 0
+        && wire
+            .windows(2)
+            .any(|pair| pair[0] == ESCAPE && !regular(pair[1]));
     if irregular {
         DestuffOutcome::Irregular(out)
     } else {

@@ -42,10 +42,15 @@ echo "==> throughput smoke + perf gate (results/BENCH_throughput.json)"
 # noise cannot flake, yet far above the staged-path ~0.04/0.17 Gbps —
 # losing the fused path fails here).  The alloc ceiling holds the
 # steady-state datapath at <=1 heap allocation per datagram (measured
-# 0: every buffer comes from the recycling pool after warm-up).
+# 0: every buffer comes from the recycling pool after warm-up).  The
+# dense/clean gate holds the fused link's rate on 25 %-escape datagrams
+# to at least 0.35 of its IMIX rate, both measured side by side in one
+# process: a ratio, so host speed cancels; the word-wide byte sorter reads
+# 0.5-0.65, per-octet escape handling ~0.22.
 cargo run -q --release --offline -p p5-bench --bin throughput_report -- \
     --smoke --min-bpc8 0.9998 --min-bpc32 3.9931 \
-    --min-sim8 0.25 --min-sim32 0.75 --max-allocs-per-frame 1
+    --min-sim8 0.25 --min-sim32 0.75 --max-allocs-per-frame 1 \
+    --min-dense-over-clean 0.35
 
 echo "==> gate-sim smoke + perf gate (results/BENCH_gate_sim.json)"
 # The compiled 64-lane engine must stay >=10x the scalar walker on the
