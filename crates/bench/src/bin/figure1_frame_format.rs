@@ -4,8 +4,8 @@
 //! is visible byte by byte).
 
 use p5_bench::heading;
-use p5_core::behavioral::BehavioralTx;
 use p5_crc::{fcs32, fcs32_wire_bytes};
+use p5_hdlc::{Framer, FramerConfig};
 use p5_ppp::frame::{FrameCodec, PppFrame};
 use p5_ppp::protocol::Protocol;
 
@@ -15,7 +15,7 @@ fn main() {
         heading("Figure 1 - the PPP frame format (live encode)")
     );
     let payload = vec![0x31, 0x33, 0x7E, 0x96]; // the paper's example bytes
-    let frame = PppFrame::datagram(Protocol::Ipv4, payload.clone());
+    let frame = PppFrame::datagram(Protocol::Ipv4, payload);
     let codec = FrameCodec::default();
     let body = codec.encode(&frame);
     let fcs = fcs32(&body);
@@ -45,9 +45,8 @@ fn main() {
     println!("flag       7E           frame delimiter");
 
     // And the wire image, with stuffing applied.
-    let mut tx = BehavioralTx::new(0xFF);
     let mut wire = Vec::new();
-    tx.encode_into(Protocol::Ipv4.number(), &payload, &mut wire);
+    Framer::new(FramerConfig::default()).encode_into(&body, &mut wire);
     println!("\non the wire ({} bytes): {:02X?}", wire.len(), wire);
     println!(
         "note the payload flag 7E became 7D 5E — \"0x31, 0x33, 0x7E, 0x96 →\n\

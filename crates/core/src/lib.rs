@@ -52,31 +52,19 @@
 //! assert_eq!(peer.take_received()[0].payload, vec![0xDE, 0xAD, 0x7E]);
 //! ```
 
-pub mod behavioral;
 pub mod delay;
-pub mod firmware;
 pub mod link;
 pub mod oam;
 pub mod p5;
 pub mod rx;
 pub mod stager;
-pub mod stats;
 pub mod stream;
 pub mod tx;
 pub mod word;
 
-pub use firmware::{Driver, DriverConfig, LinkStats};
 pub use link::{Carriage, LinkCore, LinkCounters};
 pub use oam::{regs, HealthCounters, Interrupt, MmioBus, Oam, OamHandle};
 pub use p5::{DatapathWidth, ReceivedFrame, P5};
-pub use stats::StageStats;
 pub use stream::{decap, encap, encap_tagged, RxStage, TxStage};
 pub use tx::TxQueueFull;
 pub use word::Word;
-
-// The stream layer the stages implement (re-exported so downstream code
-// can compose stacks without naming p5-stream directly).
-pub use p5_stream::{
-    render_table, to_json, to_prometheus, Chain, Event, EventKind, FrameId, NullSink, Observable,
-    Poll, SharedRecorder, Snapshot, Stack, StreamStage, Throttle, TraceSink, WireBuf, WordStream,
-};

@@ -7,10 +7,9 @@
 //! [`MmioBus`] trait; the datapath side updates status and counters
 //! through a shared [`OamHandle`].
 
-use parking_lot::RwLock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Register addresses (word-aligned byte offsets).
 pub mod regs {
@@ -114,8 +113,22 @@ struct OamShared {
     version: AtomicU64,
 }
 
+impl OamShared {
+    /// The registers for reading, recovering the guard if a writer
+    /// panicked: a panic inside `with_state` must not wedge every later
+    /// reader.
+    fn read(&self) -> RwLockReadGuard<'_, OamState> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The registers for writing, with the same poison recovery.
+    fn write(&self) -> RwLockWriteGuard<'_, OamState> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Shared handle to the OAM register file (datapath and host both hold
-/// clones; `parking_lot::RwLock` keeps it cheap).
+/// clones of one `Arc`).
 #[derive(Debug, Clone)]
 pub struct OamHandle(Arc<OamShared>);
 
@@ -148,11 +161,11 @@ impl OamHandle {
     }
 
     pub fn read_state<R>(&self, f: impl FnOnce(&OamState) -> R) -> R {
-        f(&self.0.state.read())
+        f(&self.0.read())
     }
 
     pub fn with_state<R>(&self, f: impl FnOnce(&mut OamState) -> R) -> R {
-        let r = f(&mut self.0.state.write());
+        let r = f(&mut self.0.write());
         self.0.version.fetch_add(1, Ordering::Release);
         r
     }
@@ -172,7 +185,7 @@ impl OamHandle {
     /// counter: draining the log is observation, not configuration, and
     /// bumping would make the datapath's config cache reload forever.
     pub fn take_writes(&self) -> Vec<(u32, u32)> {
-        let mut s = self.0.state.write();
+        let mut s = self.0.write();
         s.write_log.drain(..).collect()
     }
 }
@@ -210,7 +223,7 @@ impl Oam {
 
 impl MmioBus for Oam {
     fn read(&self, addr: u32) -> u32 {
-        let s = self.handle.0.state.read();
+        let s = self.handle.0.read();
         match addr {
             regs::CTRL => s.ctrl,
             regs::STATUS => (s.tx_busy as u32) | ((s.rx_in_frame as u32) << 1),
@@ -382,6 +395,21 @@ mod tests {
         let _ = oam.read(regs::ADDRESS);
         let _ = h.read_state(|s| s.ctrl);
         assert_eq!(h.version(), h.version(), "reads do not bump");
+    }
+
+    #[test]
+    fn a_panic_inside_with_state_does_not_wedge_the_registers() {
+        let h = OamHandle::new();
+        let oam = Oam::new(h.clone());
+        let caught = std::panic::catch_unwind(|| {
+            h.with_state(|s| {
+                s.rx_frames = 9;
+                panic!("host callback fails mid-update");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(h.read_state(|s| s.rx_frames), 9);
+        assert_eq!(oam.read(regs::RX_FRAMES), 9);
     }
 
     #[test]

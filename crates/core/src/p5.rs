@@ -853,7 +853,7 @@ impl WordStream for P5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oam::{regs, MmioBus, Oam};
+    use crate::oam::{regs, rx_errors, MmioBus, Oam};
 
     // A fleet link holds two devices inline; what a device owns beyond
     // this is heap it grows into, and none of it is a lookup table
@@ -1030,9 +1030,12 @@ mod tests {
         );
         a.submit(0x0021, b"ding".to_vec()).unwrap();
         shuttle(&mut a, &mut b, 500);
+        let pending = bus.read(regs::INT_PENDING);
+        assert_eq!(pending, Interrupt::RxFrame as u32, "{pending:#x}");
         assert!(b.oam.irq_asserted());
         assert_eq!(bus.read(regs::RX_FRAMES), 1);
-        bus.write(regs::INT_PENDING, u32::MAX);
+        bus.write(regs::INT_PENDING, pending);
+        assert_eq!(bus.read(regs::INT_PENDING), 0, "acknowledged");
         assert!(!b.oam.irq_asserted());
 
         // Now a corrupted frame.
@@ -1044,6 +1047,33 @@ mod tests {
         b.run(500);
         assert_eq!(bus.read(regs::FCS_ERRORS), 1);
         assert!(b.oam.irq_asserted());
+    }
+
+    #[test]
+    fn diagnostic_loopback_delivers_locally_and_isolates_the_phy() {
+        // Flags and escapes exercise the stuffing units on the way round.
+        let pattern: Vec<u8> = (0u16..256)
+            .map(|i| match i % 5 {
+                0 => 0x7E,
+                1 => 0x7D,
+                _ => (i * 7) as u8,
+            })
+            .collect();
+        for width in [DatapathWidth::W8, DatapathWidth::W32] {
+            let mut dev = P5::new(width);
+            let mut bus = Oam::new(dev.oam.clone());
+            bus.write(regs::CTRL, bus.read(regs::CTRL) | ctrl::LOOPBACK);
+            dev.submit(0x0021, pattern.clone()).unwrap();
+            dev.run_until_idle(1_000_000);
+            dev.clock();
+            assert!(dev.take_wire_out().is_empty(), "nothing may reach the PHY");
+            let got = dev.take_received();
+            assert_eq!(got.len(), 1, "width {width:?}");
+            assert_eq!(got[0].payload, pattern, "width {width:?}");
+            assert_eq!(bus.read(regs::TX_FRAMES), 1, "width {width:?}");
+            assert_eq!(bus.read(regs::RX_FRAMES), 1, "width {width:?}");
+            assert_eq!(rx_errors(&bus), 0, "width {width:?}");
+        }
     }
 
     #[test]

@@ -4,11 +4,10 @@
 
 use crate::delay::DelayLine;
 use crate::stager::ByteStager;
-use crate::stats::StageStats;
 use crate::word::Word;
 use p5_crc::{CrcEngine, CrcParams, EngineKind, FcsEngine, FCS16, FCS32};
 use p5_hdlc::{FcsMode, ESCAPE, ESCAPE_XOR, FLAG};
-use p5_stream::BufPool;
+use p5_stream::{BufPool, StageStats};
 use std::collections::VecDeque;
 
 /// A frame awaiting transmission in shared memory.

@@ -2,12 +2,25 @@
 //! patterns, frame mixes and widths never lose, duplicate, reorder or
 //! corrupt a byte — the handshake invariants of the hardware design.
 
-use p5_core::behavioral::BehavioralTx;
 use p5_core::rx::RxPipeline;
 use p5_core::tx::{TxDescriptor, TxPipeline};
 use p5_core::word::Word;
-use p5_hdlc::FcsMode;
+use p5_hdlc::{FcsMode, Framer, FramerConfig};
+use p5_ppp::frame::{FrameCodec, PppFrame};
+use p5_ppp::protocol::Protocol;
 use proptest::prelude::*;
+
+/// The golden wire: `FrameCodec` builds each IPv4 header, `Framer` adds
+/// FCS, stuffing and flags.
+fn golden_wire(frames: &[Vec<u8>]) -> Vec<u8> {
+    let (codec, mut framer) = (FrameCodec::default(), Framer::new(FramerConfig::default()));
+    let mut wire = Vec::new();
+    for f in frames {
+        let body = codec.encode(&PppFrame::datagram(Protocol::Ipv4, f.clone()));
+        framer.encode_into(&body, &mut wire);
+    }
+    wire
+}
 
 fn frames_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
     proptest::collection::vec(
@@ -33,12 +46,7 @@ proptest! {
         wide in any::<bool>(),
     ) {
         let width = if wide { 4 } else { 1 };
-        // Golden: behavioural encoder.
-        let mut sw = BehavioralTx::new(0xFF);
-        let mut golden = Vec::new();
-        for f in &frames {
-            sw.encode_into(0x0021, f, &mut golden);
-        }
+        let golden = golden_wire(&frames);
         // Cycle model under an arbitrary repeating PHY stall pattern
         // (with at least one ready cycle, or the wire never moves).
         let mut stalls = stalls;
@@ -70,11 +78,7 @@ proptest! {
         wide in any::<bool>(),
     ) {
         let width = if wide { 4usize } else { 1 };
-        let mut sw = BehavioralTx::new(0xFF);
-        let mut wire = Vec::new();
-        for f in &frames {
-            sw.encode_into(0x0021, f, &mut wire);
-        }
+        let wire = golden_wire(&frames);
         let mut rx = RxPipeline::new(width, 0xFF, FcsMode::Fcs32, 4096);
         let mut got = Vec::new();
         let mut gi = 0usize;

@@ -238,16 +238,6 @@ impl Netlist {
         self.dffs.iter().any(|d| d.sr.is_some())
     }
 
-    /// The flip-flop index behind an `FfOutput` signal, bounds-checked.
-    pub fn dff_of(&self, sig: Sig) -> Option<usize> {
-        match self.nodes.get(sig as usize) {
-            Some(NodeKind::FfOutput(idx)) if (*idx as usize) < self.dffs.len() => {
-                Some(*idx as usize)
-            }
-            _ => None,
-        }
-    }
-
     /// Look up an input bus by name.
     pub fn input_bus(&self, name: &str) -> Option<&Bus> {
         self.inputs.iter().find(|b| b.name == name)

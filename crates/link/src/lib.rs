@@ -395,11 +395,6 @@ impl Link {
         t
     }
 
-    /// The underlying stack — the escape hatch for custom sweeps.
-    pub fn stack_mut(&mut self) -> &mut Stack {
-        &mut self.stack
-    }
-
     pub fn stack(&self) -> &Stack {
         &self.stack
     }

@@ -160,10 +160,6 @@ impl Report {
         self.max_severity() < Some(Severity::Warning)
     }
 
-    pub fn count_at_least(&self, sev: Severity) -> usize {
-        self.findings.iter().filter(|f| f.severity >= sev).count()
-    }
-
     /// Most severe first, then by rule code, message and anchor nodes — a
     /// *total* order, so reports (and the golden fixture JSON derived
     /// from them) are byte-stable regardless of pass execution order.

@@ -39,10 +39,6 @@ impl<N: Negotiator> EndpointStage<N> {
         &mut self.endpoint
     }
 
-    pub fn into_endpoint(self) -> Endpoint<N> {
-        self.endpoint
-    }
-
     /// Ticks elapsed (one per `drain` call).
     pub fn now(&self) -> u64 {
         self.now

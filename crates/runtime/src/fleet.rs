@@ -11,8 +11,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use p5_core::link::{LinkCounters, DEFAULT_INGRESS_DEPTH};
 use p5_core::rx::RxCounters;
@@ -24,6 +23,12 @@ use p5_stream::{to_prometheus, Histogram, SharedRecorder, Snapshot};
 use crate::link::{Cohort, Dir, ShardLink};
 use crate::traffic::TrafficSpec;
 use p5_stream::Offer;
+
+/// Lock a cohort, recovering the guard if a worker panicked while
+/// holding it: one panicking link must not wedge every later tick.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// What carries each link's wire bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,7 +362,7 @@ impl Fleet {
                 continue;
             }
             let (c, slot) = fleet.locate(id);
-            let (ra, rb) = fleet.cohorts[c].lock().links[slot].attach_recorders(TRACE_RING_CAP);
+            let (ra, rb) = lock(&fleet.cohorts[c]).links[slot].attach_recorders(TRACE_RING_CAP);
             fleet.recorders.push((id, ra, rb));
         }
         Ok(fleet)
@@ -407,7 +412,7 @@ impl Fleet {
     /// Offer a frame in an explicit direction.
     pub fn offer_dir(&mut self, link: usize, dir: Dir, protocol: u16, payload: &[u8]) -> Offer {
         let (c, slot) = self.locate(link);
-        self.cohorts[c].lock().links[slot].offer(dir, protocol, payload)
+        lock(&self.cohorts[c]).links[slot].offer(dir, protocol, payload)
     }
 
     /// Advance every cohort by up to `n` ticks, sharded across the
@@ -423,7 +428,7 @@ impl Fleet {
         if w <= 1 {
             let t = &mut tallies[0];
             for c in &self.cohorts {
-                let ran = c.lock().drive(&params, n);
+                let ran = lock(c).drive(&params, n);
                 t.claims += 1;
                 t.busy_ticks += ran;
                 t.idle_claims += (ran == 0) as u64;
@@ -440,7 +445,7 @@ impl Fleet {
                             s.spawn(move || loop {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                                 let Some(c) = cohorts.get(i) else { break };
-                                let ran = c.lock().drive(params, n);
+                                let ran = lock(c).drive(params, n);
                                 t.claims += 1;
                                 t.busy_ticks += ran;
                                 t.idle_claims += (ran == 0) as u64;
@@ -459,7 +464,7 @@ impl Fleet {
                             s.spawn(move || {
                                 let mut i = wi;
                                 while let Some(c) = cohorts.get(i) {
-                                    let ran = c.lock().drive(params, n);
+                                    let ran = lock(c).drive(params, n);
                                     t.claims += 1;
                                     t.busy_ticks += ran;
                                     t.idle_claims += (ran == 0) as u64;
@@ -511,7 +516,7 @@ impl Fleet {
     /// and wire empty, both devices drained.
     pub fn is_idle(&self) -> bool {
         let params = self.params();
-        self.cohorts.iter().all(|c| !c.lock().has_work(&params))
+        self.cohorts.iter().all(|c| !lock(c).has_work(&params))
     }
 
     /// Run until idle, in batches, spending at most `max_ticks`.
@@ -542,7 +547,7 @@ impl Fleet {
         let mut max_work = 0u64;
         let mut total_work = 0u64;
         for c in &self.cohorts {
-            let c = c.lock();
+            let c = lock(c);
             max_work = max_work.max(c.work_ticks);
             total_work += c.work_ticks;
             for l in &c.links {
@@ -569,7 +574,7 @@ impl Fleet {
     pub fn link_reports(&self) -> Vec<LinkReport> {
         let mut rows = Vec::with_capacity(self.cfg.links);
         for (i, c) in self.cohorts.iter().enumerate() {
-            let c = c.lock();
+            let c = lock(c);
             for (slot, l) in c.links.iter().enumerate() {
                 rows.push(LinkReport {
                     link: i * self.group + slot,

@@ -2,16 +2,15 @@
 //! length-preserving slice of the `p5-fault` model standing in for the
 //! optical section the paper's testbed would provide.
 //!
-//! [`BitErrorChannel`] keeps its historical `(ber, burst_len, seed)`
-//! constructor as a convenience facade, but the schedule behind it is a
-//! [`FaultPlan`]: [`BitErrorChannel::from_plan`] accepts any compiled
-//! plan, so a SONET path can carry the same seeded impairment mix the
-//! rest of the chaos harness uses.  Only the bit-level (length-
-//! preserving) faults apply here — a physical section can flip payload
-//! bits under the scrambler, but byte slips and fabricated flags are
-//! stream-level faults injected by a `FaultStage` above the path.
+//! The schedule behind a [`BitErrorChannel`] is a [`FaultPlan`]:
+//! [`BitErrorChannel::from_plan`] accepts any compiled plan, so a SONET
+//! path carries the same seeded impairment mix the rest of the chaos
+//! harness uses.  Only the bit-level (length-preserving) faults apply
+//! here — a physical section can flip payload bits under the scrambler,
+//! but byte slips and fabricated flags are stream-level faults injected
+//! by a `FaultStage` above the path.
 
-use p5_fault::{FaultPlan, FaultSpec};
+use p5_fault::FaultPlan;
 
 /// Channel impairment statistics, derived from the plan's
 /// [`p5_fault::FaultStats`].
@@ -41,22 +40,7 @@ pub struct BitErrorChannel {
 impl BitErrorChannel {
     /// An error-free channel.
     pub fn clean() -> Self {
-        Self::new(0.0, 1, 0)
-    }
-
-    /// The historical knob set: `ber` with `burst_len == 1` is a uniform
-    /// error process; `burst_len > 1` becomes a Gilbert–Elliott model
-    /// entered at rate `ber` with mean burst length `burst_len` bits and
-    /// a 50% bad-state flip probability.
-    pub fn new(ber: f64, burst_len: u32, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&ber), "BER must be a probability");
-        assert!(burst_len >= 1);
-        let spec = if burst_len > 1 {
-            FaultSpec::clean().burst(ber, 1.0 / f64::from(burst_len), 0.5)
-        } else {
-            FaultSpec::clean().ber(ber)
-        };
-        Self::from_plan(spec.compile(seed).expect("facade rates are valid"))
+        Self::from_plan(FaultPlan::clean(0))
     }
 
     /// Carry any compiled fault plan.  Only the length-preserving faults
@@ -89,6 +73,7 @@ impl BitErrorChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p5_fault::FaultSpec;
 
     #[test]
     fn clean_channel_is_transparent() {
@@ -102,7 +87,8 @@ mod tests {
 
     #[test]
     fn ber_injects_roughly_the_right_number_of_errors() {
-        let mut ch = BitErrorChannel::new(1e-3, 1, 42);
+        let plan = FaultSpec::clean().ber(1e-3).compile(42).unwrap();
+        let mut ch = BitErrorChannel::from_plan(plan);
         let mut buf = vec![0u8; 100_000];
         ch.transmit(&mut buf);
         let flipped: u64 = buf.iter().map(|b| b.count_ones() as u64).sum();
@@ -113,7 +99,12 @@ mod tests {
 
     #[test]
     fn bursts_cluster_errors() {
-        let mut ch = BitErrorChannel::new(1e-4, 16, 7);
+        // Entered at 1e-4, mean burst 16 bits, half the bad-state bits flip.
+        let plan = FaultSpec::clean()
+            .burst(1e-4, 1.0 / 16.0, 0.5)
+            .compile(7)
+            .unwrap();
+        let mut ch = BitErrorChannel::from_plan(plan);
         let mut buf = vec![0u8; 100_000];
         ch.transmit(&mut buf);
         assert!(ch.stats().bursts_injected > 0);
@@ -124,7 +115,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut ch = BitErrorChannel::new(1e-3, 4, seed);
+            let spec = FaultSpec::clean().burst(1e-3, 1.0 / 4.0, 0.5);
+            let mut ch = BitErrorChannel::from_plan(spec.compile(seed).unwrap());
             let mut buf = vec![0u8; 10_000];
             ch.transmit(&mut buf);
             buf

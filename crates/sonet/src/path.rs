@@ -208,7 +208,8 @@ mod tests {
 
     #[test]
     fn noisy_path_reports_parity_errors() {
-        let mut path = OcPath::new(StmLevel::Stm1, BitErrorChannel::new(1e-4, 1, 3));
+        let plan = p5_fault::FaultSpec::clean().ber(1e-4).compile(3).unwrap();
+        let mut path = OcPath::new(StmLevel::Stm1, BitErrorChannel::from_plan(plan));
         path.send(&vec![0u8; 20_000]);
         path.run_frames(12);
         let stats = path.section_stats();

@@ -37,10 +37,6 @@ impl OcPathStage {
     pub fn path(&self) -> &OcPath {
         &self.path
     }
-
-    pub fn path_mut(&mut self) -> &mut OcPath {
-        &mut self.path
-    }
 }
 
 impl WordStream for OcPathStage {
@@ -222,7 +218,8 @@ mod tests {
 
     #[test]
     fn noisy_channel_stage_flips_bits() {
-        let mut c = ChannelStage::new(BitErrorChannel::new(1e-2, 1, 7));
+        let plan = p5_fault::FaultSpec::clean().ber(1e-2).compile(7).unwrap();
+        let mut c = ChannelStage::new(BitErrorChannel::from_plan(plan));
         let mut input = WireBuf::new();
         input.push_slice(&vec![0u8; 10_000]);
         c.offer(&mut input);

@@ -11,6 +11,7 @@ mod common {
 use common::serial::{
     SerialFrameScrambler, SerialPayloadScrambler, SerialReceiver, SerialTransmitter,
 };
+use p5_fault::FaultSpec;
 use p5_sonet::frame::{C2_PPP_SCRAMBLED, DEFECT_WINDOW, IDLE_FILL};
 use p5_sonet::{
     deinterleave, interleave, BitErrorChannel, ByteLink, FrameReceiver, FrameScrambler,
@@ -341,8 +342,12 @@ fn hunt_across_push_boundaries_matches_serial_oracle() {
 fn noisy_path_matches_serial_oracle_on_every_level() {
     for level in LEVELS {
         let mut rng = Rng(level.n() as u64);
-        let mut path = OcPath::new(level, BitErrorChannel::new(1e-5, 1, 9));
-        let mut channel = BitErrorChannel::new(1e-5, 1, 9);
+        let spec = FaultSpec::clean().ber(1e-5);
+        let mut path = OcPath::new(
+            level,
+            BitErrorChannel::from_plan(spec.clone().compile(9).unwrap()),
+        );
+        let mut channel = BitErrorChannel::from_plan(spec.compile(9).unwrap());
         let mut tx = SerialTransmitter::new(level);
         let mut rx = SerialReceiver::new(level);
         let (mut tx_x43, mut rx_x43) =

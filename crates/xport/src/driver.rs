@@ -9,15 +9,15 @@
 //! [`SessionDriver::shutdown`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use p5_ppp::SessionEvent;
 use p5_stream::{Observable, Offer, Snapshot};
-use parking_lot::Mutex;
 
 use crate::engine::LinkEngine;
+use crate::lock;
 
 /// Idle passes before the loop sleeps instead of spinning.
 const SPIN_PASSES: u32 = 64;
@@ -54,7 +54,7 @@ impl SessionDriver {
             .spawn(move || {
                 let mut quiet: u32 = 0;
                 while !worker.stop.load(Ordering::Relaxed) {
-                    let progress = worker.engine.lock().service();
+                    let progress = lock(&worker.engine).service();
                     if progress {
                         quiet = 0;
                         // Hand the core over between passes.  A bare
@@ -91,22 +91,22 @@ impl SessionDriver {
     /// Offer one frame at the admission boundary (see
     /// [`LinkEngine::offer`]).
     pub fn offer(&self, protocol: u16, payload: &[u8]) -> Offer {
-        self.inner().engine.lock().offer(protocol, payload)
+        lock(&self.inner().engine).offer(protocol, payload)
     }
 
     /// Frames delivered since the last call.
     pub fn take_deliveries(&self) -> Vec<(u16, Vec<u8>)> {
-        self.inner().engine.lock().take_deliveries()
+        lock(&self.inner().engine).take_deliveries()
     }
 
     /// Session events since the last call.
     pub fn poll_events(&self) -> Vec<SessionEvent> {
-        self.inner().engine.lock().poll_events()
+        lock(&self.inner().engine).poll_events()
     }
 
     /// IPCP open (session) / pipe up (transparent)?
     pub fn is_network_up(&self) -> bool {
-        self.inner().engine.lock().is_network_up()
+        lock(&self.inner().engine).is_network_up()
     }
 
     /// Block (politely) until the network phase opens, up to `limit`.
@@ -144,13 +144,16 @@ impl SessionDriver {
         let inner = self.inner.take().expect("first shutdown");
         let inner = Arc::try_unwrap(inner)
             .unwrap_or_else(|_| unreachable!("driver thread joined; no other refs"));
-        inner.engine.into_inner()
+        inner
+            .engine
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Observable for SessionDriver {
     fn snapshot(&self) -> Snapshot {
-        let mut snap = self.inner().engine.lock().snapshot();
+        let mut snap = lock(&self.inner().engine).snapshot();
         snap.push_counter("driver_stalls", self.driver_stalls());
         snap
     }

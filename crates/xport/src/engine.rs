@@ -182,11 +182,6 @@ impl LinkEngine {
         self.transport.describe()
     }
 
-    /// The transport, for test scripting (stalls, severs).
-    pub fn transport_mut(&mut self) -> &mut dyn Transport {
-        &mut *self.transport
-    }
-
     /// IPCP is open (session mode) / the pipe exists (transparent).
     pub fn is_network_up(&self) -> bool {
         match &self.session {

@@ -38,3 +38,11 @@ pub use ring::ByteRing;
 #[cfg(unix)]
 pub use transport::UnixTransport;
 pub use transport::{IoOp, PipeControl, PipeTransport, TcpTransport, Transport};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a holder panicked: a panic on one
+/// pump thread must not wedge the engine or pipe for every later caller.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

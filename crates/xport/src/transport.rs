@@ -20,10 +20,10 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Outcome of one nonblocking send/recv attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,7 +377,7 @@ impl PipeControl {
     /// Make the controlled end's next `ops` send/recv calls report
     /// [`IoOp::WouldBlock`].
     pub fn stall(&self, ops: u64) {
-        *self.stall_ops.lock() += ops;
+        *lock(&self.stall_ops) += ops;
     }
 
     /// Sever the connection: both lanes close and drop their bytes, so
@@ -385,7 +385,7 @@ impl PipeControl {
     /// deterministic mid-run disconnect.
     pub fn sever(&self) {
         for lane in [&self.tx, &self.rx] {
-            let mut l = lane.lock();
+            let mut l = lock(lane);
             l.open = false;
             l.buf.clear();
         }
@@ -429,7 +429,7 @@ impl PipeTransport {
     /// Make the next `ops` send/recv calls report
     /// [`IoOp::WouldBlock`] — a scripted peer stall.
     pub fn stall(&mut self, ops: u64) {
-        *self.stall_ops.lock() += ops;
+        *lock(&self.stall_ops) += ops;
     }
 
     /// Sever the connection: both lanes close and drop their bytes, so
@@ -464,7 +464,7 @@ impl PipeTransport {
 
 impl Transport for PipeTransport {
     fn established(&self) -> bool {
-        self.tx.lock().open && self.rx.lock().open
+        lock(&self.tx).open && lock(&self.rx).open
     }
 
     fn establish(&mut self) -> io::Result<bool> {
@@ -472,7 +472,7 @@ impl Transport for PipeTransport {
         // lanes open; whichever end re-establishes first simply waits
         // for the other to start pumping.
         for lane in [&self.tx, &self.rx] {
-            let mut l = lane.lock();
+            let mut l = lock(lane);
             if !l.open {
                 l.open = true;
                 l.buf.clear();
@@ -483,13 +483,13 @@ impl Transport for PipeTransport {
 
     fn send(&mut self, buf: &[u8]) -> io::Result<IoOp> {
         {
-            let mut stalls = self.stall_ops.lock();
+            let mut stalls = lock(&self.stall_ops);
             if *stalls > 0 {
                 *stalls -= 1;
                 return Ok(IoOp::WouldBlock);
             }
         }
-        let mut lane = self.tx.lock();
+        let mut lane = lock(&self.tx);
         if !lane.open {
             return Ok(IoOp::Closed);
         }
@@ -501,20 +501,20 @@ impl Transport for PipeTransport {
         lane.buf.extend(&buf[..n]);
         drop(lane);
         if let Some(tap) = &self.tap {
-            tap.lock().extend_from_slice(&buf[..n]);
+            lock(tap).extend_from_slice(&buf[..n]);
         }
         Ok(IoOp::Did(n))
     }
 
     fn recv(&mut self, buf: &mut [u8]) -> io::Result<IoOp> {
         {
-            let mut stalls = self.stall_ops.lock();
+            let mut stalls = lock(&self.stall_ops);
             if *stalls > 0 {
                 *stalls -= 1;
                 return Ok(IoOp::WouldBlock);
             }
         }
-        let mut lane = self.rx.lock();
+        let mut lane = lock(&self.rx);
         let n = buf.len().min(lane.buf.len());
         if n == 0 {
             return Ok(if lane.open {

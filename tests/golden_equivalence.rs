@@ -1,10 +1,36 @@
-//! Property-based cross-checks: the cycle-accurate hardware model, the
-//! behavioural software model, and the RFC-level codecs must be the
-//! same function.
+//! Property-based cross-checks: the cycle-accurate hardware model and
+//! the RFC-level codecs — `p5_ppp::frame::FrameCodec` for the header,
+//! `p5_hdlc::{Framer, Deframer}` for FCS, stuffing and flags — must be
+//! the same function.
 
-use p5_core::behavioral::{BehavioralRx, BehavioralTx};
 use p5_core::{DatapathWidth, P5};
+use p5_hdlc::{DeframeEvent, Deframer, DeframerConfig, Framer, FramerConfig};
+use p5_ppp::frame::{FrameCodec, PppFrame};
+use p5_ppp::protocol::Protocol;
 use proptest::prelude::*;
+
+/// The golden transmitter: append one IPv4 datagram's wire image.
+fn golden_encode(framer: &mut Framer, payload: &[u8], wire: &mut Vec<u8>) {
+    let frame = PppFrame::datagram(Protocol::Ipv4, payload.to_vec());
+    framer.encode_into(&FrameCodec::default().encode(&frame), wire);
+}
+
+/// The golden receiver: the payloads of the good frames on `wire`.
+fn golden_decode(wire: &[u8]) -> Vec<Vec<u8>> {
+    let mut deframer = Deframer::new(DeframerConfig {
+        max_body: 4096,
+        ..Default::default()
+    });
+    let codec = FrameCodec::default();
+    deframer
+        .push_bytes(wire)
+        .into_iter()
+        .filter_map(|ev| match ev {
+            DeframeEvent::Frame(body) => codec.decode(&body).ok().map(|f| f.payload),
+            _ => None,
+        })
+        .collect()
+}
 
 fn nasty_payload() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -27,11 +53,11 @@ proptest! {
     ) {
         let width = if wide { DatapathWidth::W32 } else { DatapathWidth::W8 };
         let mut p5 = P5::new(width);
-        let mut sw = BehavioralTx::new(0xFF);
+        let mut sw = Framer::new(FramerConfig::default());
         let mut golden = Vec::new();
         for p in &payloads {
             p5.submit(0x0021, p.clone()).unwrap();
-            sw.encode_into(0x0021, p, &mut golden);
+            golden_encode(&mut sw, p, &mut golden);
         }
         p5.run_until_idle(10_000_000);
         prop_assert_eq!(p5.take_wire_out(), golden);
@@ -44,17 +70,16 @@ proptest! {
         idle_flags in 0usize..8,
     ) {
         let width = if wide { DatapathWidth::W32 } else { DatapathWidth::W8 };
-        let mut sw = BehavioralTx::new(0xFF);
+        let mut sw = Framer::new(FramerConfig::default());
         let mut wire = vec![0x7E; idle_flags];
         for p in &payloads {
-            sw.encode_into(0x0021, p, &mut wire);
+            golden_encode(&mut sw, p, &mut wire);
         }
         let mut hw = P5::new(width);
         hw.put_wire_in(&wire);
         hw.run_until_idle(10_000_000);
         let hw_frames: Vec<Vec<u8>> = hw.take_received().into_iter().map(|f| f.payload).collect();
-        let mut sw_rx = BehavioralRx::new(0xFF);
-        let sw_frames: Vec<Vec<u8>> = sw_rx.decode(&wire).into_iter().map(|f| f.payload).collect();
+        let sw_frames = golden_decode(&wire);
         prop_assert_eq!(&hw_frames, &sw_frames);
         prop_assert_eq!(hw_frames, payloads);
     }
@@ -64,9 +89,9 @@ proptest! {
         payload in nasty_payload(),
         flips in proptest::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..4),
     ) {
-        let mut sw = BehavioralTx::new(0xFF);
+        let mut sw = Framer::new(FramerConfig::default());
         let mut wire = Vec::new();
-        sw.encode_into(0x0021, &payload, &mut wire);
+        golden_encode(&mut sw, &payload, &mut wire);
         for (pos, mask) in &flips {
             let i = pos.index(wire.len());
             wire[i] ^= mask;
@@ -90,10 +115,10 @@ proptest! {
         payloads in proptest::collection::vec(nasty_payload(), 1..4),
         chunk in 1usize..9,
     ) {
-        let mut sw = BehavioralTx::new(0xFF);
+        let mut sw = Framer::new(FramerConfig::default());
         let mut wire = Vec::new();
         for p in &payloads {
-            sw.encode_into(0x0021, p, &mut wire);
+            golden_encode(&mut sw, p, &mut wire);
         }
         let mut whole = P5::new(DatapathWidth::W32);
         whole.put_wire_in(&wire);

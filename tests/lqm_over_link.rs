@@ -1,7 +1,7 @@
 //! Link Quality Monitoring end to end: LQR monitors fed from the P⁵'s
 //! OAM counters measure exactly the loss a noisy channel inflicts.
 
-use p5_core::firmware::{Driver, DriverConfig};
+use p5_core::oam::{regs, MmioBus, Oam};
 use p5_core::{DatapathWidth, P5};
 use p5_ppp::lqr::{LqrMonitor, LqrPacket};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -10,8 +10,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 fn lqr_measures_exactly_the_channel_loss() {
     let mut tx = P5::new(DatapathWidth::W32);
     let mut rx = P5::new(DatapathWidth::W32);
-    let mut drv_rx = Driver::new(rx.oam.clone());
-    drv_rx.init(DriverConfig::default());
+    let bus_rx = Oam::new(rx.oam.clone());
 
     let mut mon_a = LqrMonitor::new(0xA);
     let mut mon_b = LqrMonitor::new(0xB);
@@ -46,10 +45,10 @@ fn lqr_measures_exactly_the_channel_loss() {
 
         // Firmware feeds the monitors from the counters.
         mon_a.note_sent(50, 50 * 60);
-        let stats = drv_rx.stats();
-        let delivered = stats.rx_frames - prev_rx_frames;
-        prev_rx_frames = stats.rx_frames;
-        mon_b.note_received(delivered, delivered * 60, 0, stats.fcs_errors);
+        let rx_frames = bus_rx.read(regs::RX_FRAMES);
+        let delivered = rx_frames - prev_rx_frames;
+        prev_rx_frames = rx_frames;
+        mon_b.note_received(delivered, delivered * 60, 0, bus_rx.read(regs::FCS_ERRORS));
         exchange(&mut mon_a, &mut mon_b);
 
         if interval > 0 {
@@ -59,7 +58,6 @@ fn lqr_measures_exactly_the_channel_loss() {
         }
     }
     // Global accounting agrees with the OAM.
-    let stats = drv_rx.stats();
-    assert_eq!(stats.fcs_errors, total_corrupted);
-    assert_eq!(stats.rx_frames, 200 - total_corrupted);
+    assert_eq!(bus_rx.read(regs::FCS_ERRORS), total_corrupted);
+    assert_eq!(bus_rx.read(regs::RX_FRAMES), 200 - total_corrupted);
 }

@@ -1,10 +1,11 @@
 //! The hardware pipeline as an actual parallel program: transmitter,
 //! channel and receiver on separate threads connected by bounded
-//! channels, with the OAM register file shared through `parking_lot`
+//! channels, with the OAM register file shared through a `std::sync` lock
 //! exactly as the datapath/host split works on the SoPC.
 
 use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
-use p5_core::{DatapathWidth, WireBuf, WordStream, P5};
+use p5_core::{DatapathWidth, P5};
+use p5_stream::{WireBuf, WordStream};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 

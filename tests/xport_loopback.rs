@@ -276,7 +276,7 @@ fn transparent_pipe_wire_matches_the_in_memory_device_byte_for_byte() {
         assert!(spins < 1_000_000, "transparent exchange did not converge");
     }
 
-    let wire = tap.lock().clone();
+    let wire = tap.lock().unwrap().clone();
     assert_eq!(
         wire, expected,
         "transport-backed wire bytes differ from the in-memory device"
