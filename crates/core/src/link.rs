@@ -102,7 +102,7 @@ impl LinkCore {
             self.counters.shed += 1;
             return Offer::Shed;
         }
-        let mut buf = self.dev.lease_tx_buf();
+        let mut buf = self.dev.tx.control.pool.lease_vec();
         buf.extend_from_slice(payload);
         self.ingress.push_back((protocol, buf));
         Offer::Queued
@@ -156,7 +156,7 @@ fn admit(dev: &mut P5, queue: &mut VecDeque<(u16, Vec<u8>)>, line_clear: bool) -
             break;
         }
         if let Some((_, payload)) = queue.pop_front() {
-            dev.buf_pool().recycle_vec(payload);
+            dev.tx.control.pool.recycle_vec(payload);
         }
         admitted += 1;
     }

@@ -6,9 +6,14 @@
 //! (a MicroBlaze in the paper's SoPC vision) talks through the
 //! [`MmioBus`] trait; the datapath side updates status and counters
 //! through a shared [`OamHandle`].
+//!
+//! The file is split by writer.  The host-programmed configuration
+//! ([`OamState`]) sits behind a lock that only host writes take for
+//! writing.  STATUS, the nine counters and INT_PENDING are atomics the
+//! device stores into, so the datapath takes no lock per frame.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Register addresses (word-aligned byte offsets).
@@ -36,6 +41,9 @@ pub mod regs {
     pub const HEADER_ERRORS: u32 = 0x3C;
     /// Host submissions refused because the transmit queue was full.
     pub const TX_REJECTS: u32 = 0x40;
+    /// Number of counter registers, `TX_FRAMES..=TX_REJECTS` one word
+    /// apart.
+    pub const COUNTERS: usize = 9;
 }
 
 /// CTRL register bits.
@@ -65,26 +73,13 @@ pub enum Interrupt {
     TxDone = 1 << 2,
 }
 
-/// The raw register state.
+/// The host-programmed configuration registers.
 #[derive(Debug, Default)]
 pub struct OamState {
     pub ctrl: u32,
     pub address: u8,
     pub max_body: u32,
     pub int_enable: u32,
-    pub int_pending: u32,
-    pub tx_frames: u32,
-    pub rx_frames: u32,
-    pub fcs_errors: u32,
-    pub aborts: u32,
-    pub runts: u32,
-    pub giants: u32,
-    pub addr_mismatches: u32,
-    pub header_errors: u32,
-    pub tx_rejects: u32,
-    /// Datapath-maintained live status bits.
-    pub tx_busy: bool,
-    pub rx_in_frame: bool,
     /// Recent host bus writes `(addr, value)`, capped at
     /// [`OamState::WRITE_LOG_CAP`]; drained by [`OamHandle::take_writes`]
     /// so a tracing device can stamp them as `OamWrite` events.
@@ -106,11 +101,16 @@ pub trait MmioBus {
 #[derive(Debug)]
 struct OamShared {
     state: RwLock<OamState>,
-    /// Bumped on every mutation.  The datapath polls this with one
-    /// atomic load per clock and only takes the lock to re-read its
-    /// cached configuration when the count moved — registers stay
-    /// "live" without a lock acquisition per cycle.
+    /// Bumped on every host write to the configuration.  The datapath
+    /// polls this with one atomic load per clock and only takes the
+    /// lock to re-read its cached configuration when the count moved —
+    /// registers stay "live" without a lock acquisition per cycle.
     version: AtomicU64,
+    /// STATUS: bit 0 transmitter busy, bit 1 receiver mid-frame.
+    status: AtomicU32,
+    int_pending: AtomicU32,
+    /// `TX_FRAMES..=TX_REJECTS`, in address order.
+    counters: [AtomicU32; regs::COUNTERS],
 }
 
 impl OamShared {
@@ -124,6 +124,20 @@ impl OamShared {
     /// The registers for writing, with the same poison recovery.
     fn write(&self) -> RwLockWriteGuard<'_, OamState> {
         self.state.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The device-written register at `addr` (STATUS, INT_PENDING or a
+    /// counter); `None` for a host-programmed or unmapped address.
+    fn device_reg(&self, addr: u32) -> Option<u32> {
+        let reg = match addr {
+            regs::STATUS => &self.status,
+            regs::INT_PENDING => &self.int_pending,
+            regs::TX_FRAMES..=regs::TX_REJECTS if addr.is_multiple_of(4) => {
+                &self.counters[((addr - regs::TX_FRAMES) / 4) as usize]
+            }
+            _ => return None,
+        };
+        Some(reg.load(Ordering::Relaxed))
     }
 }
 
@@ -149,13 +163,17 @@ impl OamHandle {
         Self(Arc::new(OamShared {
             state: RwLock::new(state),
             version: AtomicU64::new(0),
+            status: AtomicU32::new(0),
+            int_pending: AtomicU32::new(0),
+            counters: Default::default(),
         }))
     }
 
-    /// Mutation counter: changes whenever any register changed.  Read
-    /// this *before* `read_state` when caching — a write landing
-    /// between the two makes the cache stale-versioned, so it reloads
-    /// on the next poll rather than being missed.
+    /// Configuration counter: changes whenever the host wrote a
+    /// register; the device's own stores never move it.  Read this
+    /// *before* `read_state` when caching — a write landing between the
+    /// two makes the cache stale-versioned, so it reloads on the next
+    /// poll rather than being missed.
     pub fn version(&self) -> u64 {
         self.0.version.load(Ordering::Acquire)
     }
@@ -170,15 +188,31 @@ impl OamHandle {
         r
     }
 
+    /// The device's side of the register file: STATUS and the counters
+    /// (`TX_FRAMES..=TX_REJECTS` order), as plain stores — no lock and no
+    /// version bump, so the device never invalidates its own cache.
+    pub fn publish(&self, status: u32, counters: [u32; regs::COUNTERS]) {
+        self.0.status.store(status, Ordering::Relaxed);
+        for (reg, value) in self.0.counters.iter().zip(counters) {
+            reg.store(value, Ordering::Relaxed);
+        }
+    }
+
     /// Raise an interrupt cause; it latches into INT_PENDING regardless
-    /// of the enable mask (the mask gates the output line).
+    /// of the enable mask (the mask gates the output line).  Always an
+    /// atomic OR, even when the bit is already latched: skipping it after
+    /// a plain load races the host's write-1-to-clear (a count published
+    /// just before the acknowledge could be left with no cause latched),
+    /// and measured no faster.  Release pairs with the acknowledge's
+    /// Acquire, so a host that acknowledges and then reads a counter sees
+    /// every count published before the cause it cleared.
     pub fn raise(&self, cause: Interrupt) {
-        self.with_state(|s| s.int_pending |= cause as u32);
+        self.0.int_pending.fetch_or(cause as u32, Ordering::Release);
     }
 
     /// Is the interrupt output line asserted?
     pub fn irq_asserted(&self) -> bool {
-        self.read_state(|s| s.int_pending & s.int_enable != 0)
+        self.0.int_pending.load(Ordering::Relaxed) & self.read_state(|s| s.int_enable) != 0
     }
 
     /// Drain the host bus-write log.  Does *not* bump the version
@@ -194,19 +228,18 @@ impl p5_stream::Observable for OamHandle {
     /// The register file's counter view — what a host polling the OAM
     /// over the bus would see.
     fn snapshot(&self) -> p5_stream::Snapshot {
-        self.read_state(|s| {
-            p5_stream::Snapshot::new("oam")
-                .counter("tx_frames", u64::from(s.tx_frames))
-                .counter("rx_frames", u64::from(s.rx_frames))
-                .counter("fcs_errors", u64::from(s.fcs_errors))
-                .counter("aborts", u64::from(s.aborts))
-                .counter("runts", u64::from(s.runts))
-                .counter("giants", u64::from(s.giants))
-                .counter("addr_mismatches", u64::from(s.addr_mismatches))
-                .counter("header_errors", u64::from(s.header_errors))
-                .counter("tx_rejects", u64::from(s.tx_rejects))
-                .counter("int_pending", u64::from(s.int_pending))
-        })
+        let reg = |addr| u64::from(self.0.device_reg(addr).unwrap_or(0));
+        p5_stream::Snapshot::new("oam")
+            .counter("tx_frames", reg(regs::TX_FRAMES))
+            .counter("rx_frames", reg(regs::RX_FRAMES))
+            .counter("fcs_errors", reg(regs::FCS_ERRORS))
+            .counter("aborts", reg(regs::ABORTS))
+            .counter("runts", reg(regs::RUNTS))
+            .counter("giants", reg(regs::GIANTS))
+            .counter("addr_mismatches", reg(regs::ADDR_MISMATCHES))
+            .counter("header_errors", reg(regs::HEADER_ERRORS))
+            .counter("tx_rejects", reg(regs::TX_REJECTS))
+            .counter("int_pending", reg(regs::INT_PENDING))
     }
 }
 
@@ -223,36 +256,33 @@ impl Oam {
 
 impl MmioBus for Oam {
     fn read(&self, addr: u32) -> u32 {
+        if let Some(value) = self.handle.0.device_reg(addr) {
+            return value;
+        }
         let s = self.handle.0.read();
         match addr {
             regs::CTRL => s.ctrl,
-            regs::STATUS => (s.tx_busy as u32) | ((s.rx_in_frame as u32) << 1),
             regs::ADDRESS => s.address as u32,
             regs::MAX_BODY => s.max_body,
             regs::INT_ENABLE => s.int_enable,
-            regs::INT_PENDING => s.int_pending,
-            regs::TX_FRAMES => s.tx_frames,
-            regs::RX_FRAMES => s.rx_frames,
-            regs::FCS_ERRORS => s.fcs_errors,
-            regs::ABORTS => s.aborts,
-            regs::RUNTS => s.runts,
-            regs::GIANTS => s.giants,
-            regs::ADDR_MISMATCHES => s.addr_mismatches,
-            regs::HEADER_ERRORS => s.header_errors,
-            regs::TX_REJECTS => s.tx_rejects,
             _ => 0,
         }
     }
 
     fn write(&mut self, addr: u32, value: u32) {
+        if addr == regs::INT_PENDING {
+            // Write-1-to-clear; Acquire pairs with `OamHandle::raise`.
+            self.handle
+                .0
+                .int_pending
+                .fetch_and(!value, Ordering::Acquire);
+        }
         self.handle.with_state(|s| {
             match addr {
                 regs::CTRL => s.ctrl = value,
                 regs::ADDRESS => s.address = value as u8,
                 regs::MAX_BODY => s.max_body = value,
                 regs::INT_ENABLE => s.int_enable = value,
-                // Write-1-to-clear.
-                regs::INT_PENDING => s.int_pending &= !value,
                 _ => {}
             }
             if s.write_log.len() >= OamState::WRITE_LOG_CAP {
@@ -318,14 +348,8 @@ mod tests {
     #[test]
     fn rx_error_total_does_not_overflow_at_saturated_registers() {
         let h = OamHandle::new();
-        h.with_state(|s| {
-            s.fcs_errors = u32::MAX;
-            s.aborts = u32::MAX;
-            s.runts = u32::MAX;
-            s.giants = u32::MAX;
-            s.header_errors = u32::MAX;
-            s.addr_mismatches = u32::MAX;
-        });
+        let m = u32::MAX;
+        h.publish(0, [0, 0, m, m, m, m, m, m, 0]);
         let bus = Oam::new(h);
         assert_eq!(rx_errors(&bus), 6 * u64::from(u32::MAX));
         assert_eq!(
@@ -370,31 +394,38 @@ mod tests {
     #[test]
     fn counters_visible_from_bus() {
         let h = OamHandle::new();
-        h.with_state(|s| {
-            s.rx_frames = 7;
-            s.fcs_errors = 2;
-        });
+        h.publish(0b10, [1, 7, 2, 0, 0, 0, 0, 0, 3]);
         let oam = Oam::new(h);
+        assert_eq!(oam.read(regs::STATUS), 0b10);
+        assert_eq!(oam.read(regs::TX_FRAMES), 1);
         assert_eq!(oam.read(regs::RX_FRAMES), 7);
         assert_eq!(oam.read(regs::FCS_ERRORS), 2);
+        assert_eq!(oam.read(regs::TX_REJECTS), 3);
+        assert_eq!(oam.read(regs::TX_FRAMES + 2), 0, "unaligned");
     }
 
     #[test]
-    fn version_moves_on_every_mutation_path() {
+    fn version_moves_on_host_writes_only() {
         let h = OamHandle::new();
         let v0 = h.version();
         let mut oam = Oam::new(h.clone());
         oam.write(regs::ADDRESS, 0x03);
         let v1 = h.version();
         assert_ne!(v0, v1, "bus write bumps");
-        h.with_state(|s| s.rx_frames += 1);
+        h.with_state(|s| s.max_body = 1500);
         let v2 = h.version();
         assert_ne!(v1, v2, "with_state bumps");
+        h.publish(1, [1; regs::COUNTERS]);
         h.raise(Interrupt::RxFrame);
-        assert_ne!(v2, h.version(), "raise bumps");
+        let _ = h.take_writes();
+        assert_eq!(v2, h.version(), "device stores do not bump");
+        oam.write(regs::INT_PENDING, Interrupt::RxFrame as u32);
+        assert_ne!(v2, h.version(), "an acknowledge is a host write");
+        let v3 = h.version();
         let _ = oam.read(regs::ADDRESS);
+        let _ = oam.read(regs::RX_FRAMES);
         let _ = h.read_state(|s| s.ctrl);
-        assert_eq!(h.version(), h.version(), "reads do not bump");
+        assert_eq!(v3, h.version(), "reads do not bump");
     }
 
     #[test]
@@ -403,13 +434,13 @@ mod tests {
         let oam = Oam::new(h.clone());
         let caught = std::panic::catch_unwind(|| {
             h.with_state(|s| {
-                s.rx_frames = 9;
+                s.address = 9;
                 panic!("host callback fails mid-update");
             })
         });
         assert!(caught.is_err());
-        assert_eq!(h.read_state(|s| s.rx_frames), 9);
-        assert_eq!(oam.read(regs::RX_FRAMES), 9);
+        assert_eq!(h.read_state(|s| s.address), 9);
+        assert_eq!(oam.read(regs::ADDRESS), 9);
     }
 
     #[test]

@@ -8,9 +8,7 @@ use crate::word::Word;
 use p5_crc::{fcs16_wire_bytes, fcs32_wire_bytes, CrcEngine, EngineKind, FcsEngine};
 use p5_hdlc::sorter::destuff_run;
 use p5_hdlc::{stuff_into, Accm, FcsMode, FLAG};
-use p5_stream::{
-    BufPool, Event, EventKind, FrameId, NullSink, Poll, TraceSink, WireBuf, WordStream,
-};
+use p5_stream::{Event, EventKind, FrameId, NullSink, Poll, TraceSink, WireBuf, WordStream};
 use std::collections::VecDeque;
 
 pub use crate::rx::ReceivedFrame;
@@ -63,9 +61,9 @@ struct OamConfigCache {
     max_body: u32,
 }
 
-/// The status/counter image last written back to the OAM, so
-/// `sync_oam` can skip the write lock on the (vast majority of) cycles
-/// where nothing changed.
+/// The status/counter image last published to the OAM, so `sync_oam`
+/// can skip the stores on the (vast majority of) cycles where nothing
+/// changed, and find interrupt edges by comparing against it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct OamSyncedImage {
     tx_busy: bool,
@@ -147,12 +145,8 @@ pub struct P5 {
     /// Wire bytes delivered by the PHY, awaiting the receiver.
     wire_in: WireBuf,
     pub cycles: u64,
-    tx_was_busy: bool,
-    counters_snapshot: RxCounters,
     cfg: OamConfigCache,
     synced: OamSyncedImage,
-    /// Recycled frame-buffer storage shared by both directions.
-    pool: BufPool,
     fused: Fused,
     /// Master enable for the fused fast paths (on by default).  Turn
     /// off to force every frame through the cycle-accurate staged
@@ -192,9 +186,8 @@ impl P5 {
             FcsMode::Fcs32
         };
         let w = width.bytes();
-        let pool = BufPool::new();
-        let tx = TxPipeline::with_pool(w, cfg.address, fcs, pool.clone());
-        let mut rx = RxPipeline::with_pool(w, cfg.address, fcs, max_body, pool.clone());
+        let tx = TxPipeline::new(w, cfg.address, fcs);
+        let mut rx = RxPipeline::new(w, cfg.address, fcs, max_body);
         rx.control.promiscuous = cfg.promiscuous;
         Self {
             width,
@@ -204,11 +197,8 @@ impl P5 {
             wire_out: WireBuf::new(),
             wire_in: WireBuf::new(),
             cycles: 0,
-            tx_was_busy: false,
-            counters_snapshot: RxCounters::default(),
             cfg,
             synced: OamSyncedImage::default(),
-            pool,
             fused: Fused::new(w, fcs),
             fused_enabled: true,
             sink: Box::new(NullSink),
@@ -217,20 +207,9 @@ impl P5 {
         }
     }
 
-    /// The device's shared recycled-buffer pool (clone to share storage
-    /// with the stages feeding this device).
-    pub fn buf_pool(&self) -> BufPool {
-        self.pool.clone()
-    }
-
-    /// Lease recycled storage suitable for a submit payload.
-    pub fn lease_tx_buf(&self) -> Vec<u8> {
-        self.tx.control.lease_buf()
-    }
-
-    /// Hand a delivered payload's storage back to the device pool.
+    /// Hand a delivered payload's storage back to the receiver's shelf.
     pub fn recycle_rx_payload(&mut self, payload: Vec<u8>) {
-        self.rx.control.recycle_payload(payload);
+        self.rx.control.pool.recycle_vec(payload);
     }
 
     /// Install a trace sink.  The frame lifecycle (submit → framed →
@@ -372,9 +351,8 @@ impl P5 {
         // boundary the accumulator checks, so the giant filter
         // follows the negotiated MRU.
         self.rx.control.max_body = self.cfg.max_body as usize;
-        // Register writes are the only version bumps besides the
-        // datapath's own sync, so the (rare) refresh path is where
-        // the host's bus writes become trace events.
+        // Host writes are the only version bumps, so the (rare)
+        // refresh path is where they become trace events.
         if self.trace_enabled {
             for (addr, value) in self.oam.take_writes() {
                 self.sink.record(Event {
@@ -456,7 +434,7 @@ impl P5 {
         if !self.staged_tx_duty() || self.tx.control.queue_free() == 0 {
             return false;
         }
-        let mut buf = self.lease_tx_buf();
+        let mut buf = self.tx.control.pool.lease_vec();
         buf.extend_from_slice(payload);
         self.submit_tagged(protocol, buf, id).is_ok()
     }
@@ -766,70 +744,41 @@ impl P5 {
 
     /// Mirror datapath state into the OAM registers and fire interrupts.
     fn sync_oam(&mut self) {
-        let tx_busy = !self.tx.idle();
-        let rx_in_frame = self.rx.escape.occupancy() > 0 || !self.rx.control.idle();
-        // Steady-state early-out: when none of the mirrored signals
-        // moved there is nothing to write and no interrupt edge.  (The
-        // previous cycle left `synced.tx_busy == tx_was_busy`, so an
-        // unchanged `tx_busy` also rules out the TX-done edge.)
-        if tx_busy == self.synced.tx_busy
-            && rx_in_frame == self.synced.rx_in_frame
-            && *self.rx.counters() == self.counters_snapshot
-            && self.tx.control.frames_sent == self.synced.tx_frames
-            && self.tx.control.submit_rejects == self.synced.tx_rejects
-        {
-            self.tx_was_busy = tx_busy;
-            return;
-        }
-        let c = *self.rx.counters();
-        let prev = self.counters_snapshot;
-        let tx_done_edge = self.tx_was_busy && !tx_busy;
-        self.tx_was_busy = tx_busy;
-
-        let new_frames = c.frames_ok > prev.frames_ok;
-        let new_errors =
-            (c.fcs_errors + c.aborts + c.runts + c.giants + c.header_errors + c.address_mismatches)
-                > (prev.fcs_errors
-                    + prev.aborts
-                    + prev.runts
-                    + prev.giants
-                    + prev.header_errors
-                    + prev.address_mismatches);
-        self.counters_snapshot = c;
-
         let image = OamSyncedImage {
-            tx_busy,
-            rx_in_frame,
-            counters: c,
+            tx_busy: !self.tx.idle(),
+            rx_in_frame: self.rx.escape.occupancy() > 0 || !self.rx.control.idle(),
+            counters: *self.rx.counters(),
             tx_frames: self.tx.control.frames_sent,
             tx_rejects: self.tx.control.submit_rejects,
         };
-        // Write-on-change: the registers only need the lock when the
-        // mirrored state actually moved (a few times per frame, not
-        // once per clock).
-        if image != self.synced {
-            self.oam.with_state(|s| {
-                s.tx_busy = tx_busy;
-                s.rx_in_frame = rx_in_frame;
-                s.rx_frames = c.frames_ok as u32;
-                s.fcs_errors = c.fcs_errors as u32;
-                s.aborts = c.aborts as u32;
-                s.runts = c.runts as u32;
-                s.giants = c.giants as u32;
-                s.addr_mismatches = c.address_mismatches as u32;
-                s.header_errors = c.header_errors as u32;
-                s.tx_frames = self.tx.control.frames_sent as u32;
-                s.tx_rejects = self.tx.control.submit_rejects as u32;
-            });
-            self.synced = image;
+        // Steady-state early-out: when none of the mirrored signals
+        // moved there is nothing to store and no interrupt edge.
+        let prev = std::mem::replace(&mut self.synced, image);
+        if image == prev {
+            return;
         }
-        if new_frames {
+        let c = image.counters;
+        self.oam.publish(
+            u32::from(image.tx_busy) | u32::from(image.rx_in_frame) << 1,
+            [
+                image.tx_frames as u32,
+                c.frames_ok as u32,
+                c.fcs_errors as u32,
+                c.aborts as u32,
+                c.runts as u32,
+                c.giants as u32,
+                c.address_mismatches as u32,
+                c.header_errors as u32,
+                image.tx_rejects as u32,
+            ],
+        );
+        if c.frames_ok > prev.counters.frames_ok {
             self.oam.raise(Interrupt::RxFrame);
         }
-        if new_errors {
+        if c.errors() > prev.counters.errors() {
             self.oam.raise(Interrupt::RxError);
         }
-        if tx_done_edge {
+        if prev.tx_busy && !image.tx_busy {
             self.oam.raise(Interrupt::TxDone);
         }
     }

@@ -287,15 +287,15 @@ pub struct RxControl {
     /// Bytes discarded while hunting for the next SOF.
     pub resync_bytes_skipped: u64,
     out: VecDeque<ReceivedFrame>,
-    /// Recycled payload storage (the device-wide pool inside a
-    /// [`crate::P5`]).
-    pool: BufPool,
+    /// Recycled storage for delivered payloads: this unit leases from
+    /// it, so it owns it.
+    pub(crate) pool: BufPool,
     pub counters: RxCounters,
     pub stats: StageStats,
 }
 
 impl RxControl {
-    pub fn new(fcs: FcsMode, address: u8, max_body: usize, pool: BufPool) -> Self {
+    pub fn new(fcs: FcsMode, address: u8, max_body: usize) -> Self {
         Self {
             fcs,
             address,
@@ -307,7 +307,7 @@ impl RxControl {
             in_frame: false,
             resync_bytes_skipped: 0,
             out: VecDeque::new(),
-            pool,
+            pool: BufPool::new(),
             counters: RxCounters::default(),
             stats: StageStats::default(),
         }
@@ -446,11 +446,6 @@ impl RxControl {
             payload,
         });
     }
-
-    /// Hand a delivered payload's storage back for reuse.
-    pub fn recycle_payload(&mut self, payload: Vec<u8>) {
-        self.pool.recycle_vec(payload);
-    }
 }
 
 /// The complete receiver: three stages plus inter-stage registers.
@@ -466,21 +461,10 @@ pub struct RxPipeline {
 
 impl RxPipeline {
     pub fn new(width: usize, address: u8, fcs: FcsMode, max_body: usize) -> Self {
-        Self::with_pool(width, address, fcs, max_body, BufPool::new())
-    }
-
-    /// [`RxPipeline::new`] drawing payload storage from `pool`.
-    pub(crate) fn with_pool(
-        width: usize,
-        address: u8,
-        fcs: FcsMode,
-        max_body: usize,
-        pool: BufPool,
-    ) -> Self {
         Self {
             escape: EscapeDetect::new(width, EscapeDetect::default_capacity(width)),
             crc: RxCrc::new(width, fcs),
-            control: RxControl::new(fcs, address, max_body, pool),
+            control: RxControl::new(fcs, address, max_body),
             latch_esc_crc: None,
             latch_crc_ctl: None,
             cycles: 0,
@@ -779,7 +763,7 @@ mod tests {
         // upstream error recovery) must not be reassembled into a
         // phantom frame: the control unit hunts for the next SOF and
         // discards the stragglers.
-        let mut ctl = RxControl::new(FcsMode::Fcs32, 0xFF, 4096, BufPool::new());
+        let mut ctl = RxControl::new(FcsMode::Fcs32, 0xFF, 4096);
         // A mid-frame tail with no SOF, closed by an EOF.
         ctl.clock(Some(Word::data(&[0xAA, 0xBB, 0xCC, 0xDD])));
         let mut tail = Word::data(&[0xEE, 0xFF]);

@@ -201,7 +201,7 @@ impl WordStream for RxStage {
             self.dev.clock();
         }
         let mut n = 0;
-        for f in self.dev.take_received() {
+        while let Some(f) = self.dev.pop_received() {
             self.next_id += 1;
             output.begin_frame_with_id(self.next_id);
             output.extend_frame(&f.protocol.to_be_bytes());
@@ -209,7 +209,7 @@ impl WordStream for RxStage {
             output.end_frame(false);
             n += 2 + f.payload.len();
             self.stats.words_out += 1;
-            // Storage goes back to the device pool for the next frame.
+            // Storage goes back to the receiver's shelf for the next frame.
             self.dev.recycle_rx_payload(f.payload);
         }
         self.stats.bytes_out += n as u64;

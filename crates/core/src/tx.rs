@@ -57,9 +57,9 @@ pub struct TxControl {
     pub frames_sent: u64,
     /// Descriptors refused because the queue was full.
     pub submit_rejects: u64,
-    /// Recycled body/payload storage (the device-wide pool inside a
-    /// [`crate::P5`]).
-    pool: BufPool,
+    /// Recycled storage for host, staged and body buffers: this unit
+    /// leases from it, so it owns it.
+    pub(crate) pool: BufPool,
     pub stats: StageStats,
 }
 
@@ -67,7 +67,7 @@ impl TxControl {
     /// Default shared-memory queue bound.
     pub const DEFAULT_QUEUE_DEPTH: usize = 512;
 
-    pub fn new(width: usize, address: u8, pool: BufPool) -> Self {
+    pub fn new(width: usize, address: u8) -> Self {
         Self {
             width,
             queue: VecDeque::new(),
@@ -76,16 +76,9 @@ impl TxControl {
             queue_depth: Self::DEFAULT_QUEUE_DEPTH,
             frames_sent: 0,
             submit_rejects: 0,
-            pool,
+            pool: BufPool::new(),
             stats: StageStats::default(),
         }
-    }
-
-    /// Lease recycled storage for a submit payload (the zero-copy
-    /// producer path: fill this, wrap it in a [`TxDescriptor`], and the
-    /// storage comes back to the pool once the frame is streamed).
-    pub fn lease_buf(&self) -> Vec<u8> {
-        self.pool.lease_vec()
     }
 
     /// Queue a descriptor, or refuse it (handing it back) when the
@@ -508,13 +501,8 @@ pub struct TxPipeline {
 
 impl TxPipeline {
     pub fn new(width: usize, address: u8, fcs: FcsMode) -> Self {
-        Self::with_pool(width, address, fcs, BufPool::new())
-    }
-
-    /// [`TxPipeline::new`] drawing frame-body storage from `pool`.
-    pub(crate) fn with_pool(width: usize, address: u8, fcs: FcsMode, pool: BufPool) -> Self {
         Self {
-            control: TxControl::new(width, address, pool),
+            control: TxControl::new(width, address),
             crc: TxCrc::new(width, fcs),
             escape: EscapeGen::new(width, EscapeGen::default_capacity(width)),
             latch_ctl_crc: None,
@@ -852,7 +840,7 @@ mod abort_tests {
             if i == 30 {
                 tx.escape.abort_frame();
                 // Stop feeding the rest of the frame.
-                tx.control = TxControl::new(4, 0xFF, BufPool::new());
+                tx.control = TxControl::new(4, 0xFF);
                 tx.crc = TxCrc::new(4, FcsMode::Fcs32);
                 tx.latch_flush_for_test();
             }

@@ -340,12 +340,13 @@ impl Link {
     /// Everything delivered so far, decapsulated to `(protocol,
     /// payload)` in arrival order.
     pub fn deliveries(&mut self) -> Vec<(u16, Vec<u8>)> {
-        let mut out = Vec::new();
-        let mut frame = Vec::new();
-        while self.stack.output().pop_frame_into(&mut frame).is_some() {
-            if let Some((proto, payload)) = decap(&frame) {
+        let output = self.stack.output();
+        let mut out = Vec::with_capacity(output.frames_ready());
+        while let Some((frame, meta)) = output.peek_frame() {
+            if let Some((proto, payload)) = decap(frame) {
                 out.push((proto, payload.to_vec()));
             }
+            output.consume(meta.len);
         }
         out
     }

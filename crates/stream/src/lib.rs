@@ -25,7 +25,7 @@ pub mod topology;
 
 pub use buf::{FrameMeta, WireBuf};
 pub use offer::Offer;
-pub use pool::{shrink_scratch, BufPool, Lease, PoolStats, SCRATCH_HIGH_WATER};
+pub use pool::{shrink_scratch, BufPool, PoolStats, SCRATCH_HIGH_WATER};
 pub use stack::{Chain, Stack};
 pub use stage::{Pipe, Poll, StreamStage, Throttle, WordStream};
 pub use stats::StageStats;

@@ -3,11 +3,11 @@
 //!
 //! Every stage boundary in the staged pipeline used to allocate a fresh
 //! `Vec` per frame (submit payloads, reassembled Rx bodies, framer
-//! scratch).  [`BufPool`] replaces those with a shared shelf of cleared,
+//! scratch).  [`BufPool`] replaces those with a shelf of cleared,
 //! capacity-retaining buffers: lease one, fill it, hand it downstream,
 //! and the consumer recycles the storage when the bytes have moved on.
-//! The pool is `Clone` (handles share one shelf) and `Send`, so the two
-//! halves of a duplex link can share storage across threads.
+//! A shelf has one owner — the unit that leases from it — so leasing
+//! and recycling are plain `Vec` pushes and pops, with no lock.
 //!
 //! The shelf applies the scratch high-water policy on every recycle, so
 //! a single jumbo frame cannot pin megabytes of capacity for the rest of
@@ -17,9 +17,6 @@
 //! allocations the datapath could not avoid.  It is compiled to a no-op
 //! unless the `alloc-count` cargo feature is enabled (the bench harness
 //! turns it on to gate `allocs_per_frame` in the smoke report).
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Scratch buffers shrink back to this capacity after servicing a jumbo
 /// frame.  Comfortably above every normal MTU (a stuffed worst-case
@@ -78,19 +75,12 @@ pub mod alloc_count {
     pub use imp::{events, note_alloc, ENABLED};
 }
 
+/// A single-owner shelf of recycled byte buffers.
 #[derive(Debug, Default)]
-struct Inner {
-    shelf: Mutex<Vec<Vec<u8>>>,
-    leases: AtomicU64,
-    misses: AtomicU64,
-    recycles: AtomicU64,
-}
-
-/// A shared shelf of recycled byte buffers.  Cloning the handle shares
-/// the shelf; the last handle dropped frees the storage.
-#[derive(Debug, Clone, Default)]
 pub struct BufPool {
-    inner: Arc<Inner>,
+    shelf: Vec<Vec<u8>>,
+    leases: u64,
+    misses: u64,
 }
 
 /// Snapshot of a pool's traffic counters.
@@ -100,8 +90,6 @@ pub struct PoolStats {
     pub leases: u64,
     /// Leases that had to allocate because the shelf was empty.
     pub misses: u64,
-    /// Buffers returned to the shelf.
-    pub recycles: u64,
     /// Buffers currently resting on the shelf.
     pub shelved: usize,
 }
@@ -117,12 +105,12 @@ impl BufPool {
 
     /// Lease a cleared buffer, reusing shelved capacity when available.
     /// A shelf miss allocates (and is counted as an allocation event).
-    pub fn lease_vec(&self) -> Vec<u8> {
-        self.inner.leases.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.inner.shelf.lock().expect("buffer pool poisoned").pop() {
+    pub fn lease_vec(&mut self) -> Vec<u8> {
+        self.leases += 1;
+        if let Some(v) = self.shelf.pop() {
             return v;
         }
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses += 1;
         alloc_count::note_alloc();
         Vec::new()
     }
@@ -130,73 +118,21 @@ impl BufPool {
     /// Return storage to the shelf (cleared, high-water-shrunk).  Buffers
     /// with no capacity and overflow beyond [`BufPool::MAX_SHELVED`] are
     /// dropped instead.
-    pub fn recycle_vec(&self, mut v: Vec<u8>) {
-        if v.capacity() == 0 {
+    pub fn recycle_vec(&mut self, mut v: Vec<u8>) {
+        if v.capacity() == 0 || self.shelf.len() >= Self::MAX_SHELVED {
             return;
         }
         v.clear();
         shrink_scratch(&mut v);
-        let mut shelf = self.inner.shelf.lock().expect("buffer pool poisoned");
-        if shelf.len() < Self::MAX_SHELVED {
-            self.inner.recycles.fetch_add(1, Ordering::Relaxed);
-            shelf.push(v);
-        }
-    }
-
-    /// Lease a buffer behind a guard that recycles on drop.  Call
-    /// [`Lease::detach`] to keep the storage and skip the return trip.
-    pub fn lease(&self) -> Lease {
-        Lease {
-            buf: self.lease_vec(),
-            pool: self.clone(),
-        }
+        self.shelf.push(v);
     }
 
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            leases: self.inner.leases.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            recycles: self.inner.recycles.load(Ordering::Relaxed),
-            shelved: self.inner.shelf.lock().expect("buffer pool poisoned").len(),
+            leases: self.leases,
+            misses: self.misses,
+            shelved: self.shelf.len(),
         }
-    }
-}
-
-/// A leased buffer that returns itself to the pool when dropped.
-/// Dereferences to the underlying `Vec<u8>`.
-#[derive(Debug)]
-pub struct Lease {
-    buf: Vec<u8>,
-    pool: BufPool,
-}
-
-impl Lease {
-    /// Take the storage out of the guard; the pool sees nothing back
-    /// (the eventual owner is expected to recycle it by hand).
-    pub fn detach(mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-}
-
-impl std::ops::Deref for Lease {
-    type Target = Vec<u8>;
-
-    fn deref(&self) -> &Vec<u8> {
-        &self.buf
-    }
-}
-
-impl std::ops::DerefMut for Lease {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
-    }
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        // After `detach` the guard holds a zero-capacity Vec, which
-        // `recycle_vec` discards without touching the shelf.
-        self.pool.recycle_vec(std::mem::take(&mut self.buf));
     }
 }
 
@@ -206,7 +142,7 @@ mod tests {
 
     #[test]
     fn lease_recycles_capacity() {
-        let pool = BufPool::new();
+        let mut pool = BufPool::new();
         let mut a = pool.lease_vec();
         a.extend_from_slice(&[7u8; 1500]);
         let cap = a.capacity();
@@ -215,26 +151,12 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.capacity(), cap, "shelved storage is reused");
         let s = pool.stats();
-        assert_eq!((s.leases, s.misses, s.recycles), (2, 1, 1));
-    }
-
-    #[test]
-    fn drop_returns_lease_to_shelf_and_detach_does_not() {
-        let pool = BufPool::new();
-        {
-            let mut l = pool.lease();
-            l.extend_from_slice(b"frame bytes");
-        }
-        assert_eq!(pool.stats().shelved, 1);
-        let taken = pool.lease().detach();
-        assert_eq!(pool.stats().shelved, 0);
-        drop(taken);
-        assert_eq!(pool.stats().shelved, 0, "detached storage never returns");
+        assert_eq!((s.leases, s.misses, s.shelved), (2, 1, 0));
     }
 
     #[test]
     fn recycle_applies_high_water_shrink() {
-        let pool = BufPool::new();
+        let mut pool = BufPool::new();
         let mut jumbo = pool.lease_vec();
         jumbo.reserve(4 * SCRATCH_HIGH_WATER);
         pool.recycle_vec(jumbo);
@@ -263,22 +185,11 @@ mod tests {
 
     #[test]
     fn shelf_depth_is_bounded() {
-        let pool = BufPool::new();
+        let mut pool = BufPool::new();
         for _ in 0..2 * BufPool::MAX_SHELVED {
             pool.recycle_vec(Vec::with_capacity(64));
         }
         assert_eq!(pool.stats().shelved, BufPool::MAX_SHELVED);
-    }
-
-    #[test]
-    fn handles_share_one_shelf() {
-        let pool = BufPool::new();
-        let other = pool.clone();
-        other.recycle_vec(Vec::with_capacity(256));
-        assert_eq!(pool.stats().shelved, 1);
-        let v = pool.lease_vec();
-        assert_eq!(v.capacity(), 256);
-        assert_eq!(other.stats().shelved, 0);
     }
 
     #[test]
