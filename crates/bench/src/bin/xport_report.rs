@@ -13,11 +13,15 @@
 //!    least `--min-gbps` (default 0.05; measured ~0.3 Gbps even on a
 //!    single-CPU host — the gate only catches the transport path
 //!    collapsing, not host variance).
-//! 3. **Reconnect recovery** — a deterministic pipe pair is severed
+//! 3. **Reconnect recovery** — two engines over a deterministic pipe,
+//!    serviced in this thread on advanced session ticks, are severed
 //!    mid-run; both sessions must renegotiate to open within
-//!    `--max-reconnect-ms` (default 5000) and every frame delivered
-//!    across the whole run must be byte-exact (zero corrupt
-//!    deliveries, the same invariant the fault gates enforce).
+//!    `--max-reconnect-ticks` (default 66: one RFC 1661 restart budget
+//!    each for LCP and IPCP, as `fault_report` allows) — an exact
+//!    count, the same on every run and host; the wall time is printed,
+//!    not gated — and every frame delivered across the whole run must
+//!    be byte-exact (zero corrupt deliveries, the same invariant the
+//!    fault gates enforce).
 //!
 //! Writes `results/BENCH_xport.json`; any gate failure exits 1.
 //! `--smoke` shrinks the throughput workload for CI.
@@ -25,10 +29,10 @@
 use std::time::{Duration, Instant};
 
 use p5_bench::heading;
+use p5_core::DatapathWidth;
 use p5_link::LinkBuilder;
 use p5_ppp::NegotiationProfile;
-use p5_stream::Observable;
-use p5_xport::{PipeTransport, SessionDriver, TcpTransport};
+use p5_xport::{LinkEngine, PipeTransport, SessionDriver, TcpTransport};
 
 const IPV4: u16 = 0x0021;
 
@@ -98,12 +102,55 @@ fn blast(a: &SessionDriver, b: &SessionDriver, frames: usize) -> (f64, u64, usiz
     (started.elapsed().as_secs_f64(), bytes, corrupt)
 }
 
+/// One session tick for a pipe pair: service both engines at `tick`
+/// until a pass moves nothing (a tick is long against a pass, so the
+/// pipe settles inside it).
+fn pipe_tick(a: &mut LinkEngine, b: &mut LinkEngine, tick: u64) {
+    let mut passes = 0;
+    while a.service_at(tick) | b.service_at(tick) {
+        passes += 1;
+        assert!(passes < 10_000, "tick {tick} never settled");
+    }
+}
+
+/// Push `frames` identical 1500-byte datagrams a → b over a pipe pair,
+/// one offer per tick from `*tick`; returns (delivered payload bytes,
+/// corrupt count).  Like [`blast`], the source keeps offering until
+/// enough deliveries land.
+fn pipe_blast(
+    a: &mut LinkEngine,
+    b: &mut LinkEngine,
+    tick: &mut u64,
+    frames: usize,
+) -> (u64, usize) {
+    let payload = vec![0xA7u8; 1500];
+    let (mut bytes, mut got, mut corrupt) = (0u64, 0usize, 0usize);
+    let deadline = *tick + 10 * frames as u64;
+    while got < frames {
+        assert!(*tick < deadline, "pipe run stalled");
+        let _ = a.offer(IPV4, &payload);
+        pipe_tick(a, b, *tick);
+        *tick += 1;
+        for (proto, f) in b.take_deliveries() {
+            got += 1;
+            bytes += f.len() as u64;
+            if proto != IPV4 || f != payload {
+                corrupt += 1;
+            }
+        }
+    }
+    (bytes, corrupt)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let max_bringup_ms = arg_value(&args, "--max-bringup-ms").unwrap_or(5_000.0);
     let min_gbps = arg_value(&args, "--min-gbps").unwrap_or(0.05);
-    let max_reconnect_ms = arg_value(&args, "--max-reconnect-ms").unwrap_or(5_000.0);
+    // One restart budget each for LCP and IPCP.
+    let budget = 2 * NegotiationProfile::new().restart_budget_ticks();
+    let max_reconnect_ticks =
+        arg_value(&args, "--max-reconnect-ticks").map_or(budget, |t| t as u64);
 
     print!(
         "{}",
@@ -153,59 +200,52 @@ fn main() {
     }
     b.shutdown();
 
-    // 3. Reconnect recovery over the deterministic pipe: sever, then
-    // measure wall time until both sessions renegotiate to open.
+    // 3. Reconnect recovery over the deterministic pipe, on session
+    // ticks: sever, then count ticks until both sessions renegotiate
+    // to open.  The first tick after the sever observes it (an engine
+    // counts a disconnect when it runs the Down transition); only one
+    // end may — whichever re-establishes first reopens the shared
+    // lanes, and the other renegotiates through LCP alone.
     let (ta, tb) = PipeTransport::pair();
     let ctl = ta.control();
-    let a = LinkBuilder::new()
-        .profile(profile(0x5EC0_0001, [10, 98, 0, 1]))
-        .transport(ta)
-        .build_remote()
-        .expect("pipe endpoint a");
-    let b = LinkBuilder::new()
-        .profile(profile(0x5EC0_0002, [10, 98, 0, 2]))
-        .transport(tb)
-        .build_remote()
-        .expect("pipe endpoint b");
-    assert!(a.await_network_up(Duration::from_secs(30)));
-    assert!(b.await_network_up(Duration::from_secs(30)));
-    let (_, pre_bytes, pre_corrupt) = blast(&a, &b, 200);
-    ctl.sever();
-    let severed = Instant::now();
-    // First wait for the engines' own evidence of the sever: an engine
-    // counts a disconnect when it runs the Down transition.  Only one
-    // may: whichever re-establishes first reopens the shared lanes, and
-    // the other then renegotiates through LCP alone.  Sampling
-    // `is_network_up()` for the Down edge instead misses it — the pipe
-    // renegotiates in about a millisecond, inside one poll — and timing
-    // before an engine has seen the sever would time a vacuous
-    // "reconnect" of zero.
-    let deadline = severed + Duration::from_secs(30);
-    let disconnects = |d: &SessionDriver| d.snapshot().get("disconnects").unwrap_or(0);
-    while disconnects(&a) + disconnects(&b) == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "sever was never observed by the sessions"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let mut a = LinkEngine::new(
+        DatapathWidth::W32,
+        &profile(0x5EC0_0001, [10, 98, 0, 1]),
+        Box::new(ta),
+    );
+    let mut b = LinkEngine::new(
+        DatapathWidth::W32,
+        &profile(0x5EC0_0002, [10, 98, 0, 2]),
+        Box::new(tb),
+    );
+    let mut tick = 0;
     while !(a.is_network_up() && b.is_network_up()) {
-        assert!(
-            Instant::now() < deadline,
-            "sessions never renegotiated after the sever"
-        );
-        std::thread::sleep(Duration::from_millis(1));
+        assert!(tick < budget, "pipe bring-up exceeded its restart budgets");
+        pipe_tick(&mut a, &mut b, tick);
+        tick += 1;
     }
-    let reconnect_ms = severed.elapsed().as_secs_f64() * 1e3;
-    let (_, post_bytes, post_corrupt) = blast(&a, &b, 200);
+    let (pre_bytes, pre_corrupt) = pipe_blast(&mut a, &mut b, &mut tick, 200);
+    ctl.sever();
+    let (severed, severed_at) = (tick, Instant::now());
+    loop {
+        pipe_tick(&mut a, &mut b, tick);
+        tick += 1;
+        let reopened = a.is_network_up() && b.is_network_up();
+        if reopened || tick - severed > max_reconnect_ticks {
+            break;
+        }
+    }
+    let reconnect_ticks = tick - severed;
+    let reconnect_ms = severed_at.elapsed().as_secs_f64() * 1e3;
+    let (post_bytes, post_corrupt) = pipe_blast(&mut a, &mut b, &mut tick, 200);
     let corrupt_total = pre_corrupt + post_corrupt;
     println!(
-        "pipe sever -> renegotiated in {reconnect_ms:.1} ms; \
+        "pipe sever -> renegotiated in {reconnect_ticks} ticks ({reconnect_ms:.3} ms); \
          {pre_bytes} B before + {post_bytes} B after, {corrupt_total} corrupt"
     );
-    if reconnect_ms > max_reconnect_ms {
+    if reconnect_ticks > max_reconnect_ticks {
         gate_failures.push(format!(
-            "reconnect took {reconnect_ms:.1} ms (gate {max_reconnect_ms} ms)"
+            "sessions not reopened within {max_reconnect_ticks} ticks of the sever"
         ));
     }
     if corrupt_total > 0 {
@@ -213,9 +253,7 @@ fn main() {
             "{corrupt_total} corrupt deliveries across the sever run"
         ));
     }
-    let ea = a.shutdown();
-    let eb = b.shutdown();
-    let disconnects = ea.counters.disconnects + eb.counters.disconnects;
+    let disconnects = a.counters.disconnects + b.counters.disconnects;
     if disconnects == 0 {
         gate_failures.push("sever was never observed by either endpoint".into());
     }
@@ -227,8 +265,9 @@ fn main() {
          \"wall_s\": {wall_s:.6}, \"gbps\": {gbps:.4}, \"gate_gbps\": {min_gbps}, \
          \"corrupt\": {corrupt}, \"io_errors\": {io_errors}, \
          \"short_writes\": {short_writes}}},\n  \
-         \"reconnect\": {{\"wall_ms\": {reconnect_ms:.2}, \"gate_ms\": {max_reconnect_ms}, \
-         \"disconnects\": {disconnects}, \"corrupt\": {corrupt_total}}}\n}}\n"
+         \"reconnect\": {{\"ticks\": {reconnect_ticks}, \"gate_ticks\": {max_reconnect_ticks}, \
+         \"wall_ms\": {reconnect_ms:.3}, \"disconnects\": {disconnects}, \
+         \"corrupt\": {corrupt_total}}}\n}}\n"
     );
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/BENCH_xport.json", &json).expect("write results/");

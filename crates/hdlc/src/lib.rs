@@ -35,12 +35,10 @@
 pub mod deframer;
 pub mod framer;
 pub mod sorter;
-pub mod stream;
 pub mod stuff;
 
 pub use deframer::{DeframeEvent, Deframer, DeframerConfig, FrameError, RxStats};
 pub use framer::{Framer, FramerConfig};
-pub use stream::{DeframerStage, FramerStage};
 pub use stuff::{destuff, stuff, stuff_into, Accm, DestuffOutcome};
 
 /// The HDLC flag octet delimiting every frame.

@@ -149,8 +149,8 @@ impl LinkBuilder {
     }
 
     /// Carry the wire over a real OS byte pipe
-    /// ([`p5_xport::TcpTransport`], `UnixTransport`) or a deterministic
-    /// in-process [`p5_xport::PipeTransport`].  Required by
+    /// ([`p5_xport::TcpTransport`]) or a deterministic in-process
+    /// [`p5_xport::PipeTransport`].  Required by
     /// [`LinkBuilder::build_remote`].
     pub fn transport(mut self, transport: impl Transport + 'static) -> Self {
         self.transport = Some(Box::new(transport));

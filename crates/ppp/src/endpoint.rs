@@ -189,22 +189,6 @@ impl<N: Negotiator> Endpoint<N> {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Drain outbound packets straight into a tagged wire-level stream,
-    /// one `[proto_be, packet bytes]` frame each (the convention
-    /// `p5_core::stream` stages speak).  Returns bytes written.
-    pub fn drain_output_into(&mut self, out: &mut p5_stream::WireBuf) -> usize {
-        let mut n = 0;
-        for (proto, packet) in self.outbox.drain(..) {
-            let bytes = packet.to_bytes();
-            out.begin_frame();
-            out.extend_frame(&proto.number().to_be_bytes());
-            out.extend_frame(&bytes);
-            out.end_frame(false);
-            n += 2 + bytes.len();
-        }
-        n
-    }
-
     /// Drain layer transitions observed since the last call.
     pub fn poll_layer_events(&mut self) -> Vec<LayerEvent> {
         std::mem::take(&mut self.layer_events)

@@ -45,7 +45,6 @@ pub mod pap;
 pub mod profile;
 pub mod protocol;
 pub mod session;
-pub mod stream;
 
 pub use frame::{FieldCompression, FrameCodec, FrameError, PppFrame};
 pub use fsm::{Action, Automaton, Event, State};
@@ -54,4 +53,3 @@ pub use pap::CredentialTable;
 pub use profile::{AuthPolicy, NegotiationProfile};
 pub use protocol::Protocol;
 pub use session::{Session, SessionEvent};
-pub use stream::EndpointStage;

@@ -48,4 +48,4 @@ pub use frame::{FrameReceiver, FrameTransmitter, RxDefect, SectionStats, StmLeve
 pub use mux::{deinterleave, deinterleave_into, interleave, interleave_into};
 pub use path::{ByteLink, OcPath};
 pub use scramble::{FrameScrambler, PayloadScrambler};
-pub use stream::{ChannelStage, OcPathStage};
+pub use stream::OcPathStage;

@@ -1,12 +1,10 @@
-//! [`StreamStage`] adapters for the PHY: the OC path and the bit-error
-//! channel as composable stages, so a whole link —
-//! `tx → sonet path → rx` — is one `Stack`.
+//! [`StreamStage`] adapter for the PHY: the OC path as a composable
+//! stage, so a whole link — `tx → sonet path → rx` — is one `Stack`.
 //!
-//! These stages carry *untagged* wire octets: below the HDLC layer there
+//! The stage carries *untagged* wire octets: below the HDLC layer there
 //! are no frame boundaries, only a continuous byte stream (plus 125 µs
 //! frame quantisation inside [`OcPathStage`]).
 
-use crate::channel::BitErrorChannel;
 use crate::path::{ByteLink, OcPath};
 use p5_stream::{Observable, Poll, Snapshot, StageStats, StreamStage, WireBuf, WordStream};
 
@@ -107,81 +105,10 @@ impl StreamStage for OcPathStage {
     }
 }
 
-/// A bare bit-error channel as a stage (no SONET framing): bytes pass
-/// through with errors injected in place.  Useful for stressing the HDLC
-/// layer without the full path.
-pub struct ChannelStage {
-    channel: BitErrorChannel,
-    scratch: Vec<u8>,
-    stats: StageStats,
-}
-
-impl ChannelStage {
-    pub fn new(channel: BitErrorChannel) -> Self {
-        ChannelStage {
-            channel,
-            scratch: Vec::new(),
-            stats: StageStats::default(),
-        }
-    }
-
-    pub fn channel(&self) -> &BitErrorChannel {
-        &self.channel
-    }
-}
-
-impl WordStream for ChannelStage {
-    fn offer(&mut self, input: &mut WireBuf) -> Poll {
-        let n = input.len();
-        if n == 0 {
-            return Poll::Ready(0);
-        }
-        self.scratch.extend_from_slice(input.as_slice());
-        input.consume(n);
-        let start = self.scratch.len() - n;
-        self.channel.transmit(&mut self.scratch[start..]);
-        self.stats.words_in += 1;
-        Poll::Ready(n)
-    }
-
-    fn drain(&mut self, output: &mut WireBuf) -> Poll {
-        if self.scratch.is_empty() {
-            return Poll::Ready(0);
-        }
-        let n = self.scratch.len();
-        output.push_slice(&self.scratch);
-        self.scratch.clear();
-        self.stats.words_out += 1;
-        self.stats.bytes_out += n as u64;
-        Poll::Ready(n)
-    }
-}
-
-impl Observable for ChannelStage {
-    fn snapshot(&self) -> Snapshot {
-        let mut s = self.stats.snapshot("bit-error-channel");
-        s.absorb(&self.channel.stats().snapshot());
-        s
-    }
-}
-
-impl StreamStage for ChannelStage {
-    fn name(&self) -> &'static str {
-        "bit-error-channel"
-    }
-
-    fn is_idle(&self) -> bool {
-        self.scratch.is_empty()
-    }
-
-    fn stats(&self) -> StageStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::BitErrorChannel;
     use crate::frame::StmLevel;
     use p5_stream::stack;
 
@@ -202,30 +129,5 @@ mod tests {
             .position(|&b| b != 0x7E)
             .expect("payload present");
         assert_eq!(&got[start..start + data.len()], &data[..]);
-    }
-
-    #[test]
-    fn channel_stage_clean_is_transparent() {
-        let mut c = ChannelStage::new(BitErrorChannel::clean());
-        let mut input = WireBuf::new();
-        input.push_slice(b"through the channel");
-        assert_eq!(c.offer(&mut input), Poll::Ready(19));
-        let mut out = WireBuf::new();
-        assert_eq!(c.drain(&mut out), Poll::Ready(19));
-        assert_eq!(out.as_slice(), b"through the channel");
-        assert!(c.is_idle());
-    }
-
-    #[test]
-    fn noisy_channel_stage_flips_bits() {
-        let plan = p5_fault::FaultSpec::clean().ber(1e-2).compile(7).unwrap();
-        let mut c = ChannelStage::new(BitErrorChannel::from_plan(plan));
-        let mut input = WireBuf::new();
-        input.push_slice(&vec![0u8; 10_000]);
-        c.offer(&mut input);
-        let mut out = WireBuf::new();
-        c.drain(&mut out);
-        assert!(out.as_slice().iter().any(|&b| b != 0), "errors injected");
-        assert!(c.channel().stats().bits_flipped > 0);
     }
 }

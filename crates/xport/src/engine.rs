@@ -2,7 +2,7 @@
 //! [`Transport`], pumped as a unit.
 //!
 //! The engine is the single-threaded heart of a real endpoint.  Each
-//! [`LinkEngine::service`] call makes one pass over the whole path —
+//! [`LinkEngine::service_at`] call makes one pass over the whole path —
 //!
 //! ```text
 //!   offer() ─→ LinkCore ─────────────→ device ─→ wire out
@@ -24,6 +24,12 @@
 //! User frames cross the same bounded queue as every other link end
 //! ([`LinkCore`]); the session contributes only control frames (`ctl`)
 //! and, in session mode, the rule that datagrams wait for IPCP.
+//!
+//! Session time is an argument: `service_at(tick)` runs the RFC 1661
+//! timers at `tick`, so a test stepping two engines in one thread
+//! decides exactly when a restart timer fires.  [`LinkEngine::service`]
+//! is the wall-clock form a pump thread calls, and the only place the
+//! engine reads a clock.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -56,15 +62,21 @@ const IDLE_FILL_BURST: usize = 4;
 /// throughput two orders of magnitude.  A periodic burst preserves the
 /// keep-alive semantic at a bandwidth that rounds to zero.
 const IDLE_FILL_INTERVAL: u64 = 64;
-/// Wall time per session-clock tick.  RFC 1661 restart timers assume
-/// the restart period dwarfs the round-trip; with driver threads the
-/// round-trip is *scheduling latency*, so the tick must be wall-time,
-/// not pass-count — a pass-rate clock retransmits Configure-Requests
-/// faster than the peer thread can answer, and each late duplicate
-/// arriving after Opened renegotiates the link forever.  20 ms per
-/// tick puts the default 3-tick restart period at 60 ms, comfortably
-/// above any scheduler hiccup while keeping reconnect budgets snappy.
+/// Wall time per session-clock tick in [`LinkEngine::service`].  RFC
+/// 1661 restart timers assume the restart period dwarfs the round-trip;
+/// with driver threads the round-trip is *scheduling latency*, so that
+/// tick must be wall-time, not pass-count — a pass-rate clock
+/// retransmits Configure-Requests faster than the peer thread can
+/// answer, and each late duplicate arriving after Opened renegotiates
+/// the link forever.  20 ms per tick puts the default 3-tick restart
+/// period at 60 ms, comfortably above any scheduler hiccup while keeping
+/// reconnect budgets snappy.
 const TICK_LEN: Duration = Duration::from_millis(20);
+/// Session events held for an owner that has not polled.  A peer
+/// flapping the link, or sending protocols we reject, adds events on
+/// every cycle; past the cap the oldest go, counted in
+/// [`XportCounters::events_dropped`].
+const EVENTS_CAP: usize = 128;
 
 /// Transport accounting for one engine, all monotonic (flow counters
 /// live in the shared [`LinkCounters`], [`LinkEngine::flow`]).
@@ -86,6 +98,9 @@ pub struct XportCounters {
     pub idle_fill_bytes: u64,
     /// Hard I/O errors (not would-block, not peer loss).
     pub io_errors: u64,
+    /// Session events discarded unpolled, oldest first, once 128 wait
+    /// for [`LinkEngine::poll_events`].
+    pub events_dropped: u64,
 }
 
 /// One real endpoint: device + optional PPP session + transport.
@@ -104,15 +119,18 @@ pub struct LinkEngine {
     tx_ring: ByteRing,
     wire_in: WireBuf,
     deliveries: VecDeque<(u16, Vec<u8>)>,
+    /// At most [`EVENTS_CAP`] events.
     events: VecDeque<SessionEvent>,
     pub counters: XportCounters,
     /// Service passes executed (the fine clock).
     passes: u64,
     /// Pass stamp of the last idle-fill burst.
     last_fill_pass: u64,
-    /// Session-clock ticks (wall time since construction / [`TICK_LEN`]).
+    /// Session-clock ticks: the largest tick any pass was given.
     now: u64,
-    epoch: Instant,
+    /// Wall-clock origin of [`LinkEngine::service`]'s ticks, taken on
+    /// its first call.
+    epoch: Option<Instant>,
     ever_established: bool,
     /// Our last knowledge of the pipe: lets a silent loss (the
     /// transport noticing on its own, or a scripted sever) run the
@@ -156,7 +174,7 @@ impl LinkEngine {
             passes: 0,
             last_fill_pass: 0,
             now: 0,
-            epoch: Instant::now(),
+            epoch: None,
             ever_established: false,
             pipe_open: false,
         }
@@ -241,14 +259,22 @@ impl LinkEngine {
         }
     }
 
-    /// One full pump pass.  Returns `true` if anything moved — the
+    /// [`LinkEngine::service_at`] on the wall clock: one session tick
+    /// per 20 ms since the first call.  What a pump thread calls.
+    pub fn service(&mut self) -> bool {
+        let epoch = *self.epoch.get_or_insert_with(Instant::now);
+        self.service_at((epoch.elapsed().as_millis() / TICK_LEN.as_millis()) as u64)
+    }
+
+    /// One full pump pass at session tick `now_tick` (a tick earlier
+    /// than one already seen counts as that one: session time never
+    /// runs backwards).  Returns `true` if anything moved — the
     /// driver's spin/sleep signal.  Idle-fill injection deliberately
     /// does not count as progress.
-    pub fn service(&mut self) -> bool {
+    pub fn service_at(&mut self, now_tick: u64) -> bool {
         let mut progress = false;
         self.passes += 1;
-        let elapsed = (self.epoch.elapsed().as_millis() / TICK_LEN.as_millis()) as u64;
-        self.now = self.now.max(elapsed);
+        self.now = self.now.max(now_tick);
 
         if self.transport.established() {
             if !self.pipe_open {
@@ -359,7 +385,13 @@ impl LinkEngine {
                     self.core.counters.record_delivery(data.len());
                     self.deliveries.push_back((Protocol::Ipv4.number(), data));
                 }
-                other => self.events.push_back(other),
+                other => {
+                    if self.events.len() == EVENTS_CAP {
+                        self.events.pop_front();
+                        self.counters.events_dropped += 1;
+                    }
+                    self.events.push_back(other);
+                }
             }
         }
     }
@@ -506,6 +538,7 @@ impl Observable for LinkEngine {
             .counter("disconnects", c.disconnects)
             .counter("idle_fill_bytes", c.idle_fill_bytes)
             .counter("io_errors", c.io_errors)
+            .counter("events_dropped", c.events_dropped)
             .counter("offered", f.offered)
             .counter("accepted", f.accepted)
             .counter("shed", f.shed)
@@ -521,16 +554,59 @@ impl Observable for LinkEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::PipeTransport;
+    use crate::transport::{PipeControl, PipeTransport};
 
-    fn pump(a: &mut LinkEngine, b: &mut LinkEngine, max: usize) {
-        for _ in 0..max {
-            let pa = a.service();
-            let pb = b.service();
-            if !pa && !pb {
-                break;
+    /// Service both ends once at session tick `tick`; `true` if either
+    /// moved.
+    fn step(a: &mut LinkEngine, b: &mut LinkEngine, tick: u64) -> bool {
+        let pa = a.service_at(tick);
+        let pb = b.service_at(tick);
+        pa || pb
+    }
+
+    /// One session tick: service both ends at `tick` until a pass moves
+    /// nothing.  A tick is long against a pass (20 ms against
+    /// microseconds on the wall clock), so the pipe settles inside it.
+    fn run_tick(a: &mut LinkEngine, b: &mut LinkEngine, tick: u64) {
+        for _ in 0..1024 {
+            if !step(a, b, tick) {
+                return;
             }
         }
+        panic!("tick {tick} never settled");
+    }
+
+    fn session_pair() -> (LinkEngine, LinkEngine, PipeControl) {
+        let (ta, tb) = PipeTransport::pair();
+        let ctl = ta.control();
+        let prof_a = NegotiationProfile::new().magic(0x1111).ip([10, 0, 0, 1]);
+        let prof_b = NegotiationProfile::new().magic(0x2222).ip([10, 0, 0, 2]);
+        let a = LinkEngine::new(DatapathWidth::W32, &prof_a, Box::new(ta));
+        let b = LinkEngine::new(DatapathWidth::W32, &prof_b, Box::new(tb));
+        (a, b, ctl)
+    }
+
+    /// Step both ends a tick at a time from `*tick` until both network
+    /// phases are open, failing past two restart budgets (LCP, then
+    /// IPCP).
+    fn open_within_budget(a: &mut LinkEngine, b: &mut LinkEngine, tick: &mut u64) {
+        let budget = 2 * NegotiationProfile::new().restart_budget_ticks();
+        let start = *tick;
+        while !(a.is_network_up() && b.is_network_up()) {
+            assert!(*tick - start <= budget, "not open within {budget} ticks");
+            run_tick(a, b, *tick);
+            *tick += 1;
+        }
+    }
+
+    /// Sever the pipe, let the next tick observe it, and renegotiate.
+    fn flap(a: &mut LinkEngine, b: &mut LinkEngine, ctl: &PipeControl, tick: &mut u64) {
+        let seen = a.counters.disconnects + b.counters.disconnects;
+        ctl.sever();
+        run_tick(a, b, *tick);
+        *tick += 1;
+        assert_eq!(a.counters.disconnects + b.counters.disconnects, seen + 1);
+        open_within_budget(a, b, tick);
     }
 
     #[test]
@@ -540,7 +616,7 @@ mod tests {
         let mut b = LinkEngine::transparent(DatapathWidth::W32, Box::new(tb));
         assert_eq!(a.offer(0x0021, b"one small datagram"), Offer::Accepted);
         assert_eq!(b.offer(0x0057, b"and back again"), Offer::Accepted);
-        pump(&mut a, &mut b, 64);
+        run_tick(&mut a, &mut b, 0);
         let got_b = b.take_deliveries();
         assert_eq!(got_b.len(), 1);
         assert_eq!(got_b[0].0, 0x0021);
@@ -570,7 +646,7 @@ mod tests {
             assert!(a.offer(0x0021, f).is_admitted());
         }
         let mut got = Vec::new();
-        while a.service() | b.service() {
+        while step(&mut a, &mut b, 0) {
             got.extend(b.take_deliveries());
         }
         assert_eq!(got.len(), frames.len(), "frames lost");
@@ -594,20 +670,9 @@ mod tests {
 
     #[test]
     fn sessions_negotiate_and_exchange_over_a_pipe() {
-        let (ta, tb) = PipeTransport::pair();
-        let prof_a = NegotiationProfile::new().magic(0x1111).ip([10, 0, 0, 1]);
-        let prof_b = NegotiationProfile::new().magic(0x2222).ip([10, 0, 0, 2]);
-        let mut a = LinkEngine::new(DatapathWidth::W32, &prof_a, Box::new(ta));
-        let mut b = LinkEngine::new(DatapathWidth::W32, &prof_b, Box::new(tb));
-        for _ in 0..200 {
-            a.service();
-            b.service();
-            if a.is_network_up() && b.is_network_up() {
-                break;
-            }
-        }
-        assert!(a.is_network_up(), "LCP+IPCP should open over the pipe");
-        assert!(b.is_network_up());
+        let (mut a, mut b, _) = session_pair();
+        let mut tick = 0;
+        open_within_budget(&mut a, &mut b, &mut tick);
         assert!(a
             .poll_events()
             .iter()
@@ -616,7 +681,7 @@ mod tests {
         assert_eq!(a.offer(0xBEEF, b"not ip"), Offer::Rejected);
         let datagram = vec![0x45u8; 96];
         assert!(a.offer(0x0021, &datagram).is_admitted());
-        pump(&mut a, &mut b, 64);
+        run_tick(&mut a, &mut b, tick);
         let got = b.take_deliveries();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, datagram);
@@ -624,45 +689,46 @@ mod tests {
 
     #[test]
     fn sever_renegotiates_within_the_restart_budget() {
-        let (ta, tb) = PipeTransport::pair();
-        let ctl = ta.control();
-        let mut a = LinkEngine::new(
-            DatapathWidth::W32,
-            &NegotiationProfile::new().magic(1).ip([10, 0, 0, 1]),
-            Box::new(ta),
-        );
-        let mut b = LinkEngine::new(
-            DatapathWidth::W32,
-            &NegotiationProfile::new().magic(2).ip([10, 0, 0, 2]),
-            Box::new(tb),
-        );
-        for _ in 0..200 {
-            a.service();
-            b.service();
-            if a.is_network_up() && b.is_network_up() {
-                break;
-            }
-        }
-        assert!(a.is_network_up() && b.is_network_up());
+        let (mut a, mut b, ctl) = session_pair();
+        let mut tick = 0;
+        open_within_budget(&mut a, &mut b, &mut tick);
         a.poll_events();
         b.poll_events();
 
-        // Script the mid-run disconnect (closes both lanes).
-        ctl.sever();
-        let mut recovered = false;
-        for _ in 0..400 {
-            a.service();
-            b.service();
-            if a.counters.disconnects > 0 && a.is_network_up() && b.is_network_up() {
-                recovered = true;
-                break;
-            }
+        // The scripted disconnect closes both lanes.  `a` is serviced
+        // first, observes the loss and reopens the lanes before `b`
+        // looks, so `b` renegotiates through LCP alone.
+        flap(&mut a, &mut b, &ctl, &mut tick);
+        assert_eq!((a.counters.disconnects, a.counters.reconnects), (1, 1));
+        assert_eq!((b.counters.disconnects, b.counters.reconnects), (0, 0));
+        let events = a.poll_events();
+        assert_eq!(events[..2], [SessionEvent::LinkDown, SessionEvent::LinkUp]);
+        assert!(matches!(events[2..], [SessionEvent::NetworkUp(..)]));
+    }
+
+    #[test]
+    fn unpolled_events_stay_within_their_cap_under_link_flaps() {
+        // Two identical pairs stepped at the same ticks: the twin's
+        // events are drained every cycle (the full trace), the
+        // subject's never are.
+        let (mut a, mut b, ctl) = session_pair();
+        let (mut twin_a, mut twin_b, twin_ctl) = session_pair();
+        let (mut tick, mut twin_tick) = (0, 0);
+        open_within_budget(&mut a, &mut b, &mut tick);
+        open_within_budget(&mut twin_a, &mut twin_b, &mut twin_tick);
+        let mut trace = twin_a.poll_events();
+        while trace.len() < 10 * EVENTS_CAP {
+            flap(&mut a, &mut b, &ctl, &mut tick);
+            flap(&mut twin_a, &mut twin_b, &twin_ctl, &mut twin_tick);
+            trace.extend(twin_a.poll_events());
         }
-        assert!(recovered, "session should renegotiate after a sever");
-        assert!(a.counters.reconnects >= 1);
-        assert!(a
-            .poll_events()
-            .iter()
-            .any(|e| matches!(e, SessionEvent::NetworkUp(..))));
+        assert_eq!(tick, twin_tick);
+        assert_eq!(a.events.len(), EVENTS_CAP);
+        assert!(b.events.len() <= EVENTS_CAP);
+        let overflow = (trace.len() - EVENTS_CAP) as u64;
+        assert_eq!(a.counters.events_dropped, overflow);
+        assert_eq!(a.snapshot().get("events_dropped"), Some(overflow));
+        // The oldest went: what is held is the trace's tail.
+        assert!(a.events.iter().eq(&trace[trace.len() - EVENTS_CAP..]));
     }
 }

@@ -2,22 +2,23 @@
 //!
 //! Everything below the HDLC byte boundary is, on real equipment, a
 //! SONET framer feeding a fibre.  This crate substitutes the pipes an
-//! operating system actually offers — TCP and Unix-domain sockets, plus
-//! a deterministic in-process pipe — so two *processes* (or two
+//! operating system actually offers — a TCP socket, plus a
+//! deterministic in-process pipe — so two *processes* (or two
 //! threads) can run the full LCP → authentication → IPCP bring-up and
 //! exchange IP datagrams over a real byte stream, complete with partial
 //! reads, partial writes, `EWOULDBLOCK`, peer stalls and disconnects.
 //!
 //! The layering:
 //!
-//! * [`Transport`] ([`TcpTransport`], `UnixTransport`,
-//!   [`PipeTransport`]) — a nonblocking byte pipe with explicit
-//!   establishment, short-op and peer-loss semantics.
+//! * [`Transport`] ([`TcpTransport`], [`PipeTransport`]) — a
+//!   nonblocking byte pipe with explicit establishment, short-op and
+//!   peer-loss semantics.
 //! * [`ByteRing`] — the bounded staging ring between the device's wire
 //!   boundary and a stalled kernel buffer.
 //! * [`LinkEngine`] — one device + one PPP session + one transport,
-//!   pumped by single `service()` passes; survives disconnects by
-//!   running the session's Down/Up renegotiation.
+//!   pumped by single `service_at(tick)` passes (`service()` on the
+//!   wall clock); survives disconnects by running the session's Down/Up
+//!   renegotiation.
 //! * [`SessionDriver`] — a dedicated thread per link spinning the
 //!   engine, with stall detection and clean handback.
 //! * [`net`] — the shared nonblocking accept-loop/bounded-reader idiom
@@ -35,8 +36,6 @@ pub mod transport;
 pub use driver::SessionDriver;
 pub use engine::{LinkEngine, XportCounters};
 pub use ring::ByteRing;
-#[cfg(unix)]
-pub use transport::UnixTransport;
 pub use transport::{IoOp, PipeControl, PipeTransport, TcpTransport, Transport};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -1,5 +1,5 @@
-//! The [`Transport`] trait and its three implementations: the byte
-//! pipe under the wire boundary.
+//! The [`Transport`] trait and its two implementations: the byte pipe
+//! under the wire boundary.
 //!
 //! A transport is a *nonblocking* bidirectional octet stream with an
 //! explicit establishment state.  The contract mirrors what a PPP
@@ -18,8 +18,6 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -212,124 +210,6 @@ impl Transport for TcpTransport {
             (TcpRole::Client(_), Ok(a)) => format!("tcp->{a}"),
             (TcpRole::Server(_), Ok(a)) => format!("tcp@{a}"),
             _ => "tcp".into(),
-        }
-    }
-}
-
-// --------------------------------------------------------- Unix socket
-
-#[cfg(unix)]
-enum UnixRole {
-    Client(std::path::PathBuf),
-    Server(UnixListener),
-}
-
-/// The wire over a Unix-domain stream socket — same contract as
-/// [`TcpTransport`], minus the IP stack.
-#[cfg(unix)]
-pub struct UnixTransport {
-    role: UnixRole,
-    stream: Option<UnixStream>,
-}
-
-#[cfg(unix)]
-impl UnixTransport {
-    pub fn connect(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        let stream = UnixStream::connect(path.as_ref())?;
-        stream.set_nonblocking(true)?;
-        Ok(UnixTransport {
-            role: UnixRole::Client(path.as_ref().to_path_buf()),
-            stream: Some(stream),
-        })
-    }
-
-    pub fn listen(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        let listener = UnixListener::bind(path.as_ref())?;
-        listener.set_nonblocking(true)?;
-        Ok(UnixTransport {
-            role: UnixRole::Server(listener),
-            stream: None,
-        })
-    }
-}
-
-#[cfg(unix)]
-impl Transport for UnixTransport {
-    fn established(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    fn establish(&mut self) -> io::Result<bool> {
-        if self.stream.is_some() {
-            return Ok(true);
-        }
-        match &self.role {
-            UnixRole::Server(listener) => match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true)?;
-                    self.stream = Some(stream);
-                    Ok(true)
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(false),
-                Err(e) => Err(e),
-            },
-            UnixRole::Client(path) => match UnixStream::connect(path) {
-                Ok(stream) => {
-                    stream.set_nonblocking(true)?;
-                    self.stream = Some(stream);
-                    Ok(true)
-                }
-                Err(_) => Ok(false),
-            },
-        }
-    }
-
-    fn send(&mut self, buf: &[u8]) -> io::Result<IoOp> {
-        use std::io::Write;
-        let Some(stream) = &mut self.stream else {
-            return Ok(IoOp::Closed);
-        };
-        match stream.write(buf) {
-            Ok(0) => {
-                self.stream = None;
-                Ok(IoOp::Closed)
-            }
-            Ok(n) => Ok(IoOp::Did(n)),
-            Err(e) => {
-                let op = classify(e)?;
-                if op == IoOp::Closed {
-                    self.stream = None;
-                }
-                Ok(op)
-            }
-        }
-    }
-
-    fn recv(&mut self, buf: &mut [u8]) -> io::Result<IoOp> {
-        use std::io::Read;
-        let Some(stream) = &mut self.stream else {
-            return Ok(IoOp::Closed);
-        };
-        match stream.read(buf) {
-            Ok(0) => {
-                self.stream = None;
-                Ok(IoOp::Closed)
-            }
-            Ok(n) => Ok(IoOp::Did(n)),
-            Err(e) => {
-                let op = classify(e)?;
-                if op == IoOp::Closed {
-                    self.stream = None;
-                }
-                Ok(op)
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        match &self.role {
-            UnixRole::Client(p) => format!("unix->{}", p.display()),
-            UnixRole::Server(_) => "unix@listener".into(),
         }
     }
 }

@@ -28,8 +28,8 @@
 //!   recorders, and [`obs::serve`], a dependency-free HTTP scrape
 //!   endpoint (`/metrics`, `/health`, `/flight`);
 //! * [`xport`] — real endpoints: [`xport::Transport`] byte pipes (TCP,
-//!   Unix-domain, in-process), [`xport::LinkEngine`] binding one
-//!   device plus PPP session to a transport, and
+//!   in-process), [`xport::LinkEngine`] binding one device plus PPP
+//!   session to a transport, and
 //!   [`xport::SessionDriver`] dedicated pump threads — built by
 //!   [`link::LinkBuilder::build_remote`].
 //!

@@ -31,6 +31,4 @@ pub use p5_stream::{
     render_table, stack, Chain, Observable, Offer, Pipe, Poll, SharedRecorder, Snapshot, Stack,
     StageStats, StreamStage, Throttle, WireBuf, WordStream,
 };
-#[cfg(unix)]
-pub use p5_xport::UnixTransport;
 pub use p5_xport::{LinkEngine, PipeTransport, SessionDriver, TcpTransport, Transport};
