@@ -15,10 +15,11 @@
 //!    within `--max-overhead-pct` (default 3%) of the baseline recorded
 //!    in `results/BENCH_throughput.json`, or the run exits 1.
 //! 4. **Fleet-path overhead gate** — a 256-link fleet runs plain
-//!    (`Fleet::run_ticks`) and again through the observability sampling
-//!    path (`Fleet::run_sampled`) with *no collector attached*; the
-//!    sampling plumbing must cost at most `--max-fleet-overhead-pct`
-//!    (default 3%) wall time when nothing is sampling.
+//!    (`Fleet::run_until_drained`) and through the observability
+//!    sampling path (`Fleet::run_sampled`) with *no collector
+//!    attached*, alternating rep by rep; the median of the per-pair
+//!    wall-time ratios must stay within `--max-fleet-overhead-pct`
+//!    (default 3%) when nothing is sampling.
 //!
 //! Writes `results/BENCH_trace.json`.  `--smoke` shrinks the duplex
 //! traffic for CI; the overhead gate replays whatever frame count the
@@ -245,35 +246,60 @@ fn measure_bpc(width: DatapathWidth, datagrams: usize, traced: bool) -> (f64, f6
     )
 }
 
-/// Wall time (seconds) of one fleet run, best of `reps` (the minimum is
-/// the least-noise estimator for a deterministic workload).
-fn fleet_wall(links: usize, ticks: u64, sampled: bool, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut fleet = Fleet::new(FleetConfig {
-            links,
-            traffic: Some(TrafficSpec {
-                frames_per_tick: 1,
-                ticks,
-                ..TrafficSpec::default()
-            }),
-            ..FleetConfig::default()
-        })
-        .expect("fleet builds");
-        let started = Instant::now();
-        if sampled {
-            // The observability drive path at the collector's default
-            // cadence, with NOTHING attached: this is what every fleet
-            // pays just for being scrape-ready.
-            fleet.run_sampled(ticks * 4, 64, |_| {});
-        } else {
-            // The established drive loop (same 64-tick batching), so
-            // the comparison isolates the sampling hook itself.
-            fleet.run_until_drained(ticks * 4);
-        }
-        best = best.min(started.elapsed().as_secs_f64());
+/// Wall time (seconds) of one fleet run on a freshly built fleet.
+fn fleet_wall(links: usize, ticks: u64, sampled: bool) -> f64 {
+    let mut fleet = Fleet::new(FleetConfig {
+        links,
+        // One worker: the hook runs on the driving thread, and the
+        // per-batch worker spawns of a pool would only add jitter.
+        workers: 1,
+        traffic: Some(TrafficSpec {
+            frames_per_tick: 1,
+            ticks,
+            ..TrafficSpec::default()
+        }),
+        ..FleetConfig::default()
+    })
+    .expect("fleet builds");
+    let started = Instant::now();
+    if sampled {
+        // The observability drive path at the collector's default
+        // cadence, with NOTHING attached: this is what every fleet
+        // pays just for being scrape-ready.
+        fleet.run_sampled(ticks * 4, 64, |_| {});
+    } else {
+        // The established drive loop (same 64-tick batching), so
+        // the comparison isolates the sampling hook itself.
+        fleet.run_until_drained(ticks * 4);
     }
-    best
+    started.elapsed().as_secs_f64()
+}
+
+/// Plain and scrape-ready runs alternated rep by rep, plain at both
+/// ends (`pairs` ready runs between `pairs + 1` plain ones).  Each ready
+/// run is paired with the mean of the plain runs on either side of it,
+/// so host drift and any first-or-second-of-a-pair effect land on both
+/// sides of every ratio; the median per-pair `ready / plain` ratio is
+/// the overhead, and the two medians are for the record.  Returns
+/// `(plain_s, ready_s, ratio)`.
+fn fleet_overhead(links: usize, ticks: u64, pairs: usize) -> (f64, f64, f64) {
+    // One unrecorded run first: the first fleet of the process faults in
+    // its heap.
+    fleet_wall(links, ticks, false);
+    let mut plain = vec![fleet_wall(links, ticks, false)];
+    let (mut ready, mut ratio) = (Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let r = fleet_wall(links, ticks, true);
+        let p = fleet_wall(links, ticks, false);
+        ratio.push(2.0 * r / (plain[plain.len() - 1] + p));
+        ready.push(r);
+        plain.push(p);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(plain), median(ready), median(ratio))
 }
 
 /// Pull one numeric field out of the baseline JSON by string scan (the
@@ -432,30 +458,30 @@ fn main() {
 
     // 4. Fleet-path overhead: the observability drive path with nothing
     //    attached vs the plain drive, same 256-link workload.
-    let (links, ticks, reps) = if smoke {
-        (256, 400, 3)
+    let (links, ticks, pairs) = if smoke {
+        (256, 100, 61)
     } else {
-        (256, 2_000, 5)
+        (256, 400, 41)
     };
-    let plain = fleet_wall(links, ticks, false, reps);
-    let ready = fleet_wall(links, ticks, true, reps);
-    let fleet_overhead_pct = 100.0 * (ready - plain) / plain;
+    let (plain, ready, ratio) = fleet_overhead(links, ticks, pairs);
+    let fleet_overhead_pct = 100.0 * (ratio - 1.0);
     println!(
-        "\nfleet path ({links} links, {ticks} traffic ticks): plain {:.1} ms, \
-         scrape-ready (no collector) {:.1} ms ({fleet_overhead_pct:+.2}%)",
+        "\nfleet path ({links} links, {ticks} traffic ticks, {pairs} interleaved pairs): \
+         plain {:.1} ms, scrape-ready (no collector) {:.1} ms, \
+         median ratio {ratio:.4} ({fleet_overhead_pct:+.2}%)",
         plain * 1e3,
         ready * 1e3
     );
     if fleet_overhead_pct > max_fleet_overhead_pct {
         gate_failures.push(format!(
             "fleet sampling path with no collector costs {fleet_overhead_pct:.2}% \
-             wall (gate {max_fleet_overhead_pct}%)"
+             wall (median of {pairs} interleaved pairs; gate {max_fleet_overhead_pct}%)"
         ));
     }
     let fleet_json = format!(
-        "{{\"links\": {links}, \"traffic_ticks\": {ticks}, \"reps\": {reps}, \
+        "{{\"links\": {links}, \"traffic_ticks\": {ticks}, \"pairs\": {pairs}, \
          \"plain_wall_s\": {plain:.6}, \"scrape_ready_wall_s\": {ready:.6}, \
-         \"overhead_pct\": {fleet_overhead_pct:.2}, \
+         \"median_ratio\": {ratio:.4}, \"overhead_pct\": {fleet_overhead_pct:.2}, \
          \"gate_pct\": {max_fleet_overhead_pct}}}"
     );
 

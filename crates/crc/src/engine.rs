@@ -2,8 +2,9 @@
 //!
 //! The behavioural Tx/Rx pipelines used to hard-wire the paper's
 //! parallel-matrix walk; since the line-rate datapath refactor they
-//! dispatch through [`FcsEngine`] instead: slicing-by-8 by default (the
-//! fastest software realisation), with the matrix walk selectable as
+//! dispatch through [`FcsEngine`] instead: braided slicing-by-8 by
+//! default (the fastest software realisation here: four independent
+//! 8-byte lanes per step on long inputs), with the matrix walk selectable as
 //! the gate-model reference the equivalence tests pin it against.  The
 //! enum keeps dispatch static — no `Box<dyn CrcEngine>` in the per-word
 //! hot path.
@@ -13,7 +14,7 @@ use crate::{CrcEngine, CrcParams, MatrixEngine, Slice8Engine};
 /// Which realisation backs an [`FcsEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Slicing-by-8 — the fast software default.
+    /// Braided slicing-by-8 — the fast software default.
     #[default]
     Slice,
     /// The paper's parallel-matrix walk — the gate-model reference.
@@ -23,7 +24,8 @@ pub enum EngineKind {
 /// A running FCS computation backed by either shipped realisation.
 ///
 /// `word_bytes` sizes the matrix step (the datapath word width); the
-/// slicing engine ignores it — its inner loop is always 8 bytes wide.
+/// slicing engine ignores it — it steps 8-byte words, four lanes at a
+/// time on long inputs.
 #[derive(Debug, Clone)]
 pub enum FcsEngine {
     Slice(Slice8Engine),

@@ -13,9 +13,13 @@
 //!   model everything else is verified against;
 //! * [`table`] — classic 256-entry table lookup, one byte per step (what a
 //!   software PPP stack would do and the software baseline in the benches);
-//! * [`mod@slice`] — slicing-by-8: eight bytes per iteration through eight
-//!   derived tables, the fastest software realisation and the default
-//!   engine of the behavioural Tx/Rx pipelines;
+//! * [`mod@slice`] — braided slicing-by-8: eight bytes per step through
+//!   eight derived tables, and on inputs of 64 bytes or more four
+//!   independent 8-byte lanes per step (zlib's "braided" CRC, the
+//!   software form of the parallel matrix: no word waits for the one
+//!   before it).  The fastest software realisation, the default engine
+//!   of the Tx/Rx pipelines, the golden codec and the one-shot helpers
+//!   below;
 //! * [`matrix`] — the paper's parallel formulation: the CRC step over a
 //!   W-byte word is a linear map over GF(2), captured as a boolean matrix
 //!   `state' = F·state ⊕ G·data`.  [`matrix::StepMatrix`] exposes the raw
@@ -75,9 +79,10 @@ pub trait CrcEngine {
     }
 }
 
-/// One byte-at-a-time pass over `data` (the engine borrows its table).
-fn one_shot(params: CrcParams, data: &[u8]) -> TableEngine {
-    let mut e = TableEngine::new(params);
+/// One pass over `data` on the frame path's engine (which borrows the
+/// process-wide tables).
+fn one_shot(params: CrcParams, data: &[u8]) -> Slice8Engine {
+    let mut e = Slice8Engine::new(params);
     e.update(data);
     e
 }

@@ -113,8 +113,9 @@ pub struct Deframer {
     /// Body grew past max; discard at the closing flag.
     overrun: bool,
     /// Running CRC over the destuffed body (incremental, as hardware
-    /// does) — slicing-by-8, so the bulk `push_bytes` path checks eight
-    /// octets per iteration.
+    /// does) — braided slicing-by-8, so a long destuffed run is checked
+    /// four 8-octet words per step and a short one eight octets per
+    /// step.
     crc: Option<Slice8Engine>,
     stats: RxStats,
 }

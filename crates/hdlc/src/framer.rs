@@ -31,8 +31,9 @@ impl Default for FramerConfig {
 #[derive(Debug, Clone)]
 pub struct Framer {
     config: FramerConfig,
-    /// Persistent slicing-by-8 FCS engine — built once with the framer,
-    /// not a fresh lookup table per frame like the one-shot helpers.
+    /// Persistent FCS engine (braided slicing-by-8, reading the
+    /// process-wide tables) — built once with the framer, reset per
+    /// frame.
     engine: Option<Slice8Engine>,
     /// True once at least one frame has been emitted (controls flag
     /// sharing).

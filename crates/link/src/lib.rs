@@ -193,6 +193,27 @@ impl LinkBuilder {
         Ok((bit, structural))
     }
 
+    /// The configured plan as the wire applies it: `(channel, stage)`.
+    /// Over a SONET path the bit half corrupts inside the path's channel
+    /// and the structural half acts on the delineated byte stream; with
+    /// no path, both halves act on the stuffed byte stream as one plan
+    /// carrying the full spec.  Both builders impair the wire through
+    /// this one split.
+    fn wire_plans(&self) -> Result<(Option<FaultPlan>, Option<FaultPlan>), LinkError> {
+        let (bit, structural) = self.split_fault()?;
+        if self.sonet.is_some() {
+            return Ok((bit, structural));
+        }
+        let Some(bit) = bit else {
+            return Ok((None, structural));
+        };
+        let mut spec = structural.map_or_else(FaultSpec::clean, |p| p.spec().clone());
+        spec.ber = bit.spec().ber;
+        spec.burst = bit.spec().burst;
+        let seed = self.fault.as_ref().map_or(0, |p| p.seed());
+        Ok((None, Some(spec.compile(seed)?)))
+    }
+
     fn new_device(&self) -> P5 {
         let mut dev = P5::new(self.width_or_default());
         if let Some(rec) = &self.trace {
@@ -204,39 +225,19 @@ impl LinkBuilder {
     /// One transmit device, one receive device, one `Stack` between
     /// them.
     pub fn build(self) -> Result<Link, LinkError> {
-        let (bit, structural) = self.split_fault()?;
+        let (channel, stage) = self.wire_plans()?;
         let (tx, rx) = (self.new_device(), self.new_device());
         let (tx_oam, rx_oam) = (tx.oam.clone(), rx.oam.clone());
         let mut stages: Vec<Box<dyn StreamStage>> = vec![Box::new(TxStage::new(tx))];
-        match self.sonet {
-            Some(level) => {
-                let channel = match bit {
-                    Some(plan) => BitErrorChannel::from_plan(plan),
-                    None => BitErrorChannel::clean(),
-                };
-                stages.push(Box::new(OcPathStage::new(OcPath::new(level, channel))));
-                if let Some(plan) = structural {
-                    stages.push(Box::new(self.faulted_stage(plan)));
-                }
-            }
-            None => {
-                // No SONET path: the whole plan (bit + structural) acts
-                // directly on the stuffed byte stream.
-                match (bit, structural) {
-                    (None, None) => {}
-                    (bit, structural) => {
-                        let mut merged = structural.unwrap_or_else(|| FaultPlan::clean(0));
-                        if let Some(b) = bit {
-                            // Recompose: one stage carrying the full spec.
-                            let mut spec = merged.spec().clone();
-                            spec.ber = b.spec().ber;
-                            spec.burst = b.spec().burst;
-                            merged = spec.compile(self.fault.as_ref().map_or(0, |p| p.seed()))?;
-                        }
-                        stages.push(Box::new(self.faulted_stage(merged)));
-                    }
-                }
-            }
+        if let Some(level) = self.sonet {
+            let channel = match channel {
+                Some(plan) => BitErrorChannel::from_plan(plan),
+                None => BitErrorChannel::clean(),
+            };
+            stages.push(Box::new(OcPathStage::new(OcPath::new(level, channel))));
+        }
+        if let Some(plan) = stage {
+            stages.push(Box::new(self.faulted_stage(plan)));
         }
         stages.push(Box::new(RxStage::new(rx)));
         Ok(Link {
@@ -259,17 +260,17 @@ impl LinkBuilder {
     /// plan, if any, is forked per direction; with [`LinkBuilder::sonet`]
     /// each direction carries its own STM-N path.
     pub fn build_duplex(self) -> Result<DuplexLink, LinkError> {
-        let (bit, structural) = self.split_fault()?;
+        let (channel, stage) = self.wire_plans()?;
         let end = || LinkCore::new(self.new_device(), DEFAULT_INGRESS_DEPTH);
         let carriage = |lane: u64| {
             let path = self.sonet.map(|level| {
-                let channel = match &bit {
+                let channel = match &channel {
                     Some(plan) => BitErrorChannel::from_plan(plan.fork(lane)),
                     None => BitErrorChannel::clean(),
                 };
                 Box::new(OcPath::new(level, channel))
             });
-            Carriage::new(path, structural.as_ref().map(|p| p.fork(lane)))
+            Carriage::new(path, stage.as_ref().map(|p| p.fork(lane)))
         };
         Ok(DuplexLink {
             a: end(),
@@ -708,6 +709,34 @@ mod tests {
         let got = link.b.dev.take_received();
         assert_eq!(got.len(), 1, "healed link delivers");
         assert_eq!(got[0].payload, vec![6; 10]);
+    }
+
+    #[test]
+    fn duplex_link_without_a_path_applies_the_bit_errors_of_its_plan() {
+        // 1 % BER over 1000 B frames: hardly a frame survives, and every
+        // loss must show as a receive error, never as a clean delivery.
+        let plan = FaultSpec::clean().ber(0.01).compile(42).unwrap();
+        let mut link = LinkBuilder::new().fault(plan).build_duplex().unwrap();
+        let sent = 50;
+        for i in 0..sent {
+            assert_eq!(
+                link.a.offer(0x0021, &[i as u8; 1000], true),
+                Offer::Accepted
+            );
+            link.exchange();
+        }
+        let got = link.b.dev.take_received();
+        let rx = *link.b.dev.rx_counters();
+        assert!(rx.fcs_errors > 0, "BER dropped: {rx:?}");
+        assert!(
+            got.len() < sent / 2,
+            "{} of {sent} frames crossed 1 % BER",
+            got.len()
+        );
+        assert!(got
+            .iter()
+            .all(|f| f.payload.iter().all(|&b| b == f.payload[0])));
+        assert!(link.fault_stats().bit_errors > 0);
     }
 
     #[test]
