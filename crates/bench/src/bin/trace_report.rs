@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::{heading, imix_sizes, ip_like_datagram};
+use p5_bench::{heading, imix_sizes, interleaved_overhead, ip_like_datagram};
 use p5_core::{encap_tagged, DatapathWidth, RxStage, TxStage, P5};
 use p5_link::LinkBuilder;
 use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
@@ -275,33 +275,6 @@ fn fleet_wall(links: usize, ticks: u64, sampled: bool) -> f64 {
     started.elapsed().as_secs_f64()
 }
 
-/// Plain and scrape-ready runs alternated rep by rep, plain at both
-/// ends (`pairs` ready runs between `pairs + 1` plain ones).  Each ready
-/// run is paired with the mean of the plain runs on either side of it,
-/// so host drift and any first-or-second-of-a-pair effect land on both
-/// sides of every ratio; the median per-pair `ready / plain` ratio is
-/// the overhead, and the two medians are for the record.  Returns
-/// `(plain_s, ready_s, ratio)`.
-fn fleet_overhead(links: usize, ticks: u64, pairs: usize) -> (f64, f64, f64) {
-    // One unrecorded run first: the first fleet of the process faults in
-    // its heap.
-    fleet_wall(links, ticks, false);
-    let mut plain = vec![fleet_wall(links, ticks, false)];
-    let (mut ready, mut ratio) = (Vec::new(), Vec::new());
-    for _ in 0..pairs {
-        let r = fleet_wall(links, ticks, true);
-        let p = fleet_wall(links, ticks, false);
-        ratio.push(2.0 * r / (plain[plain.len() - 1] + p));
-        ready.push(r);
-        plain.push(p);
-    }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (median(plain), median(ready), median(ratio))
-}
-
 /// Pull one numeric field out of the baseline JSON by string scan (the
 /// harness ships no JSON parser), searching forward from `anchor`.
 fn scan_number(json: &str, anchor: &str, field: &str) -> Option<f64> {
@@ -463,7 +436,8 @@ fn main() {
     } else {
         (256, 400, 41)
     };
-    let (plain, ready, ratio) = fleet_overhead(links, ticks, pairs);
+    let (plain, ready, ratio) =
+        interleaved_overhead(pairs, |ready| fleet_wall(links, ticks, ready));
     let fleet_overhead_pct = 100.0 * (ratio - 1.0);
     println!(
         "\nfleet path ({links} links, {ticks} traffic ticks, {pairs} interleaved pairs): \

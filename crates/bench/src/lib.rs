@@ -56,6 +56,33 @@ pub fn imix_sizes(count: usize, seed: u64) -> Vec<usize> {
         .collect()
 }
 
+/// Medians of an interleaved overhead measurement: `run(false)` times
+/// the baseline, `run(true)` the variant, alternated rep by rep with the
+/// baseline at both ends (`pairs` variant runs between `pairs + 1`
+/// baseline ones, after one unrecorded baseline run that faults in the
+/// process heap).  Each variant run is paired with the mean of the
+/// baseline runs on either side of it, so host drift and any
+/// first-or-second-of-a-pair effect land on both sides of every ratio.
+/// Returns the medians `(baseline_s, variant_s, variant / baseline)`;
+/// the last is the overhead a gate reads.
+pub fn interleaved_overhead(pairs: usize, mut run: impl FnMut(bool) -> f64) -> (f64, f64, f64) {
+    run(false);
+    let mut base = vec![run(false)];
+    let (mut variant, mut ratio) = (Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let v = run(true);
+        let b = run(false);
+        ratio.push(2.0 * v / (base[base.len() - 1] + b));
+        variant.push(v);
+        base.push(b);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(base), median(variant), median(ratio))
+}
+
 /// Render a separator + title like the paper's table captions.
 pub fn heading(title: &str) -> String {
     format!("\n{}\n{}\n", title, "=".repeat(title.len()))

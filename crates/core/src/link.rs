@@ -6,9 +6,9 @@
 //! turns it into wire bytes; [`Carriage`] moves those bytes —
 //! optionally over an STM-N path and through a seeded fault plan — and
 //! lands them for the peer's [`P5::ingest_wire`].  The fleet link
-//! (`p5-runtime`), the duplex link (`p5-link`) and the transport
-//! endpoint (`p5-xport`) differ only in what moves the bytes, the way
-//! lwIP keeps one PPP core under PPPoS, PPPoE and L2TP.
+//! (`p5-runtime`), the simplex and duplex links (`p5-link`) and the
+//! transport endpoint (`p5-xport`) differ only in what moves the bytes,
+//! the way lwIP keeps one PPP core under PPPoS, PPPoE and L2TP.
 
 use std::collections::VecDeque;
 
@@ -93,11 +93,10 @@ impl LinkCore {
     /// backpressure — its carriage or socket ring still has room; while
     /// it is false a frame queues even if the device would take it.
     pub fn offer(&mut self, protocol: u16, payload: &[u8], line_clear: bool) -> Offer {
-        self.counters.offered += 1;
-        if self.ingress.is_empty() && line_clear && self.dev.offer_frame(protocol, payload, 0) {
-            self.counters.accepted += 1;
+        if line_clear && self.offer_direct(protocol, payload) {
             return Offer::Accepted;
         }
+        self.counters.offered += 1;
         if self.ingress.len() >= self.depth {
             self.counters.shed += 1;
             return Offer::Shed;
@@ -106,6 +105,19 @@ impl LinkCore {
         buf.extend_from_slice(payload);
         self.ingress.push_back((protocol, buf));
         Offer::Queued
+    }
+
+    /// The fast leg of [`LinkCore::offer`] alone: the device takes the
+    /// frame now, nothing queued ahead of it, and it is counted offered
+    /// and accepted; otherwise `false`, nothing counted, nothing copied —
+    /// the owner decides what *not now* costs.
+    pub fn offer_direct(&mut self, protocol: u16, payload: &[u8]) -> bool {
+        if !self.ingress.is_empty() || !self.dev.offer_frame(protocol, payload, 0) {
+            return false;
+        }
+        self.counters.offered += 1;
+        self.counters.accepted += 1;
+        true
     }
 
     /// Move queued frames into the device, in order, while `line_clear`
@@ -164,7 +176,8 @@ fn admit(dev: &mut P5, queue: &mut VecDeque<(u16, Vec<u8>)>, line_clear: bool) -
 }
 
 /// One direction of wire between two devices: an optional STM-N path,
-/// an optional fault plan, and the octets landed for the sink device.
+/// an optional fault plan (stall storms included), and the octets
+/// landed for the sink device.
 pub struct Carriage {
     /// Boxed: an `OcPath` holds whole-frame buffers.
     path: Option<Box<OcPath>>,
@@ -190,13 +203,22 @@ impl Carriage {
     /// Carry `src`'s produced wire bytes: through the STM-N path, if
     /// any, then [`Carriage::land`].  `flush`: the source is between
     /// frames, so the path may pad out its last SPE (see
-    /// [`OcPath::carry`]).
-    pub fn carry(&mut self, src: &mut P5, flush: bool) {
-        if self.path.is_none() && self.plan.is_none() {
-            src.drain_wire_into(&mut self.wire);
-            return;
+    /// [`OcPath::carry`]).  Returns the octets taken from `src`.
+    ///
+    /// A plan's stall storm is one [`FaultPlan::stall_gate`] per call: a
+    /// stalled call takes nothing, so the bytes back up in `src` and its
+    /// [`P5::offer_frame`] answers *not now* at the high-water mark.
+    /// Plans without a stall spec draw nothing for it.
+    pub fn carry(&mut self, src: &mut P5, flush: bool) -> usize {
+        if let Some(plan) = &mut self.plan {
+            if plan.stall_gate() {
+                return 0;
+            }
+        } else if self.path.is_none() {
+            return src.drain_wire_into(&mut self.wire);
         }
         let bytes = src.take_wire_out();
+        let taken = bytes.len();
         match &mut self.path {
             Some(path) => {
                 let mut carried = std::mem::take(&mut self.carried);
@@ -208,6 +230,20 @@ impl Carriage {
             None => self.land(&bytes),
         }
         src.recycle_wire_vec(bytes);
+        taken
+    }
+
+    /// End any stall storm in progress: a draining owner calls it before
+    /// its flushing carry, so chaos cannot hold the line to the end.
+    pub fn release_stall(&mut self) {
+        if let Some(plan) = &mut self.plan {
+            plan.release_stall();
+        }
+    }
+
+    /// The STM-N path, if this direction runs over one.
+    pub fn path(&self) -> Option<&OcPath> {
+        self.path.as_deref()
     }
 
     /// Land one transfer's octets towards the sink device, through the

@@ -7,8 +7,9 @@
 //! proves it.  A [`FaultSpec`] describes an impairment mix (uniform and
 //! Gilbert–Elliott burst bit errors, byte slip/duplication/truncation,
 //! injected aborts and spurious flags, stall storms, whole-transfer
-//! loss); [`FaultPlan::compile`] binds it to a seed; a [`FaultStage`]
-//! composes the plan into any `WordStream` boundary.
+//! loss); [`FaultPlan::compile`] binds it to a seed; a link's carriage
+//! (`p5_core::link::Carriage`) applies the plan to every transfer it
+//! lands, and a SONET path's channel applies its bit-level half.
 //!
 //! Two properties are load-bearing:
 //!
@@ -17,14 +18,12 @@
 //!   chunked across `offer` calls.  Every RNG draw is a function of the
 //!   byte stream and prior draws only, so soak failures replay exactly.
 //! * **Boundedness** — stall storms are finite ([`StallStorm::max_len`])
-//!   and `FaultStage::finish` releases any storm in progress, so a
-//!   faulted `Stack` can always drain; chaos never wedges the harness.
+//!   and a draining link releases any storm in progress
+//!   ([`FaultPlan::release_stall`]); chaos never wedges the harness.
 //!
 //! See DESIGN.md §14 for the fault model and the recovery invariants the
 //! rest of the workspace checks against it.
 
 mod plan;
-mod stage;
 
 pub use plan::{BurstModel, FaultError, FaultKind, FaultPlan, FaultSpec, FaultStats, StallStorm};
-pub use stage::FaultStage;

@@ -33,8 +33,8 @@ pub enum FaultKind {
     Abort,
     /// A spurious `0x7E` flag spliced into the stream.
     SpuriousFlag,
-    /// A backpressure storm: the stage deasserts ready for a bounded run
-    /// of handshake attempts.
+    /// A backpressure storm: the carriage holds the line for a bounded
+    /// run of transfers.
     Stall,
     /// An entire transfer discarded (lossy control-plane ferry).
     TransferLoss,
@@ -54,8 +54,7 @@ impl FaultKind {
         FaultKind::TransferLoss,
     ];
 
-    /// Stable lowercase name (trace `EventKind::Fault { kind }` payload,
-    /// snapshot counter names).
+    /// Stable lowercase name (the `fault_<name>` snapshot counters).
     pub fn name(self) -> &'static str {
         match self {
             FaultKind::BitError => "bit_error",
@@ -119,7 +118,7 @@ pub struct BurstModel {
 /// A bounded backpressure storm: each [`FaultPlan::stall_gate`] call
 /// outside a storm starts one with probability `p_start`, lasting a
 /// uniform `1..=max_len` further calls.  Bounded by construction so a
-/// faulted stack can always make progress.
+/// faulted link can always make progress.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallStorm {
     pub p_start: f64,
@@ -516,10 +515,10 @@ impl FaultPlan {
         }
     }
 
-    /// One backpressure decision: `true` means "deassert ready this
-    /// handshake".  Storms are bounded by [`StallStorm::max_len`];
-    /// [`FaultPlan::release_stall`] cancels one early (used by
-    /// `FaultStage::finish` so chaos never wedges a draining stack).
+    /// One backpressure decision: `true` means "hold this transfer".
+    /// Storms are bounded by [`StallStorm::max_len`];
+    /// [`FaultPlan::release_stall`] cancels one early (a draining link
+    /// calls it before its flushing transfer).
     pub fn stall_gate(&mut self) -> bool {
         if self.stall_remaining > 0 {
             self.stall_remaining -= 1;

@@ -24,23 +24,25 @@
 //! assert_eq!(got.len() as u64 + link.rx_errors(), 1);
 //! ```
 //!
-//! [`LinkBuilder::build`] yields a simplex [`Link`] (one `Stack`:
-//! `TxStage → [OcPathStage] → [FaultStage] → RxStage`);
-//! [`LinkBuilder::build_duplex`] yields a [`DuplexLink`] — two
-//! [`LinkCore`] ends and a seeded, optionally-impaired [`Carriage`]
-//! each way — for the control-plane (LCP/IPCP) scenarios that need
-//! traffic both ways.
+//! Every link here is built from the same parts (DESIGN.md §19): a
+//! [`LinkCore`] end, and a seeded, optionally impaired [`Carriage`] —
+//! optional STM-N path, optional fault plan — per direction.
+//! [`LinkBuilder::build`] yields a simplex [`Link`]: a transmit end, one
+//! carriage and a receive device, driven by [`Link::send`] and
+//! [`Link::run`] from one thread.  [`LinkBuilder::build_duplex`] yields
+//! a [`DuplexLink`] — two ends and a carriage each way — for the
+//! control-plane (LCP/IPCP) scenarios that need traffic both ways.
 //!
 //! The raw `stack!` macro remains the supported low-level escape hatch
 //! for custom topologies; this crate is the paved road.
 
 use p5_core::link::{Carriage, LinkCore, DEFAULT_INGRESS_DEPTH};
-use p5_core::oam::{rx_errors, Oam, OamHandle};
-use p5_core::{decap, encap, DatapathWidth, RxStage, TxStage, P5};
-use p5_fault::{FaultError, FaultPlan, FaultSpec, FaultStage, FaultStats};
+use p5_core::oam::{rx_errors, Oam};
+use p5_core::{DatapathWidth, P5};
+use p5_fault::{FaultError, FaultPlan, FaultSpec, FaultStats};
 use p5_ppp::NegotiationProfile;
-use p5_sonet::{BitErrorChannel, OcPath, OcPathStage, StmLevel};
-use p5_stream::{SharedRecorder, Snapshot, Stack, StageStats, StreamStage};
+use p5_sonet::{BitErrorChannel, OcPath, StmLevel};
+use p5_stream::{Observable, SharedRecorder, Snapshot, StageStats};
 use p5_xport::{LinkEngine, SessionDriver, Transport};
 use std::error::Error;
 use std::fmt;
@@ -53,7 +55,7 @@ pub use p5_core::oam::HealthCounters;
 pub enum LinkError {
     /// The fault spec attached to the builder failed to compile.
     Fault(FaultError),
-    /// The stack did not drain within the step budget.
+    /// The link did not drain within its pump-pass budget.
     Stalled { steps: usize },
     /// [`LinkBuilder::build_remote`] needs a transport
     /// ([`LinkBuilder::transport`]).
@@ -126,16 +128,16 @@ impl LinkBuilder {
         self
     }
 
-    /// Impair the wire with a compiled fault plan.  The length-
-    /// preserving faults (BER, bursts) apply inside the transmission
-    /// channel; structural faults and stall storms get a [`FaultStage`]
-    /// on the delineated byte stream.
+    /// Impair the wire with a compiled fault plan.  Over a SONET path
+    /// the length-preserving faults (BER, bursts) apply inside the
+    /// transmission channel; structural faults, transfer loss and stall
+    /// storms act in the [`Carriage`], on the delineated byte stream.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
     }
 
-    /// Record frame-lifecycle and fault events into `rec`.
+    /// Record both devices' frame-lifecycle events into `rec`.
     pub fn trace(mut self, rec: SharedRecorder) -> Self {
         self.trace = Some(rec);
         self
@@ -222,37 +224,34 @@ impl LinkBuilder {
         dev
     }
 
-    /// One transmit device, one receive device, one `Stack` between
-    /// them.
-    pub fn build(self) -> Result<Link, LinkError> {
-        let (channel, stage) = self.wire_plans()?;
-        let (tx, rx) = (self.new_device(), self.new_device());
-        let (tx_oam, rx_oam) = (tx.oam.clone(), rx.oam.clone());
-        let mut stages: Vec<Box<dyn StreamStage>> = vec![Box::new(TxStage::new(tx))];
-        if let Some(level) = self.sonet {
-            let channel = match channel {
-                Some(plan) => BitErrorChannel::from_plan(plan),
-                None => BitErrorChannel::clean(),
-            };
-            stages.push(Box::new(OcPathStage::new(OcPath::new(level, channel))));
-        }
-        if let Some(plan) = stage {
-            stages.push(Box::new(self.faulted_stage(plan)));
-        }
-        stages.push(Box::new(RxStage::new(rx)));
-        Ok(Link {
-            stack: Stack::compose(stages),
-            tx_oam,
-            rx_oam,
-        })
+    /// One direction of wire: the configured path and the `(channel,
+    /// stage)` plans of [`LinkBuilder::wire_plans`], forked for `lane`.
+    fn carriage(
+        &self,
+        channel: Option<&FaultPlan>,
+        stage: Option<&FaultPlan>,
+        lane: u64,
+    ) -> Carriage {
+        let path = self.sonet.map(|level| {
+            let channel = channel.map_or_else(BitErrorChannel::clean, |plan| {
+                BitErrorChannel::from_plan(plan.fork(lane))
+            });
+            Box::new(OcPath::new(level, channel))
+        });
+        Carriage::new(path, stage.map(|plan| plan.fork(lane)))
     }
 
-    fn faulted_stage(&self, plan: FaultPlan) -> FaultStage {
-        let mut stage = FaultStage::new(plan);
-        if let Some(rec) = &self.trace {
-            stage.set_trace(Box::new(rec.clone()));
-        }
-        stage
+    /// A transmit end, one carriage — the a → b direction of
+    /// [`LinkBuilder::build_duplex`]'s recipe — and a receive device.
+    /// The transmit queue is unbounded: [`Link::send`] never sheds.
+    pub fn build(self) -> Result<Link, LinkError> {
+        let (channel, stage) = self.wire_plans()?;
+        Ok(Link {
+            tx: LinkCore::new(self.new_device(), usize::MAX),
+            line: self.carriage(channel.as_ref(), stage.as_ref(), 0),
+            rx: self.new_device(),
+            passes: PassStats::default(),
+        })
     }
 
     /// Two devices and a seeded carriage each way, for control-plane
@@ -262,16 +261,7 @@ impl LinkBuilder {
     pub fn build_duplex(self) -> Result<DuplexLink, LinkError> {
         let (channel, stage) = self.wire_plans()?;
         let end = || LinkCore::new(self.new_device(), DEFAULT_INGRESS_DEPTH);
-        let carriage = |lane: u64| {
-            let path = self.sonet.map(|level| {
-                let channel = match &channel {
-                    Some(plan) => BitErrorChannel::from_plan(plan.fork(lane)),
-                    None => BitErrorChannel::clean(),
-                };
-                Box::new(OcPath::new(level, channel))
-            });
-            Carriage::new(path, stage.as_ref().map(|p| p.fork(lane)))
-        };
+        let carriage = |lane| self.carriage(channel.as_ref(), stage.as_ref(), lane);
         Ok(DuplexLink {
             a: end(),
             b: end(),
@@ -314,52 +304,134 @@ impl LinkBuilder {
     }
 }
 
-/// A simplex link: transmit device → (optional SONET path, optional
-/// fault stage) → receive device, as one composed [`Stack`].
+/// Device clocks one pump pass may spend on each device — only a device
+/// in cycle-model duty ([`P5::needs_clock`]) spends any.  Transmit gets
+/// one burst, receive two: it chews what a whole burst put on the line.
+const TX_CLOCKS: usize = 256;
+const RX_CLOCKS: usize = 2 * TX_CLOCKS;
+
+/// A simplex link: a transmit [`LinkCore`], one [`Carriage`] (optional
+/// STM-N path, optional fault plan) and a receive [`P5`] — the same
+/// parts as each direction of a [`DuplexLink`], pumped from one thread.
 pub struct Link {
-    stack: Stack,
-    tx_oam: OamHandle,
-    rx_oam: OamHandle,
+    tx: LinkCore,
+    line: Carriage,
+    rx: P5,
+    passes: PassStats,
+}
+
+/// The link's own pump-pass and boundary counters (what
+/// [`Link::stack`] returns).
+#[derive(Debug, Clone, Default)]
+pub struct PassStats {
+    steps: u64,
+    /// `[admission, line]`.  Admission: one `offered` per
+    /// [`Link::send`], `blocked` when the device first answered *not
+    /// now*.  Line: one `offered` per pass that found wire bytes on the
+    /// transmitter, `blocked` when a stall storm held them there;
+    /// `bytes_out` counts the octets carried.
+    boundary: [StageStats; 2],
+}
+
+impl PassStats {
+    /// Pump passes run so far, by [`Link::send`] and [`Link::run`].
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// The admission and line boundaries, in that order.
+    pub fn boundary_stats(&self) -> &[StageStats] {
+        &self.boundary
+    }
 }
 
 impl Link {
-    /// Queue one datagram for transmission.
+    /// Hand one datagram to the transmitter.  The device takes it now
+    /// (in plain duty it is wire bytes on return); on *not now* the
+    /// line is pumped once and the frame offered again, and only a frame
+    /// the device still refuses — cycle-model duty, or a stall storm
+    /// holding the line — is copied into the queue.  Never sheds.
     pub fn send(&mut self, protocol: u16, payload: &[u8]) {
-        encap(protocol, payload, self.stack.input());
-    }
-
-    /// Sweep the stack until it drains, then flush (SPE backlog plus
-    /// flag fill).  Delivered frames wait in [`Link::deliveries`].
-    pub fn run(&mut self, max_steps: usize) -> Result<(), LinkError> {
-        if !self.stack.run_until_idle(max_steps) {
-            return Err(LinkError::Stalled { steps: max_steps });
+        let admission = &mut self.passes.boundary[0];
+        admission.offered += 1;
+        if self.tx.offer_direct(protocol, payload) {
+            admission.accepted += 1;
+            return;
         }
-        self.stack.finish();
-        Ok(())
+        admission.blocked += 1;
+        self.pump(false);
+        self.tx.offer(protocol, payload, true);
     }
 
-    /// Everything delivered so far, decapsulated to `(protocol,
-    /// payload)` in arrival order.
-    pub fn deliveries(&mut self) -> Vec<(u16, Vec<u8>)> {
-        let output = self.stack.output();
-        let mut out = Vec::with_capacity(output.frames_ready());
-        while let Some((frame, meta)) = output.peek_frame() {
-            if let Some((proto, payload)) = decap(frame) {
-                out.push((proto, payload.to_vec()));
+    /// Pump until everything sent has crossed the line and the receiver
+    /// holds no work, the last pass padding out the line (SPE backlog
+    /// plus flag fill).  Delivered frames wait in [`Link::deliveries`].
+    pub fn run(&mut self, max_steps: usize) -> Result<(), LinkError> {
+        for _ in 0..max_steps {
+            self.pump(true);
+            if self.is_idle() {
+                return Ok(());
             }
-            output.consume(meta.len);
+        }
+        Err(LinkError::Stalled { steps: max_steps })
+    }
+
+    /// One pass: admit queued frames, clock a transmitter in
+    /// cycle-model duty, carry its wire, and ingest the landed octets
+    /// (clocking a receiver in cycle-model duty).  With `flush`, a
+    /// transmitter between frames with nothing queued also pads out the
+    /// path's last SPE, any stall storm released first.
+    fn pump(&mut self, flush: bool) {
+        self.passes.steps += 1;
+        self.tx.admit_queued(true);
+        clock(&mut self.tx.dev, TX_CLOCKS);
+        let flush = flush && self.tx.queued() == 0 && self.tx.dev.tx.idle();
+        if flush {
+            self.line.release_stall();
+        }
+        let pending = self.tx.dev.has_wire_out();
+        let carried = self.line.carry(&mut self.tx.dev, flush);
+        if pending {
+            let line = &mut self.passes.boundary[1];
+            line.offered += 1;
+            line.bytes_out += carried as u64;
+            if carried > 0 {
+                line.accepted += 1;
+            } else {
+                line.blocked += 1;
+            }
+        }
+        self.rx.ingest_wire(&mut self.line.wire, usize::MAX);
+        clock(&mut self.rx, RX_CLOCKS);
+    }
+
+    fn is_idle(&self) -> bool {
+        self.tx.queued() == 0
+            && !self.tx.dev.needs_clock()
+            && !self.tx.dev.has_wire_out()
+            && self.line.path().is_none_or(|p| p.frames_to_drain() == 0)
+            && self.line.wire.is_empty()
+            && !self.rx.needs_clock()
+    }
+
+    /// Everything delivered so far, as `(protocol, payload)` in arrival
+    /// order.  The payloads are the receiver's own buffers, moved out.
+    pub fn deliveries(&mut self) -> Vec<(u16, Vec<u8>)> {
+        let mut out = Vec::with_capacity(self.rx.rx.control.queued_frames().len());
+        while let Some(f) = self.rx.pop_received() {
+            out.push((f.protocol, f.payload));
         }
         out
     }
 
     /// Register-bus view of the transmit device's OAM block.
     pub fn tx_oam(&self) -> Oam {
-        Oam::new(self.tx_oam.clone())
+        Oam::new(self.tx.dev.oam.clone())
     }
 
     /// Register-bus view of the receive device's OAM block.
     pub fn rx_oam(&self) -> Oam {
-        Oam::new(self.rx_oam.clone())
+        Oam::new(self.rx.oam.clone())
     }
 
     /// Total receive-side error count, summed over the OAM error
@@ -374,31 +446,104 @@ impl Link {
         HealthCounters::read(&self.rx_oam(), &self.tx_oam())
     }
 
-    /// Per-stage flow counters (name, stats) in pipeline order.
+    /// Per-part flow counters `(name, stats)` in line order: `"p5-tx"`
+    /// and `"p5-rx"` count device clocks as cycles (0 in plain duty),
+    /// `"oc-path"` the line frames the path ran, `"fault"` the plan's
+    /// stall storms.
     pub fn stage_stats(&self) -> Vec<(&'static str, StageStats)> {
-        self.stack.stage_stats()
+        let [admission, line] = self.passes.boundary;
+        let mut out = vec![(
+            "p5-tx",
+            StageStats {
+                cycles: self.tx.dev.cycles,
+                stall_cycles: admission.blocked,
+                words_in: self.tx.counters.accepted,
+                bytes_out: line.bytes_out,
+                rejects: self.tx.dev.tx.control.submit_rejects,
+                ..StageStats::default()
+            },
+        )];
+        if let Some(path) = self.line.path() {
+            let stats = StageStats {
+                cycles: path.transmitter().frames_emitted(),
+                ..StageStats::default()
+            };
+            out.push(("oc-path", stats));
+        }
+        if let Some(plan) = &self.line.plan {
+            let stats = StageStats {
+                stall_cycles: plan.stats().stall_cycles,
+                ..StageStats::default()
+            };
+            out.push(("fault", stats));
+        }
+        out.push((
+            "p5-rx",
+            StageStats {
+                cycles: self.rx.cycles,
+                words_out: self.rx.rx_counters().frames_ok,
+                ..StageStats::default()
+            },
+        ));
+        out
     }
 
-    /// Metrics snapshot of every stage.
+    /// Metrics snapshot of every part, in [`Link::stage_stats`] order:
+    /// each row's flow counters, plus the transmitter's and receiver's
+    /// pipeline tallies, the path's section and channel counters, and
+    /// the fault plan's injection counters.
     pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.stack.snapshots()
+        self.stage_stats()
+            .into_iter()
+            .map(|(name, stats)| {
+                let mut s = stats.snapshot(name);
+                match (name, self.line.path(), &self.line.plan) {
+                    ("p5-tx", ..) => push_tallies(&mut s, self.tx.dev.tx.snapshot()),
+                    ("p5-rx", ..) => push_tallies(&mut s, self.rx.rx.snapshot()),
+                    ("oc-path", Some(path), _) => {
+                        s.absorb(&path.section_stats().snapshot());
+                        s.absorb(&path.channel().stats().snapshot());
+                    }
+                    (_, _, Some(plan)) => s.absorb(&plan.snapshot()),
+                    _ => {}
+                }
+                s
+            })
+            .collect()
     }
 
-    /// The stall-attribution table (DESIGN.md §13).
-    pub fn stall_table(&self) -> String {
-        self.stack.stall_table()
-    }
-
-    /// The stage topology of this link, for link-level static analysis
-    /// (p5-lint composes per-stage handshake contracts over it).
+    /// The parts of this link as a source → sink chain, for link-level
+    /// static analysis (p5-lint composes per-stage handshake contracts
+    /// over it).  Each hand-off holds whole transfers, so analysis
+    /// treats every part as buffered.
     pub fn topology(&self) -> p5_stream::Topology {
-        let mut t = self.stack.topology();
-        t.name = "simplex link".into();
-        t
+        let names = self.stage_stats().into_iter().map(|(n, _)| n.into());
+        p5_stream::Topology::chain("simplex link", names.collect())
     }
 
-    pub fn stack(&self) -> &Stack {
-        &self.stack
+    /// The link's pump-pass and boundary counters ([`PassStats`]).
+    pub fn stack(&self) -> &PassStats {
+        &self.passes
+    }
+}
+
+/// Append a device pipeline's tallies to its row, all but `cycles`:
+/// the row already reports the device clock.
+fn push_tallies(row: &mut Snapshot, pipeline: Snapshot) {
+    for (name, value) in pipeline.counters {
+        if name != "cycles" {
+            row.push_counter(name, value);
+        }
+    }
+}
+
+/// Clock `dev` while it holds cycle-model work, at most `budget` times.
+fn clock(dev: &mut P5, budget: usize) {
+    for _ in 0..budget {
+        if !dev.needs_clock() {
+            return;
+        }
+        dev.clock();
     }
 }
 
@@ -635,11 +780,15 @@ mod tests {
     }
 
     /// Send `payloads` as one window and require the paved road: every
-    /// frame delivered in order and byte-exact, no receive error, frame
-    /// counts conserved, and not one cycle-model clock on either device.
-    fn assert_window_never_staged(mut link: Link, payloads: &[Vec<u8>], what: &str) {
+    /// frame taken by the device as it is sent (never copied into the
+    /// queue), delivered in order and byte-exact, no receive error,
+    /// frame counts conserved, and not one cycle-model clock on either
+    /// device.  Returns the link's pass counters.
+    fn assert_window_never_staged(mut link: Link, payloads: &[Vec<u8>], what: &str) -> PassStats {
         for p in payloads {
             link.send(0x0021, p);
+            let c = link.tx.counters;
+            assert_eq!(c.accepted, c.offered, "{what}: a frame was queued");
         }
         link.run(100_000).unwrap();
         let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
@@ -654,6 +803,7 @@ mod tests {
                 assert_eq!(stats.cycles, 0, "{what}: {stage} clocked");
             }
         }
+        link.passes
     }
 
     #[test]
@@ -662,7 +812,10 @@ mod tests {
         let payloads: Vec<Vec<u8>> = (0..256u32)
             .map(|i| (0..1500u32).map(|j| (i * 31 + j) as u8).collect())
             .collect();
-        assert_window_never_staged(LinkBuilder::new().build().unwrap(), &payloads, "plain");
+        let link = LinkBuilder::new().build().unwrap();
+        let passes = assert_window_never_staged(link, &payloads, "plain");
+        let admission = passes.boundary_stats()[0];
+        assert!(admission.blocked > 0, "the window never met the mark");
     }
 
     #[test]
@@ -751,5 +904,114 @@ mod tests {
             })
             .collect();
         assert!(stalled.is_empty(), "stalled at seeds {stalled:?}");
+    }
+
+    #[test]
+    fn simplex_link_is_the_a_to_b_direction_of_the_duplex_recipe() {
+        let plan = FaultSpec::clean()
+            .ber(2e-4)
+            .slip(1e-3)
+            .spurious_flag(1e-3)
+            .compile(21)
+            .unwrap();
+        let payloads: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| (0..40 + i * 53 % 300).map(|j| (i * 11 + j) as u8).collect())
+            .collect();
+        for level in [None, Some(StmLevel::Stm1), Some(StmLevel::Stm4)] {
+            let builder = || {
+                let b = LinkBuilder::new().fault(plan.clone());
+                match level {
+                    Some(level) => b.sonet(level),
+                    None => b,
+                }
+            };
+            let mut simplex = builder().build().unwrap();
+            let mut duplex = builder().build_duplex().unwrap();
+            for p in &payloads {
+                simplex.send(0x0021, p);
+                assert_eq!(duplex.a.offer(0x0021, p, true), Offer::Accepted);
+            }
+            duplex.exchange();
+            let frames: Vec<(u16, Vec<u8>)> = duplex
+                .b
+                .dev
+                .take_received()
+                .into_iter()
+                .map(|f| (f.protocol, f.payload))
+                .collect();
+            let rx = *duplex.b.dev.rx_counters();
+            assert!(rx.errors() > 0, "{level:?}: the plan broke nothing");
+            simplex.run(10_000).unwrap();
+            let got = (simplex.deliveries(), *simplex.rx.rx_counters());
+            assert_eq!(got, (frames, rx), "{level:?}");
+        }
+    }
+
+    #[test]
+    fn cycle_model_duty_delivers_every_frame_in_order_through_the_queue() {
+        let payloads: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| (0..100 + i * 7).map(|j| (i ^ j) as u8).collect())
+            .collect();
+        let mut link = LinkBuilder::new().width(DatapathWidth::W8).build().unwrap();
+        // A continuous idle-fill line is cycle-model duty; a four-frame
+        // staged queue fills after the fourth send.
+        link.tx.dev.tx.escape.idle_fill = true;
+        link.tx.dev.tx.control.queue_depth = 4;
+        for p in &payloads {
+            link.send(0x0021, p);
+        }
+        assert!(link.tx.queued() > 0, "the queue path was never taken");
+        link.run(100_000).unwrap();
+        let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got, payloads);
+        let c = link.tx.counters;
+        assert_eq!((c.offered, c.accepted, c.shed), (40, 40, 0));
+        assert_eq!(link.rx_errors(), 0);
+        let tx = link.stage_stats()[0].1;
+        assert!(tx.cycles > 0, "the transmitter was never clocked");
+    }
+
+    #[test]
+    fn a_simplex_stall_storm_queues_frames_and_the_flush_drains_them() {
+        // 300 KB of wire against the 64 KiB mark: sends pump the line,
+        // and a storm holding it sends frames to the queue.
+        let plan = FaultSpec::clean().stall(0.9, 8).compile(6).unwrap();
+        let mut link = LinkBuilder::new().fault(plan).build().unwrap();
+        let payloads: Vec<Vec<u8>> = (0..300u32).map(|i| vec![i as u8; 1000]).collect();
+        let mut most_queued = 0;
+        for p in &payloads {
+            link.send(0x0021, p);
+            most_queued = most_queued.max(link.tx.queued());
+        }
+        assert!(most_queued > 0, "no storm held the line");
+        link.run(10_000).unwrap();
+        let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got, payloads);
+        assert!(link.stage_stats()[1].1.stall_cycles > 0);
+        assert!(link.stack().boundary_stats()[1].blocked > 0);
+    }
+
+    #[test]
+    fn duplex_stall_storm_holds_the_line_then_drains() {
+        // p_start = 1: every carry call stalls, in both directions.
+        let plan = FaultSpec::clean().stall(1.0, 4).compile(5).unwrap();
+        let mut link = LinkBuilder::new().fault(plan).build_duplex().unwrap();
+        assert_eq!(link.a.offer(0x0021, &[7; 100], true), Offer::Accepted);
+        for _ in 0..10 {
+            link.exchange();
+        }
+        assert!(
+            link.b.dev.take_received().is_empty(),
+            "a storm lands nothing"
+        );
+        assert!(link.a.dev.has_wire_out(), "held in the source device");
+        let stats = link.fault_stats();
+        assert_eq!(stats.stall_cycles, 20, "{stats:?}");
+        assert!(stats.stalls > 0);
+        link.clear_fault();
+        link.exchange();
+        let got = link.b.dev.take_received();
+        assert_eq!(got.len(), 1, "released, the held frame crosses");
+        assert_eq!(got[0].payload, vec![7; 100]);
     }
 }

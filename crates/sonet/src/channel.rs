@@ -8,7 +8,7 @@
 //! harness uses.  Only the bit-level (length-preserving) faults apply
 //! here — a physical section can flip payload bits under the scrambler,
 //! but byte slips and fabricated flags are stream-level faults injected
-//! by a `FaultStage` above the path.
+//! above the path, by the link's carriage on the delineated stream.
 
 use p5_fault::FaultPlan;
 

@@ -40,7 +40,6 @@ pub mod frame;
 pub mod mux;
 pub mod path;
 pub mod scramble;
-pub mod stream;
 
 pub use channel::{BitErrorChannel, ChannelStats};
 pub use channelized::TributaryGroup;
@@ -48,4 +47,3 @@ pub use frame::{FrameReceiver, FrameTransmitter, RxDefect, SectionStats, StmLeve
 pub use mux::{deinterleave, deinterleave_into, interleave, interleave_into};
 pub use path::{ByteLink, OcPath};
 pub use scramble::{FrameScrambler, PayloadScrambler};
-pub use stream::OcPathStage;

@@ -10,8 +10,8 @@
 //! backpressure propagates combinationally backwards exactly as in the RTL
 //! pipeline of the paper's Figure 3/4.
 //!
-//! Protocol crates implement [`StreamStage`] for their framers, channels and
-//! devices; [`Stack::compose`] (or the [`stack!`] macro) then chains any
+//! `p5-core` implements [`StreamStage`] for the device's two ends;
+//! [`Stack::compose`] (or the [`stack!`] macro) then chains any
 //! sequence of them with elastic buffers at each boundary and per-boundary
 //! [`StageStats`] hooks.
 

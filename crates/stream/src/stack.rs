@@ -376,7 +376,7 @@ impl std::fmt::Debug for Stack {
 }
 
 /// Compose a [`Stack`] from stage expressions:
-/// `let mut s = stack![TxStage::new(..), OcPathStage::new(..), RxStage::new(..)];`
+/// `let mut s = stack![TxStage::new(..), Throttle::new(..), RxStage::new(..)];`
 #[macro_export]
 macro_rules! stack {
     ($($stage:expr),+ $(,)?) => {

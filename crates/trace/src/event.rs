@@ -34,9 +34,6 @@ pub enum EventKind {
     Backpressure { boundary: &'static str },
     /// The µP wrote an OAM register over the MMIO bus.
     OamWrite { addr: u32, value: u32 },
-    /// A fault-injection stage perturbed the wire (`p5-fault`).  `kind`
-    /// is the stable `FaultKind` name (e.g. `"bit_error"`, `"slip"`).
-    Fault { kind: &'static str },
 }
 
 impl EventKind {
@@ -52,7 +49,6 @@ impl EventKind {
             EventKind::Delivered { .. } => "delivered",
             EventKind::Backpressure { .. } => "backpressure",
             EventKind::OamWrite { .. } => "oam_write",
-            EventKind::Fault { .. } => "fault",
         }
     }
 
@@ -66,9 +62,7 @@ impl EventKind {
             | EventKind::Delineated { id }
             | EventKind::CrcVerdict { id, .. }
             | EventKind::Delivered { id, .. } => Some(id),
-            EventKind::Backpressure { .. }
-            | EventKind::OamWrite { .. }
-            | EventKind::Fault { .. } => None,
+            EventKind::Backpressure { .. } | EventKind::OamWrite { .. } => None,
         }
     }
 }

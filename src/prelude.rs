@@ -19,14 +19,14 @@ pub use p5_core::{
     decap, encap, DatapathWidth, LinkCore, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5,
 };
 pub use p5_fault::{
-    BurstModel, FaultError, FaultKind, FaultPlan, FaultSpec, FaultStage, FaultStats, StallStorm,
+    BurstModel, FaultError, FaultKind, FaultPlan, FaultSpec, FaultStats, StallStorm,
 };
 pub use p5_hdlc::{DeframerConfig, FcsMode};
 pub use p5_link::{DuplexLink, Link, LinkBuilder, LinkError};
 pub use p5_obs::{serve, Collector, CollectorConfig, HealthPolicy, HealthState, ObsHub};
 pub use p5_ppp::{AuthPolicy, CredentialTable, NegotiationProfile, Session, SessionEvent};
 pub use p5_runtime::{Carrier, Fleet, FleetConfig, FleetStats, Sharding, TrafficSpec};
-pub use p5_sonet::{BitErrorChannel, OcPath, OcPathStage, StmLevel, TributaryGroup};
+pub use p5_sonet::{BitErrorChannel, OcPath, StmLevel, TributaryGroup};
 pub use p5_stream::{
     render_table, stack, Chain, Observable, Offer, Pipe, Poll, SharedRecorder, Snapshot, Stack,
     StageStats, StreamStage, Throttle, WireBuf, WordStream,
