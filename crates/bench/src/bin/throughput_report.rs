@@ -12,11 +12,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::{heading, imix_sizes, ip_like_datagram, payload_with_flag_density};
-use p5_core::{encap, DatapathWidth, RxStage, TxStage, P5};
+use p5_bench::{
+    heading, imix_sizes, interleaved_overhead, ip_like_datagram, payload_with_flag_density,
+};
+use p5_core::{DatapathWidth, P5};
 use p5_fpga::devices;
+use p5_link::{Link, LinkBuilder};
 use p5_rtl::synthesize_system;
-use p5_stream::{pool::alloc_count, StreamStage, WireBuf, WordStream};
+use p5_stream::{pool::alloc_count, BufPool};
 
 struct DatapathRun {
     bytes_per_cycle: f64,
@@ -43,89 +46,65 @@ fn datapath_run(width: DatapathWidth, datagrams: usize) -> DatapathRun {
 }
 
 struct FastPathRun {
-    /// Host-side simulation speed: wire bits through a fused
-    /// `TxStage → RxStage` link per wall-clock second (how fast the
-    /// simulator runs, not the modelled line rate).
+    /// Host-side simulation speed: wire bits through a fused simplex
+    /// [`Link`] per wall-clock second (how fast the simulator runs, not
+    /// the modelled line rate), from the median IMIX run.
     sim_wall_gbps: f64,
     /// Steady-state heap allocations per datagram (pool misses counted
     /// by `alloc_count`), measured after a warm-up batch has stocked the
-    /// buffer shelves.
+    /// buffer shelves; the most any IMIX run counted.
     allocs_per_frame: f64,
     /// Payload rate on 576-octet datagrams with one octet in four a flag
-    /// or an escape over the payload rate on the IMIX datagrams.
+    /// or an escape over the payload rate on the IMIX datagrams: one
+    /// over the median of per-pair ratios of seconds per payload octet.
     dense_over_clean: f64,
 }
 
-/// One batch of datagrams through a `TxStage → RxStage` link, swept the
-/// way `Stack::step` sweeps (sink→source, drain before offer) until fully
-/// drained; delivered frames are popped into `scratch` so every buffer
-/// is reused across batches.
-fn fast_path_batch(
-    tx: &mut TxStage,
-    rx: &mut RxStage,
-    payloads: &[Vec<u8>],
-    input: &mut WireBuf,
-    mid: &mut WireBuf,
-    out: &mut WireBuf,
-    scratch: &mut Vec<u8>,
-) {
-    for p in payloads {
-        encap(0x0021, p, input);
-    }
-    let mut sweeps = 0u32;
-    loop {
-        let _ = rx.drain(out);
-        let _ = rx.offer(mid);
-        let _ = tx.drain(mid);
-        let _ = tx.offer(input);
-        if input.is_empty() && mid.is_empty() && tx.is_idle() && rx.is_idle() {
-            let _ = rx.drain(out);
-            break;
+/// Datagrams sent before each drain: the receive shelf holds
+/// [`BufPool::MAX_SHELVED`] payload buffers, so a window no larger
+/// recycles every one of them.
+const WINDOW: usize = BufPool::MAX_SHELVED;
+
+/// One batch of datagrams through the link, in windows run to drain and
+/// delivered through [`Link::drain_deliveries`], which hands every
+/// payload buffer back to the receiver.
+fn fast_path_batch(link: &mut Link, payloads: &[Vec<u8>]) {
+    for window in payloads.chunks(WINDOW) {
+        for p in window {
+            link.send(0x0021, p);
         }
-        sweeps += 1;
-        assert!(sweeps < 10_000_000, "fused link failed to drain");
+        link.run(10_000_000).expect("fused link failed to drain");
+        let delivered = link.drain_deliveries(|_, _| {});
+        assert_eq!(delivered, window.len(), "fused link lost frames");
     }
-    while out.pop_frame_into(scratch).is_some() {}
 }
 
-/// What one timed rep of a payload set measured.
+/// What one timed run of a payload set measured.
 struct Rep {
     wall: f64,
     wire_bytes: f64,
     allocs: f64,
 }
 
-/// A fresh fused link, one untimed warm-up batch (it stocks the
+/// A fresh link, one untimed warm-up batch (it stocks the
 /// recycled-buffer shelves, so the timed rounds see the steady state),
 /// then `rounds` timed batches.
 fn fast_path_rep(width: DatapathWidth, payloads: &[Vec<u8>], rounds: usize) -> Rep {
-    let mut tx = TxStage::new(P5::new(width));
-    let mut rx = RxStage::new(P5::new(width));
-    let mut input = WireBuf::new();
-    let mut mid = WireBuf::new();
-    let mut out = WireBuf::new();
-    let mut scratch = Vec::new();
-    let mut batch = |tx: &mut TxStage, rx: &mut RxStage| {
-        fast_path_batch(
-            tx,
-            rx,
-            payloads,
-            &mut input,
-            &mut mid,
-            &mut out,
-            &mut scratch,
-        )
-    };
-    batch(&mut tx, &mut rx);
-    let bytes0 = StreamStage::stats(&tx).bytes_out;
+    let mut link = LinkBuilder::new()
+        .width(width)
+        .build()
+        .expect("clean link builds");
+    fast_path_batch(&mut link, payloads);
+    let line_bytes = |link: &Link| link.stack().boundary_stats()[1].bytes_out;
+    let bytes0 = line_bytes(&link);
     let allocs0 = alloc_count::events();
     let started = Instant::now();
     for _ in 0..rounds {
-        batch(&mut tx, &mut rx);
+        fast_path_batch(&mut link, payloads);
     }
     Rep {
         wall: started.elapsed().as_secs_f64(),
-        wire_bytes: (StreamStage::stats(&tx).bytes_out - bytes0) as f64,
+        wire_bytes: (line_bytes(&link) - bytes0) as f64,
         allocs: (alloc_count::events() - allocs0) as f64,
     }
 }
@@ -140,43 +119,38 @@ fn fast_path_run(width: DatapathWidth, datagrams: usize) -> FastPathRun {
     let dense: Vec<Vec<u8>> = (0..datagrams)
         .map(|i| payload_with_flag_density(576, 0.25, i as u64))
         .collect();
-    // Enough rounds per rep that the timed region moves ≥ ~2 MB of
-    // payload — long enough for a stable clock reading even in smoke
-    // mode.  The wall clock is noisy where the cycle count is not: one
-    // untimed warm-up rep, then the identical rep repeated with the
-    // best time kept, so scheduler noise can't fake a regression.
-    // Shared hosts throttle in windows of tens of milliseconds, so the
-    // reps are spread out with short sleeps — one of them lands in a
-    // fast window even when a single burst would sit entirely in a
-    // slow one.  The two payload sets alternate within each rep, so the
-    // dense/clean ratio compares readings taken side by side.
+    // Enough rounds per run that the timed region moves ≥ ~2 MB of
+    // payload.  The wall clock is noisy where the cycle count is not,
+    // and shared hosts throttle in windows of tens of milliseconds, so
+    // the two sets alternate run by run (`interleaved_overhead`): each
+    // dense run is read against the IMIX runs on either side of it, and
+    // the gate reads the median of those per-pair ratios.
     let payload_bytes = |set: &[Vec<u8>]| set.iter().map(Vec::len).sum::<usize>();
     let rounds = |set: &[Vec<u8>]| (2 * 1024 * 1024 / payload_bytes(set).max(1)).max(1);
     let (imix_rounds, dense_rounds) = (rounds(&imix), rounds(&dense));
-    let (mut best_imix, mut best_dense) = (f64::INFINITY, f64::INFINITY);
-    let mut wire_bytes = 0f64;
-    let mut allocs_per_frame = f64::INFINITY;
-    for rep in 0..=4 {
-        let clean = fast_path_rep(width, &imix, imix_rounds);
-        let escaped = fast_path_rep(width, &dense, dense_rounds);
-        if rep == 0 {
-            continue; // process warm-up
+    let imix_payload = (payload_bytes(&imix) * imix_rounds) as f64;
+    let mut wire_per_payload = 0f64;
+    let mut allocs_per_frame = 0f64;
+    let (imix_s, _, dense_per_clean) = interleaved_overhead(PAIRS, |dense_set| {
+        if dense_set {
+            let run = fast_path_rep(width, &dense, dense_rounds);
+            return run.wall / (payload_bytes(&dense) * dense_rounds) as f64;
         }
-        wire_bytes = clean.wire_bytes;
-        best_imix = best_imix.min(clean.wall);
-        best_dense = best_dense.min(escaped.wall);
-        allocs_per_frame = allocs_per_frame.min(clean.allocs / (imix_rounds * imix.len()) as f64);
-        std::thread::sleep(std::time::Duration::from_millis(40));
-    }
-    let rate =
-        |set: &[Vec<u8>], rounds: usize, wall: f64| (payload_bytes(set) * rounds) as f64 / wall;
+        let run = fast_path_rep(width, &imix, imix_rounds);
+        wire_per_payload = run.wire_bytes / imix_payload;
+        allocs_per_frame = allocs_per_frame.max(run.allocs / (imix_rounds * imix.len()) as f64);
+        run.wall / imix_payload
+    });
     FastPathRun {
-        sim_wall_gbps: wire_bytes * 8.0 / best_imix / 1e9,
+        sim_wall_gbps: wire_per_payload * 8.0 / imix_s / 1e9,
         allocs_per_frame,
-        dense_over_clean: rate(&dense, dense_rounds, best_dense)
-            / rate(&imix, imix_rounds, best_imix),
+        dense_over_clean: 1.0 / dense_per_clean,
     }
 }
+
+/// Dense runs in the interleaved measurement, each between two IMIX
+/// runs.
+const PAIRS: usize = 15;
 
 /// Host-simulation speed of the pre-vectorisation engine (recorded in
 /// EXPERIMENTS.md) — the denominators for the `sim_wall_uplift` column.
@@ -206,9 +180,9 @@ fn main() {
     let min_sim32 = arg_value(&args, "--min-sim32");
     let max_allocs = arg_value(&args, "--max-allocs-per-frame");
     // Byte-sorter gate: the fused link's payload rate on escape-dense
-    // datagrams over its IMIX rate, measured side by side — a ratio, so
-    // host speed cancels; per-octet escape handling reads ~0.22, the
-    // word-wide byte sorter 0.5-0.65.
+    // datagrams over its IMIX rate, the median of interleaved per-pair
+    // ratios — a ratio, so host speed cancels; per-octet escape
+    // handling reads ~0.22, the word-wide byte sorter ~0.37.
     let min_dense = arg_value(&args, "--min-dense-over-clean");
     let datagrams = if smoke { 40 } else { 200 };
     print!(

@@ -7,9 +7,10 @@
 //!    on each.  Every frame's submit → framed → stuffed → wire →
 //!    delineated → CRC verdict → delivered chain is matched up by
 //!    frame id and the cycle-exact latency histogrammed.
-//! 2. **Stall attribution** — a `TxStage → throttled link → RxStage`
-//!    stack over the same traffic; the per-boundary
-//!    offered/accepted/rejected/blocked table names the bottleneck.
+//! 2. **Stall attribution** — a simplex link whose line a seeded
+//!    stall plan holds, sent a window past the transmitter's wire
+//!    high-water mark; the admission and line boundaries'
+//!    offered/accepted/blocked table names where frames waited.
 //! 3. **Overhead gate** — the instrumented-but-disabled device re-runs
 //!    the throughput workload; its deterministic bytes/cycle must stay
 //!    within `--max-overhead-pct` (default 3%) of the baseline recorded
@@ -30,10 +31,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use p5_bench::{heading, imix_sizes, interleaved_overhead, ip_like_datagram};
-use p5_core::{encap_tagged, DatapathWidth, RxStage, TxStage, P5};
+use p5_core::{DatapathWidth, P5};
+use p5_fault::FaultSpec;
 use p5_link::LinkBuilder;
 use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
-use p5_stream::{stack, Pipe, SharedRecorder, Throttle};
+use p5_stream::SharedRecorder;
 use p5_trace::{EventKind, Histogram};
 
 /// One direction's latency summary from matched Submit/Delivered events.
@@ -183,46 +185,61 @@ fn event_census(rec: &SharedRecorder) -> String {
         .join(" ")
 }
 
-/// Drive a tx → throttled-link → rx stack and return the rendered stall
-/// table plus the boundary counters for the JSON report.  The throttled
-/// middle stage is a custom topology `LinkBuilder` does not model, so
-/// this uses the raw `stack!` escape hatch by design.
-fn stall_run(width: DatapathWidth, frames: usize) -> (String, String, usize) {
-    let mut s = stack![
-        TxStage::new(P5::new(width)),
-        // A link that refuses two sweeps in three (odd pattern length so
-        // the two gate draws per sweep walk the whole pattern).
-        Throttle::new(Pipe::new(), vec![true, false, false]),
-        RxStage::new(P5::new(width)),
-    ];
-    let rec = SharedRecorder::with_capacity(1 << 14);
-    s.set_sink(Box::new(rec.clone()));
-    for (i, len) in imix_sizes(frames, 31).iter().enumerate() {
-        encap_tagged(
-            0x0021,
-            &ip_like_datagram(*len, i as u64),
-            i as u32 + 1,
-            s.input(),
-        );
+/// Send `datagrams` IMIX datagrams over a simplex link whose line a
+/// seeded stall plan holds, run it to drain, and return the rendered
+/// stall table, the boundary counters for the JSON report and the
+/// plan's stall decisions.  The window passes the transmitter's wire
+/// high-water mark, so sends pump the line and storms queue frames.
+fn stall_run(width: DatapathWidth, datagrams: usize) -> (String, String, u64) {
+    let plan = FaultSpec::clean()
+        .stall(0.5, 8)
+        .compile(31)
+        .expect("stall spec is valid");
+    let mut link = LinkBuilder::new()
+        .width(width)
+        .fault(plan)
+        .build()
+        .expect("stalled link builds");
+    for (i, len) in imix_sizes(datagrams, 31).iter().enumerate() {
+        link.send(0x0021, &ip_like_datagram(*len, i as u64));
     }
-    assert!(s.run_until_idle(400_000), "stall stack failed to drain");
+    link.run(400_000).expect("stalled link failed to drain");
+    assert_eq!(
+        link.drain_deliveries(|_, _| {}),
+        datagrams,
+        "a storm lost frames"
+    );
+    let mut table = format!(
+        "{:<10} {:>9} {:>9} {:>9} {:>8} {:>10}\n",
+        "boundary", "offered", "accepted", "blocked", "blocked%", "bytes"
+    );
     let mut json = String::new();
-    for (i, snap) in s.boundary_snapshots().iter().enumerate() {
-        if i > 0 {
+    for (name, b) in link.stack().named_boundaries() {
+        let _ = writeln!(
+            table,
+            "{name:<10} {:>9} {:>9} {:>9} {:>7.1}% {:>10}",
+            b.offered,
+            b.accepted,
+            b.blocked,
+            100.0 * b.blocked as f64 / b.offered.max(1) as f64,
+            b.bytes_out,
+        );
+        if !json.is_empty() {
             json.push_str(", ");
         }
         let _ = write!(
             json,
-            "{{\"boundary\": \"{}\", \"offered\": {}, \"accepted\": {}, \
-             \"rejected\": {}, \"blocked\": {}}}",
-            snap.scope,
-            snap.get("offered").unwrap_or(0),
-            snap.get("accepted").unwrap_or(0),
-            snap.get("rejected").unwrap_or(0),
-            snap.get("blocked").unwrap_or(0),
+            "{{\"boundary\": \"{name}\", \"offered\": {}, \"accepted\": {}, \
+             \"blocked\": {}}}",
+            b.offered, b.accepted, b.blocked,
         );
     }
-    (s.stall_table(), json, rec.len())
+    let stall_cycles = link
+        .stage_stats()
+        .into_iter()
+        .find(|(name, _)| *name == "fault")
+        .map_or(0, |(_, st)| st.stall_cycles);
+    (table, json, stall_cycles)
 }
 
 /// Deterministic bytes/cycle of the throughput workload, with tracing
@@ -359,18 +376,19 @@ fn main() {
             d.b2a.json()
         );
 
-        // 2. Stall attribution through a throttled stack.
-        let (table, boundaries_json, bp_events) = stall_run(width, frames);
-        println!("\nstall attribution (throttled link, {frames} frames):");
+        // 2. Stall attribution on a link under a seeded stall plan.
+        let stall_frames = 40 * frames;
+        let (table, boundaries_json, stall_cycles) = stall_run(width, stall_frames);
+        println!("\nstall attribution (stalled line, {stall_frames} frames):");
         print!("{table}");
-        println!("backpressure events recorded: {bp_events}");
+        println!("stall decisions that held the line: {stall_cycles}");
         if !stall_rows.is_empty() {
             stall_rows.push_str(",\n");
         }
         let _ = write!(
             stall_rows,
-            "    {{\"width_bits\": {bits}, \"backpressure_events\": {bp_events}, \
-             \"boundaries\": [{boundaries_json}]}}"
+            "    {{\"width_bits\": {bits}, \"frames\": {stall_frames}, \
+             \"stall_cycles\": {stall_cycles}, \"boundaries\": [{boundaries_json}]}}"
         );
 
         // 3. Overhead: instrumented-but-disabled vs the recorded baseline.

@@ -58,13 +58,11 @@ pub mod oam;
 pub mod p5;
 pub mod rx;
 pub mod stager;
-pub mod stream;
 pub mod tx;
 pub mod word;
 
 pub use link::{Carriage, LinkCore, LinkCounters};
 pub use oam::{regs, HealthCounters, Interrupt, MmioBus, Oam, OamHandle};
 pub use p5::{DatapathWidth, ReceivedFrame, P5};
-pub use stream::{decap, encap, encap_tagged, RxStage, TxStage};
 pub use tx::TxQueueFull;
 pub use word::Word;

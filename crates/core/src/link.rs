@@ -233,8 +233,10 @@ impl Carriage {
         taken
     }
 
-    /// End any stall storm in progress: a draining owner calls it before
-    /// its flushing carry, so chaos cannot hold the line to the end.
+    /// End any stall storm in progress, and let the next carry take the
+    /// line if the last one was held ([`FaultPlan::release_stall`]): a
+    /// draining owner calls it before each carry, so chaos cannot hold
+    /// the line to the end, even at `p_start` = 1.
     pub fn release_stall(&mut self) {
         if let Some(plan) = &mut self.plan {
             plan.release_stall();

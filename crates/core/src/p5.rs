@@ -8,7 +8,7 @@ use crate::word::Word;
 use p5_crc::{fcs16_wire_bytes, fcs32_wire_bytes, CrcEngine, EngineKind, FcsEngine};
 use p5_hdlc::sorter::destuff_run;
 use p5_hdlc::{stuff_into, Accm, FcsMode, FLAG};
-use p5_stream::{Event, EventKind, FrameId, NullSink, Poll, TraceSink, WireBuf, WordStream};
+use p5_stream::{Event, EventKind, FrameId, NullSink, TraceSink, WireBuf};
 use std::collections::VecDeque;
 
 pub use crate::rx::ReceivedFrame;
@@ -99,9 +99,8 @@ struct TraceState {
 
 /// Above this many pending wire-out bytes the transmitter deasserts
 /// ready: [`P5::offer_frame`] answers *not now* and the frame waits in
-/// the caller's queue until the PHY side drains.
-/// [`crate::stream::TxStage`] uses the same mark to bound how far it
-/// runs ahead of an unconsuming downstream.
+/// the caller's queue until the PHY side drains.  A link's
+/// [`crate::Carriage`] uses the same mark as its line-clear test.
 pub const FUSED_WIRE_HIGH_WATER: usize = 64 * 1024;
 
 /// State of the fused (stage-hop-skipping) fast paths: persistent FCS
@@ -222,10 +221,6 @@ impl P5 {
         self.sink = sink;
     }
 
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_enabled
-    }
-
     pub fn width(&self) -> DatapathWidth {
         self.width
     }
@@ -241,7 +236,7 @@ impl P5 {
     /// [`P5::submit`] with a caller-chosen frame id for trace correlation
     /// (`0` = assign the next internal id).  The id rides the FIFO frame
     /// flow through every lifecycle event.
-    pub fn submit_tagged(
+    pub(crate) fn submit_tagged(
         &mut self,
         protocol: u16,
         payload: Vec<u8>,
@@ -294,20 +289,8 @@ impl P5 {
         out.move_from(&mut self.wire_out, usize::MAX)
     }
 
-    /// Bounded [`P5::drain_wire_into`]: move at most `max` pending wire
-    /// bytes, leaving the rest to back-pressure the transmitter.
-    pub fn drain_wire_into_bounded(&mut self, out: &mut WireBuf, max: usize) -> usize {
-        out.move_from(&mut self.wire_out, max)
-    }
-
     pub fn has_wire_out(&self) -> bool {
         !self.wire_out.is_empty()
-    }
-
-    /// Wire bytes delivered by the PHY but not yet clocked into the
-    /// receiver.
-    pub fn wire_in_pending(&self) -> usize {
-        self.wire_in.len()
     }
 
     /// Frames delivered to receive shared memory since the last call.
@@ -439,7 +422,7 @@ impl P5 {
         self.submit_tagged(protocol, buf, id).is_ok()
     }
 
-    /// Fused encap → FCS → stuff → wire fast path: one call takes a
+    /// Fused header → FCS → stuff → wire fast path: one call takes a
     /// payload from shared memory to complete wire bytes, skipping the
     /// per-word stage hops of the cycle model.  Byte-for-byte identical
     /// wire output (flag sharing included), same lifecycle trace events,
@@ -781,21 +764,6 @@ impl P5 {
         if prev.tx_busy && !image.tx_busy {
             self.oam.raise(Interrupt::TxDone);
         }
-    }
-}
-
-/// The device's PHY pins as a [`WordStream`]: `offer` is the PHY
-/// delivering receive-direction wire bytes, `drain` is the PHY pulling
-/// transmit-direction wire bytes.  Neither call clocks the device — the
-/// driver loop (or a [`crate::stream::TxStage`]/[`crate::stream::RxStage`]
-/// wrapper, which do clock it) stays in charge of time.
-impl WordStream for P5 {
-    fn offer(&mut self, input: &mut WireBuf) -> Poll {
-        Poll::Ready(self.wire_in.move_from(input, usize::MAX))
-    }
-
-    fn drain(&mut self, output: &mut WireBuf) -> Poll {
-        Poll::Ready(output.move_from(&mut self.wire_out, usize::MAX))
     }
 }
 
@@ -1190,9 +1158,9 @@ mod tests {
     #[test]
     fn tracing_is_off_by_default_and_null_sink_records_nothing() {
         let (mut a, mut b) = link_pair(DatapathWidth::W32);
-        assert!(!a.trace_enabled());
+        assert!(!a.trace_enabled);
         a.set_trace(Box::new(NullSink));
-        assert!(!a.trace_enabled());
+        assert!(!a.trace_enabled);
         a.submit(0x0021, vec![0x22; 16]).unwrap();
         shuttle(&mut a, &mut b, 500);
         assert_eq!(b.take_received().len(), 1);

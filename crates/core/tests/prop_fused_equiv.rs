@@ -1,6 +1,6 @@
 //! The fused fast path is an *optimisation*, not a behaviour: under any
 //! traffic mix, width, and backpressure pattern, a link running the
-//! fused encap→stuff→wire / delineate→destuff→decap paths delivers
+//! fused frame→stuff→wire / delineate→destuff→deliver paths delivers
 //! exactly what the staged cycle-accurate pipeline delivers — the same
 //! frames in the same order, the same flow totals, and the same
 //! per-frame lifecycle trace events.
@@ -9,8 +9,8 @@
 //! path does not advance `cycles`, so per-cycle occupancy, latency and
 //! `StageStats::cycles` are cycle-model-only readings (DESIGN.md §15).
 
-use p5_core::{decap, encap_tagged, DatapathWidth, RxStage, TxStage, P5};
-use p5_stream::{EventKind, FrameId, SharedRecorder, StreamStage, Throttle, WireBuf, WordStream};
+use p5_core::{DatapathWidth, P5};
+use p5_stream::{EventKind, FrameId, SharedRecorder, WireBuf};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -31,8 +31,34 @@ struct Observed {
     rx_errors: u64,
 }
 
-/// Drive `TxStage → RxStage` with per-stage throttles, exactly like a
-/// `Stack` sweep (sink→source, drain before offer), until fully drained.
+/// Device clocks one sweep may spend on the transmitter; the receiver
+/// gets twice that, to chew what a whole burst put on the line.
+const BURST: usize = 256;
+
+/// Clock `dev` while it holds cycle-model work, at most `budget` times.
+fn clock(dev: &mut P5, budget: usize) {
+    for _ in 0..budget {
+        if !dev.needs_clock() {
+            return;
+        }
+        dev.clock();
+    }
+}
+
+/// Move every frame the receiver holds into `out`.
+fn pop_all(rx: &mut P5, out: &mut Vec<(u16, Vec<u8>)>) {
+    while let Some(f) = rx.pop_received() {
+        out.push((f.protocol, f.payload));
+    }
+}
+
+/// Drive a transmitting and a receiving device as one link, each side
+/// gated by its own repeating ready pattern, sink first each sweep,
+/// until fully drained.  A sweep whose receive gate is up ingests the
+/// line, clocks a receiver in cycle-model duty and pops deliveries; one
+/// whose transmit gate is up clocks a transmitter in cycle-model duty,
+/// drains its wire onto the line and offers frames, each tagged with
+/// its id, until the device answers *not now*.
 fn run_link(
     fused: bool,
     width: DatapathWidth,
@@ -41,50 +67,51 @@ fn run_link(
     rx_pattern: &[bool],
 ) -> Observed {
     let rec = SharedRecorder::with_capacity(1 << 15);
-    let mut tx_dev = P5::new(width);
-    tx_dev.fused_enabled = fused;
-    tx_dev.set_trace(Box::new(rec.clone()));
-    let mut rx_dev = P5::new(width);
-    rx_dev.fused_enabled = fused;
-    rx_dev.set_trace(Box::new(rec.clone()));
-    let mut tx = Throttle::new(TxStage::new(tx_dev), tx_pattern.to_vec());
-    let mut rx = Throttle::new(RxStage::new(rx_dev), rx_pattern.to_vec());
+    let mut txd = P5::new(width);
+    txd.fused_enabled = fused;
+    txd.set_trace(Box::new(rec.clone()));
+    let mut rxd = P5::new(width);
+    rxd.fused_enabled = fused;
+    rxd.set_trace(Box::new(rec.clone()));
 
-    let mut input = WireBuf::new();
-    let mut mid = WireBuf::new();
-    let mut out = WireBuf::new();
-    for (i, payload) in frames.iter().enumerate() {
-        encap_tagged(0x0021, payload, (i + 1) as FrameId, &mut input);
-    }
-    let mut sweeps = 0u32;
+    let mut line = WireBuf::new();
+    let mut delivered = Vec::new();
+    let mut next = 0;
+    let mut sweeps = 0usize;
     loop {
-        rx.drain(&mut out);
-        rx.offer(&mut mid);
-        tx.drain(&mut mid);
-        tx.offer(&mut input);
-        if input.is_empty() && mid.is_empty() && tx.is_idle() && rx.is_idle() {
-            // One closing sweep moves the last classified frames out.
-            rx.drain(&mut out);
+        if rx_pattern[sweeps % rx_pattern.len()] {
+            rxd.ingest_wire(&mut line, usize::MAX);
+            clock(&mut rxd, 2 * BURST);
+            pop_all(&mut rxd, &mut delivered);
+        }
+        if tx_pattern[sweeps % tx_pattern.len()] {
+            clock(&mut txd, BURST);
+            txd.drain_wire_into(&mut line);
+            while next < frames.len() && txd.offer_frame(0x0021, &frames[next], next as FrameId + 1)
+            {
+                next += 1;
+            }
+        }
+        let idle = next == frames.len()
+            && line.is_empty()
+            && !txd.has_wire_out()
+            && !txd.needs_clock()
+            && !rxd.needs_clock();
+        if idle {
+            // The closing sweep moves the last classified frames out.
+            pop_all(&mut rxd, &mut delivered);
             break;
         }
         sweeps += 1;
-        assert!(sweeps < 200_000, "throttled link failed to drain");
+        assert!(sweeps < 200_000, "gated link failed to drain");
     }
 
-    let mut delivered = Vec::new();
-    let mut frame = Vec::new();
-    while out.pop_frame_into(&mut frame).is_some() {
-        let (proto, payload) = decap(&frame).expect("delivered frames carry a protocol");
-        delivered.push((proto, payload.to_vec()));
-    }
     let mut lifecycles: BTreeMap<FrameId, Vec<EventKind>> = BTreeMap::new();
     for ev in rec.events() {
         if let Some(id) = ev.kind.frame_id() {
             lifecycles.entry(id).or_default().push(ev.kind);
         }
     }
-    let txd = tx.inner.device();
-    let rxd = rx.inner.device();
     Observed {
         delivered,
         lifecycles,
@@ -135,19 +162,11 @@ proptest! {
         wide in any::<bool>(),
     ) {
         let width = if wide { DatapathWidth::W32 } else { DatapathWidth::W8 };
-        // At least one ready beat per pattern (or nothing ever moves),
-        // and an odd length so the pattern cannot phase-lock with the
-        // two gate draws each sweep performs per stage.
+        // At least one ready beat per pattern, or nothing ever moves.
         let mut tx_pattern = tx_pattern;
         tx_pattern.push(true);
-        if tx_pattern.len() % 2 == 0 {
-            tx_pattern.push(true);
-        }
         let mut rx_pattern = rx_pattern;
         rx_pattern.push(true);
-        if rx_pattern.len() % 2 == 0 {
-            rx_pattern.push(true);
-        }
         let fused = run_link(true, width, &frames, &tx_pattern, &rx_pattern);
         let staged = run_link(false, width, &frames, &tx_pattern, &rx_pattern);
         // Identity first (a sharper failure than fused-vs-staged diff):

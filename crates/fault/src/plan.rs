@@ -367,6 +367,10 @@ pub struct FaultPlan {
     truncate_remaining: usize,
     /// Handshake refusals left in the active stall storm.
     stall_remaining: u32,
+    /// The last stall decision held the line.
+    stall_held: bool,
+    /// [`FaultPlan::release_stall`] waived the next stall decision.
+    stall_waived: bool,
     stats: FaultStats,
 }
 
@@ -381,6 +385,8 @@ impl FaultPlan {
             in_burst: false,
             truncate_remaining: 0,
             stall_remaining: 0,
+            stall_held: false,
+            stall_waived: false,
             stats: FaultStats::default(),
         })
     }
@@ -518,17 +524,26 @@ impl FaultPlan {
     /// One backpressure decision: `true` means "hold this transfer".
     /// Storms are bounded by [`StallStorm::max_len`];
     /// [`FaultPlan::release_stall`] cancels one early (a draining link
-    /// calls it before its flushing transfer).
+    /// calls it before each transfer).
     pub fn stall_gate(&mut self) -> bool {
-        if self.stall_remaining > 0 {
+        let waived = std::mem::take(&mut self.stall_waived);
+        self.stall_held = if self.stall_remaining > 0 {
             self.stall_remaining -= 1;
             self.stats.stall_cycles += 1;
-            return true;
-        }
+            true
+        } else {
+            self.start_storm(waived)
+        };
+        self.stall_held
+    }
+
+    fn start_storm(&mut self, waived: bool) -> bool {
         let Some(storm) = self.spec.stall else {
             return false;
         };
-        if storm.p_start > 0.0 && self.rng.gen_bool(storm.p_start) {
+        // A waived decision still makes its start draw, so the seeded
+        // schedule after it is the one a plan that drew no storm sees.
+        if storm.p_start > 0.0 && self.rng.gen_bool(storm.p_start) && !waived {
             self.stall_remaining = self.rng.gen_range(0..storm.max_len);
             self.stats.stalls += 1;
             self.stats.stall_cycles += 1;
@@ -537,9 +552,12 @@ impl FaultPlan {
         false
     }
 
-    /// Cancel any stall storm in progress.
+    /// Cancel any stall storm in progress.  If the last decision held
+    /// the line, the next one lets its transfer through, so a storm
+    /// cannot restart at once — at `p_start` = 1 it otherwise would.
     pub fn release_stall(&mut self) {
         self.stall_remaining = 0;
+        self.stall_waived = self.stall_held;
     }
 
     /// One whole-transfer loss decision (for control-plane ferries that
@@ -695,15 +713,20 @@ mod tests {
                 "storm re-arms every call at p_start = 1, but each run is bounded"
             );
             if run == 50 {
-                p.release_stall();
-                // After release the next refusal is a *new* storm.
-                let before = p.stats().stalls;
-                let _ = p.stall_gate();
-                assert!(p.stats().stalls >= before);
                 break;
             }
         }
         assert!(p.stats().stall_cycles > 0);
+        // A release after a held decision lets the next transfer
+        // through; one after a transfer went through waives nothing.
+        let mut p = FaultSpec::clean().stall(1.0, 1).compile(11).unwrap();
+        assert!(p.stall_gate());
+        p.release_stall();
+        let stalls = p.stats().stalls;
+        assert!(!p.stall_gate(), "released, the line is taken");
+        assert_eq!(p.stats().stalls, stalls);
+        p.release_stall();
+        assert!(p.stall_gate(), "nothing held, nothing waived");
     }
 
     #[test]

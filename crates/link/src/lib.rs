@@ -33,8 +33,9 @@
 //! a [`DuplexLink`] — two ends and a carriage each way — for the
 //! control-plane (LCP/IPCP) scenarios that need traffic both ways.
 //!
-//! The raw `stack!` macro remains the supported low-level escape hatch
-//! for custom topologies; this crate is the paved road.
+//! Below the builder, a link is those parts and nothing else: a custom
+//! topology is a loop over [`LinkCore`], [`Carriage`] and
+//! [`P5::ingest_wire`], the way [`Link`] and the fleet drive them.
 
 use p5_core::link::{Carriage, LinkCore, DEFAULT_INGRESS_DEPTH};
 use p5_core::oam::{rx_errors, Oam};
@@ -343,6 +344,12 @@ impl PassStats {
     pub fn boundary_stats(&self) -> &[StageStats] {
         &self.boundary
     }
+
+    /// [`PassStats::boundary_stats`] with each boundary's name:
+    /// `"admission"`, then `"line"`.
+    pub fn named_boundaries(&self) -> impl Iterator<Item = (&'static str, &StageStats)> {
+        ["admission", "line"].into_iter().zip(&self.boundary)
+    }
 }
 
 impl Link {
@@ -378,17 +385,18 @@ impl Link {
 
     /// One pass: admit queued frames, clock a transmitter in
     /// cycle-model duty, carry its wire, and ingest the landed octets
-    /// (clocking a receiver in cycle-model duty).  With `flush`, a
-    /// transmitter between frames with nothing queued also pads out the
-    /// path's last SPE, any stall storm released first.
-    fn pump(&mut self, flush: bool) {
+    /// (clocking a receiver in cycle-model duty).  While draining, any
+    /// stall storm is released before the carry — a storm never holds
+    /// the line two passes running — and a transmitter between frames
+    /// with nothing queued also pads out the path's last SPE.
+    fn pump(&mut self, drain: bool) {
         self.passes.steps += 1;
         self.tx.admit_queued(true);
         clock(&mut self.tx.dev, TX_CLOCKS);
-        let flush = flush && self.tx.queued() == 0 && self.tx.dev.tx.idle();
-        if flush {
+        if drain {
             self.line.release_stall();
         }
+        let flush = drain && self.tx.queued() == 0 && self.tx.dev.tx.idle();
         let pending = self.tx.dev.has_wire_out();
         let carried = self.line.carry(&mut self.tx.dev, flush);
         if pending {
@@ -422,6 +430,21 @@ impl Link {
             out.push((f.protocol, f.payload));
         }
         out
+    }
+
+    /// Hand everything delivered so far to `visit(protocol, payload)`,
+    /// in arrival order, then give each payload's storage back to the
+    /// receiver ([`P5::recycle_rx_payload`]): a steady-state link
+    /// drained this way allocates nothing per frame.  Returns the
+    /// frames visited.
+    pub fn drain_deliveries(&mut self, mut visit: impl FnMut(u16, &[u8])) -> usize {
+        let mut n = 0;
+        while let Some(f) = self.rx.pop_received() {
+            visit(f.protocol, &f.payload);
+            self.rx.recycle_rx_payload(f.payload);
+            n += 1;
+        }
+        n
     }
 
     /// Register-bus view of the transmit device's OAM block.
@@ -989,6 +1012,53 @@ mod tests {
         assert_eq!(got, payloads);
         assert!(link.stage_stats()[1].1.stall_cycles > 0);
         assert!(link.stack().boundary_stats()[1].blocked > 0);
+    }
+
+    #[test]
+    fn a_certain_stall_storm_releases_for_the_flush_and_drains() {
+        // p_start = 1: every decision a release does not waive stalls.
+        // The first pass's carry is held; the next pass releases the
+        // storm, and its carry takes the line.
+        let plan = FaultSpec::clean().stall(1.0, 4).compile(5).unwrap();
+        let mut link = LinkBuilder::new().fault(plan).build().unwrap();
+        link.send(0x0021, &[7; 100]);
+        link.run(100).unwrap();
+        assert_eq!(link.deliveries(), vec![(0x0021, vec![7; 100])]);
+        let line = link.stack().boundary_stats()[1];
+        let taken = (line.offered, line.accepted, line.blocked);
+        assert_eq!(taken, (2, 1, 1), "{line:?}");
+    }
+
+    #[test]
+    fn drain_deliveries_visits_what_deliveries_returns() {
+        let plan = FaultSpec::clean()
+            .ber(2e-4)
+            .slip(1e-3)
+            .stall(0.3, 6)
+            .compile(17)
+            .unwrap();
+        let payloads: Vec<Vec<u8>> = (0..120u32)
+            .map(|i| (0..40 + i * 97 % 1460).map(|j| (i * 5 + j) as u8).collect())
+            .collect();
+        let mut links = [(); 2].map(|_| LinkBuilder::new().fault(plan.clone()).build().unwrap());
+        for link in &mut links {
+            for (i, p) in payloads.iter().enumerate() {
+                link.send(0x0021 + (i % 3) as u16, p);
+            }
+            link.run(100_000).unwrap();
+        }
+        let [moved, visited] = &mut links;
+        let want = moved.deliveries();
+        let mut got = Vec::new();
+        let n =
+            visited.drain_deliveries(|protocol, payload| got.push((protocol, payload.to_vec())));
+        assert_eq!(n, got.len());
+        assert_eq!(got, want);
+        assert!(
+            !want.is_empty() && moved.rx_errors() > 0,
+            "the plan broke nothing"
+        );
+        assert_eq!(visited.drain_deliveries(|_, _| panic!("drained twice")), 0);
     }
 
     #[test]

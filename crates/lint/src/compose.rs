@@ -5,8 +5,8 @@
 //! hazards that only exist once stages are *wired together*.  This pass
 //! abstracts every stage to a [`StageContract`] — which boundary
 //! signals it couples combinationally — composes the contracts over a
-//! stage topology (a [`LinkGraph`], exportable from
-//! `p5_stream::Stack`/`p5-link` via [`LinkGraph::from_topology`]), and
+//! stage topology (a [`LinkGraph`], built from the `p5_stream::Topology`
+//! a `p5-link` link exports via [`LinkGraph::from_topology`]), and
 //! looks for two composition-only failures:
 //!
 //! * a **combinational ready/valid cycle** across module boundaries: a
@@ -62,7 +62,7 @@ impl StageContract {
     /// contract of the *fused* super-stage: the boundary couplings an
     /// outside observer sees when the whole chain executes as one
     /// operation (the software fast path does exactly this — one call
-    /// carries a frame from encap to wire bytes).  Computed by
+    /// carries a frame from payload to wire bytes).  Computed by
     /// reachability over the chain's boundary-signal dependency graph,
     /// so indirect couplings (e.g. `in_ready ← out_ready` only via a
     /// middle stage) are found, not just per-flag conjunctions.

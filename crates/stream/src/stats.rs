@@ -1,16 +1,16 @@
 //! Per-stage instrumentation: the observables behind the paper's
 //! Figure 5/6 discussion (stalls, buffer occupancy, backpressure).
 //!
-//! `StageStats` started life inside `p5-core`; it now lives here so every
-//! crate that implements [`crate::StreamStage`] can report through the same
-//! counters, and so [`crate::Stack`] can keep a `StageStats` per boundary.
+//! `StageStats` started life inside `p5-core`; it now lives here so the
+//! device pipelines, a simplex link's boundaries and its per-part rows
+//! all report through the same counters.
 
 use p5_trace::Snapshot;
 
-/// Counters every pipeline stage (and every `Stack` boundary) maintains.
+/// Counters every pipeline stage (and every link boundary) maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
-    /// Clock cycles (or `Stack` sweeps) seen.
+    /// Clock cycles (or pump passes) seen.
     pub cycles: u64,
     /// Cycles in which the stage refused input (backpressure asserted
     /// upstream).
@@ -30,18 +30,18 @@ pub struct StageStats {
     /// Submissions refused outright because a bounded queue was full (the
     /// shared-memory transmit queue's drop counter).
     pub rejects: u64,
-    /// Handshake attempts in which data was actually on offer (`offer`
-    /// called with a non-empty buffer).  Every such attempt resolves to
-    /// exactly one of `accepted`/`rejected`/`blocked`:
+    /// Handshake attempts in which data was actually on offer.  Every
+    /// such attempt resolves to exactly one of
+    /// `accepted`/`rejected`/`blocked`:
     /// `offered == accepted + rejected + blocked` is the stall-attribution
-    /// invariant `Stack` maintains per boundary.
+    /// invariant a link maintains per boundary.
     pub offered: u64,
     /// Offered attempts in which at least one byte crossed.
     pub accepted: u64,
-    /// Offered attempts the stage answered `Ready(0)` to — ready was up
-    /// but the stage took nothing (word-alignment or quota refusals).
+    /// Offered attempts in which ready was up but the stage took nothing
+    /// (word-alignment or quota refusals).
     pub rejected: u64,
-    /// Offered attempts the stage answered `Blocked` to — backpressure.
+    /// Offered attempts refused with ready deasserted — backpressure.
     pub blocked: u64,
 }
 
@@ -69,23 +69,6 @@ impl StageStats {
         } else {
             self.bytes_out as f64 / self.cycles as f64
         }
-    }
-
-    /// Fold another stage's counters into this one (used by combinators
-    /// that report a single aggregate for several inner stages).
-    pub fn absorb(&mut self, other: &StageStats) {
-        self.cycles += other.cycles;
-        self.stall_cycles += other.stall_cycles;
-        self.words_in += other.words_in;
-        self.words_out += other.words_out;
-        self.bytes_out += other.bytes_out;
-        self.bubble_cycles += other.bubble_cycles;
-        self.rejects += other.rejects;
-        self.offered += other.offered;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.blocked += other.blocked;
-        self.note_occupancy(other.max_occupancy);
     }
 
     /// Export as a [`Snapshot`] under the given scope — the standard
@@ -137,43 +120,6 @@ mod tests {
         s.note_occupancy(9);
         s.note_occupancy(5);
         assert_eq!(s.max_occupancy, 9);
-    }
-
-    #[test]
-    fn absorb_sums_and_maxes() {
-        let mut a = StageStats {
-            cycles: 10,
-            bytes_out: 100,
-            max_occupancy: 4,
-            rejects: 1,
-            ..Default::default()
-        };
-        let b = StageStats {
-            cycles: 5,
-            bytes_out: 50,
-            max_occupancy: 9,
-            rejects: 2,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.cycles, 15);
-        assert_eq!(a.bytes_out, 150);
-        assert_eq!(a.max_occupancy, 9);
-        assert_eq!(a.rejects, 3);
-    }
-
-    #[test]
-    fn absorb_sums_attribution_counters() {
-        let mut a = StageStats {
-            offered: 10,
-            accepted: 7,
-            rejected: 1,
-            blocked: 2,
-            ..Default::default()
-        };
-        a.absorb(&a.clone());
-        assert_eq!(a.offered, 20);
-        assert_eq!(a.accepted + a.rejected + a.blocked, 20);
     }
 
     #[test]

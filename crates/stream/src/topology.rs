@@ -1,11 +1,11 @@
 //! Stage topology export — the composed pipeline as an analyzable
 //! graph.
 //!
-//! A [`crate::Stack`] knows which stages it chains and in what order;
-//! static analysis (p5-lint's link-composition pass) wants exactly that
-//! shape, without holding the live stages themselves.  [`Topology`] is
-//! the value-type answer: stage names plus directed `upstream →
-//! downstream` edges.  Linear stacks export a chain; duplex links (two
+//! A link knows which parts it chains and in what order; static
+//! analysis (p5-lint's link-composition pass) wants exactly that shape,
+//! without holding the live stages themselves.  [`Topology`] is the
+//! value-type answer: stage names plus directed `upstream → downstream`
+//! edges.  Simplex links export a chain; duplex links (two
 //! directions through shared devices) export rings by combining
 //! topologies with [`Topology::connect`].
 

@@ -1,6 +1,6 @@
 //! Cycle-stamped trace events: the frame lifecycle the paper's OAM block
 //! makes software-visible (Figure 2's status/interrupt path), extended
-//! with per-boundary backpressure and the µP register-write bus.
+//! with the µP register-write bus.
 
 /// Identifier threaded alongside a frame through `WireBuf` tags and the
 /// device queues.  `0` means "untracked" (legacy producers that predate
@@ -30,8 +30,6 @@ pub enum EventKind {
     CrcVerdict { id: FrameId, ok: bool },
     /// The frame passed all checks and reached the receive queue.
     Delivered { id: FrameId, len: u32 },
-    /// A `Stack` boundary refused an offered transfer this sweep.
-    Backpressure { boundary: &'static str },
     /// The µP wrote an OAM register over the MMIO bus.
     OamWrite { addr: u32, value: u32 },
 }
@@ -47,7 +45,6 @@ impl EventKind {
             EventKind::Delineated { .. } => "delineated",
             EventKind::CrcVerdict { .. } => "crc_verdict",
             EventKind::Delivered { .. } => "delivered",
-            EventKind::Backpressure { .. } => "backpressure",
             EventKind::OamWrite { .. } => "oam_write",
         }
     }
@@ -62,13 +59,13 @@ impl EventKind {
             | EventKind::Delineated { id }
             | EventKind::CrcVerdict { id, .. }
             | EventKind::Delivered { id, .. } => Some(id),
-            EventKind::Backpressure { .. } | EventKind::OamWrite { .. } => None,
+            EventKind::OamWrite { .. } => None,
         }
     }
 }
 
 /// One recorded observation: what happened and on which device cycle
-/// (`Stack` sweep, line clock, or OAM regfile version — the recording
+/// (line clock, or OAM regfile version — the recording
 /// component documents which clock domain it stamps with).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
@@ -86,10 +83,6 @@ mod tests {
         assert_eq!(
             EventKind::CrcVerdict { id: 9, ok: true }.frame_id(),
             Some(9)
-        );
-        assert_eq!(
-            EventKind::Backpressure { boundary: "p5-tx" }.frame_id(),
-            None
         );
         assert_eq!(EventKind::OamWrite { addr: 0, value: 1 }.frame_id(), None);
     }

@@ -4,8 +4,8 @@
 //! internal state to software (counters, status registers, interrupts).
 //! This crate generalises that idea across the whole reproduction:
 //!
-//! * [`Event`]/[`EventKind`] — cycle-stamped frame-lifecycle, backpressure
-//!   and OAM-write events, recorded through a [`TraceSink`].
+//! * [`Event`]/[`EventKind`] — cycle-stamped frame-lifecycle and
+//!   OAM-write events, recorded through a [`TraceSink`].
 //! * [`RingRecorder`] — a preallocated event ring; zero allocation in the
 //!   steady state.  [`NullSink`] is the free-when-disabled default.
 //! * [`Snapshot`]/[`Observable`] — the metrics registry every stage,
@@ -17,7 +17,7 @@
 //!   the live-telemetry primitive `p5-obs` samples.
 //!
 //! The crate is dependency-free and sits below `p5-stream`, so every layer
-//! of the stack (behavioural stages, WordStream stacks, the gate-level
+//! of the stack (device pipelines, links, fleets, the gate-level
 //! simulators) can report through the same types.
 
 pub mod event;

@@ -7,8 +7,8 @@
 //!
 //! with the Protocol OAM counters read out over the register bus at the
 //! end, exactly as a host microprocessor would.  The whole assembly —
-//! stages, SONET path, the seeded error channel — comes from
-//! [`LinkBuilder`] (DESIGN.md §14).
+//! devices, SONET path, the seeded error channel — comes from
+//! [`LinkBuilder`] (DESIGN.md §19.4).
 //!
 //! ```sh
 //! cargo run --release --example ip_over_sonet
@@ -58,18 +58,20 @@ fn main() {
         );
     }
 
-    // Where did cycles go?  The top three stall attributions, not the
-    // full per-stage snapshot dump (`link.stall_table()` has the whole
-    // boundary table when needed — DESIGN.md §13).
-    let mut stages = link.stage_stats();
-    stages.sort_by_key(|(_, st)| std::cmp::Reverse(st.stall_cycles));
-    println!("\ntop stall attributions:");
-    for (name, st) in stages.iter().take(3) {
+    // Where did frames wait?  The link's two boundaries — admission (a
+    // send the transmitter answered *not now*) and the line (a pass
+    // whose wire bytes a stall storm held) — ranked by blocked offers,
+    // the reading `trace_report`'s stall table uses (DESIGN.md §13.3).
+    let passes = link.stack();
+    let mut boundaries: Vec<_> = passes.named_boundaries().collect();
+    boundaries.sort_by_key(|(_, b)| std::cmp::Reverse(b.blocked));
+    println!("\nstall attributions:");
+    for (name, b) in boundaries {
         println!(
-            "  {name:>12}: {:>7} stalled cycles of {:>8} ({:.1}%)",
-            st.stall_cycles,
-            st.cycles,
-            100.0 * st.stall_cycles as f64 / st.cycles.max(1) as f64
+            "  {name:>9}: {:>5} blocked of {:>5} offered ({:.1}%)",
+            b.blocked,
+            b.offered,
+            100.0 * b.blocked as f64 / b.offered.max(1) as f64
         );
     }
 

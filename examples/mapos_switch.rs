@@ -15,11 +15,8 @@
 //! Every port is a full duplex P⁵ link assembled by [`LinkBuilder`] —
 //! the station end keeps its MAPOS address filter, the switch end runs
 //! promiscuous so the fabric sees every frame regardless of its
-//! destination octet.  (An earlier revision of this example hand-wired
-//! framer/deframer stages with `stack!`; port devices built through
-//! `LinkBuilder` give FCS checking, address filtering and OAM counters
-//! for free, and no custom topology remains that would need the
-//! escape hatch.)
+//! destination octet.  Port devices built through `LinkBuilder` give
+//! FCS checking, address filtering and OAM counters for free.
 //!
 //! The switch *learns*: MAPOS frames carry only the destination in the
 //! HDLC address octet (source association is NSP's job in RFC 2171),

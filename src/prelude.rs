@@ -10,14 +10,13 @@
 //! ```
 //!
 //! Everything here is re-exported from the workspace crates; reach into
-//! [`crate::core`], [`crate::sonet`] etc. for the full per-layer APIs,
-//! and use the [`stack!`] macro directly when a custom topology is
-//! needed (the documented low-level escape hatch).
+//! [`crate::core`], [`crate::sonet`] etc. for the full per-layer APIs.
+//! A topology the builder does not model is a loop over the same parts
+//! [`Link`] drives: [`LinkCore`], `p5_core::Carriage` and
+//! [`P5::ingest_wire`].
 
 pub use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
-pub use p5_core::{
-    decap, encap, DatapathWidth, LinkCore, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5,
-};
+pub use p5_core::{DatapathWidth, LinkCore, ReceivedFrame, TxQueueFull, P5};
 pub use p5_fault::{
     BurstModel, FaultError, FaultKind, FaultPlan, FaultSpec, FaultStats, StallStorm,
 };
@@ -28,7 +27,6 @@ pub use p5_ppp::{AuthPolicy, CredentialTable, NegotiationProfile, Session, Sessi
 pub use p5_runtime::{Carrier, Fleet, FleetConfig, FleetStats, Sharding, TrafficSpec};
 pub use p5_sonet::{BitErrorChannel, OcPath, StmLevel, TributaryGroup};
 pub use p5_stream::{
-    render_table, stack, Chain, Observable, Offer, Pipe, Poll, SharedRecorder, Snapshot, Stack,
-    StageStats, StreamStage, Throttle, WireBuf, WordStream,
+    render_table, Observable, Offer, SharedRecorder, Snapshot, StageStats, WireBuf,
 };
 pub use p5_xport::{LinkEngine, PipeTransport, SessionDriver, TcpTransport, Transport};

@@ -6,7 +6,10 @@
 //! * after a single mid-stream corruption the deframer re-delineates
 //!   and delivers a good frame within the documented byte bound;
 //! * every [`FaultKind`] reproduces exactly from its seed (the
-//!   regression contract the `fault_report` scenarios rely on).
+//!   regression contract the `fault_report` scenarios rely on);
+//! * a [`Link`] under a random seeded stall plan never loses,
+//!   duplicates or reorders a frame, and its stall attribution accounts
+//!   for every offer at each boundary.
 
 use p5::hdlc::{DeframeEvent, Deframer, Framer, FramerConfig};
 use p5::prelude::*;
@@ -201,6 +204,125 @@ fn every_fault_kind_is_seed_reproducible() {
             (out_c, gates_c),
             "{}: a different seed must perturb the schedule",
             kind.name()
+        );
+    }
+}
+
+/// Datagram lengths for a window past the transmitter's 64 KiB wire
+/// high-water mark, so sends pump the line and stall storms hold it.
+fn window_strategy() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(40usize..1500, 96..160)
+}
+
+/// Datagrams of the given lengths; every 16th octet of a datagram is a
+/// flag or an escape, so stuffing expands the wire.
+fn window(lens: &[usize]) -> Vec<Vec<u8>> {
+    lens.iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            (0..len)
+                .map(|j| match j % 16 {
+                    3 => 0x7E,
+                    11 => 0x7D,
+                    _ => (i * 31 + j * 7) as u8,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Send `frames` over a simplex link, optionally over an STM-1 path
+/// and impaired by `plan`, and run it to drain.
+fn window_link(frames: &[Vec<u8>], plan: Option<FaultPlan>, wide: bool, sonet: bool) -> Link {
+    let mut b = LinkBuilder::new().width(if wide {
+        DatapathWidth::W32
+    } else {
+        DatapathWidth::W8
+    });
+    if let Some(plan) = plan {
+        b = b.fault(plan);
+    }
+    if sonet {
+        b = b.sonet(StmLevel::Stm1);
+    }
+    let mut link = b.build().expect("stall-only links build");
+    for f in frames {
+        link.send(0x0021, f);
+    }
+    link
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Storms starting with any probability up to certainty, of any
+    // length, hold the line at sends and at drain passes alike: the
+    // run still drains, and delivers exactly the window, in order.
+    #[test]
+    fn stall_storms_never_lose_dup_or_reorder_a_frame_on_a_link(
+        lens in window_strategy(),
+        p_pct in 1u32..=100,
+        max_len in 1u32..32,
+        seed in any::<u64>(),
+        wide in any::<bool>(),
+        sonet in any::<bool>(),
+    ) {
+        let frames = window(&lens);
+        let plan = FaultSpec::clean()
+            .stall(f64::from(p_pct) / 100.0, max_len)
+            .compile(seed)
+            .expect("stall specs are valid");
+        let mut link = window_link(&frames, Some(plan), wide, sonet);
+        prop_assert!(link.run(100_000).is_ok(), "link wedged under storms");
+        let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
+        prop_assert_eq!(got, frames);
+    }
+
+    // Each offer at the admission boundary (one per send) and at the
+    // line (one per pass that found wire bytes) resolves to exactly one
+    // of accepted / blocked; a held carry is a stall the plan counted,
+    // and storms delay octets but never add or drop one.
+    #[test]
+    fn stall_attribution_accounts_for_every_offer_on_a_link(
+        lens in window_strategy(),
+        p_pct in 1u32..=100,
+        max_len in 1u32..32,
+        seed in any::<u64>(),
+        wide in any::<bool>(),
+        sonet in any::<bool>(),
+    ) {
+        let frames = window(&lens);
+        let plan = FaultSpec::clean()
+            .stall(f64::from(p_pct) / 100.0, max_len)
+            .compile(seed)
+            .expect("stall specs are valid");
+        let mut link = window_link(&frames, Some(plan), wide, sonet);
+        prop_assert!(link.run(100_000).is_ok(), "link wedged under storms");
+        let b = link.stack().boundary_stats();
+        for (i, b) in b.iter().enumerate() {
+            prop_assert_eq!(
+                b.offered,
+                b.accepted + b.blocked,
+                "attribution leak at boundary {}: {:?}", i, b
+            );
+            prop_assert_eq!(b.rejected, 0);
+        }
+        prop_assert_eq!(b[0].offered, frames.len() as u64);
+        let stalls = link
+            .stage_stats()
+            .into_iter()
+            .find(|(name, _)| *name == "fault")
+            .map(|(_, s)| s.stall_cycles);
+        prop_assert!(
+            stalls.is_some_and(|s| b[1].blocked <= s),
+            "{} held carries, {:?} stall decisions", b[1].blocked, stalls
+        );
+        let mut clean = window_link(&frames, None, wide, sonet);
+        prop_assert!(clean.run(100_000).is_ok());
+        prop_assert_eq!(
+            b[1].bytes_out,
+            clean.stack().boundary_stats()[1].bytes_out,
+            "storms moved a different number of line octets"
         );
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based cross-checks: the cycle-accurate hardware model and
 //! the RFC-level codecs — `p5_ppp::frame::FrameCodec` for the header,
 //! `p5_hdlc::{Framer, Deframer}` for FCS, stuffing and flags — must be
-//! the same function.
+//! the same function, and the device's batched wire ingest must be
+//! byte-for-byte equivalent to per-byte delivery.
 
 use p5_core::{DatapathWidth, P5};
 use p5_hdlc::{DeframeEvent, Deframer, DeframerConfig, Framer, FramerConfig};
@@ -40,6 +41,22 @@ fn nasty_payload() -> impl Strategy<Value = Vec<u8>> {
             5 => any::<u8>(),
         ],
         1..400,
+    )
+}
+
+/// Frame bodies biased towards flag/escape octets (the stuffing worst
+/// case).
+fn frames_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            prop_oneof![
+                2 => Just(0x7Eu8),
+                2 => Just(0x7Du8),
+                6 => any::<u8>(),
+            ],
+            1..80,
+        ),
+        1..6,
     )
 }
 
@@ -133,5 +150,46 @@ proptest! {
         pieces.run_until_idle(10_000_000);
         let b: Vec<_> = pieces.take_received();
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn batched_wire_ingest_equals_per_byte(frames in frames_strategy()) {
+        // Encode once.
+        let mut tx = P5::new(DatapathWidth::W32);
+        for f in &frames {
+            tx.submit(0x0021, f.clone()).unwrap();
+        }
+        tx.run_until_idle(1_000_000);
+        let wire = tx.take_wire_out();
+
+        // Deliver the whole wire image in one batched call...
+        let mut rx_batched = P5::new(DatapathWidth::W32);
+        rx_batched.put_wire_in(&wire);
+        rx_batched.run_until_idle(1_000_000);
+
+        // ...and byte by byte, interleaved with clocks.
+        let mut rx_bytewise = P5::new(DatapathWidth::W32);
+        for &b in &wire {
+            rx_bytewise.put_wire_in(&[b]);
+            rx_bytewise.clock();
+        }
+        rx_bytewise.run_until_idle(1_000_000);
+
+        let batched: Vec<Vec<u8>> = rx_batched
+            .take_received()
+            .into_iter()
+            .map(|f| f.payload)
+            .collect();
+        let bytewise: Vec<Vec<u8>> = rx_bytewise
+            .take_received()
+            .into_iter()
+            .map(|f| f.payload)
+            .collect();
+        prop_assert_eq!(&batched, &bytewise);
+        prop_assert_eq!(batched, frames);
     }
 }

@@ -5,7 +5,7 @@
 
 use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
 use p5_core::{DatapathWidth, P5};
-use p5_stream::{WireBuf, WordStream};
+use p5_stream::WireBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 
@@ -25,8 +25,8 @@ fn three_stage_threaded_pipeline_delivers_in_order() {
     let rx_oam = OamHandle::new();
     let rx_oam_for_host = rx_oam.clone();
 
-    // Transmitter thread: clock a P5, ship wire chunks off its
-    // WordStream PHY end (zero-copy into a reusable WireBuf).
+    // Transmitter thread: clock a P5, ship wire chunks off its PHY
+    // end (zero-copy into a reusable WireBuf).
     let producer = thread::spawn(move || {
         let mut p5 = P5::new(DatapathWidth::W32);
         for d in datagrams {
@@ -35,7 +35,7 @@ fn three_stage_threaded_pipeline_delivers_in_order() {
         let mut wire = WireBuf::new();
         while !p5.tx.idle() {
             p5.run(1024);
-            p5.drain(&mut wire);
+            p5.drain_wire_into(&mut wire);
             if !wire.is_empty() {
                 wire_tx.send(wire.take_vec()).unwrap();
             }
@@ -56,7 +56,7 @@ fn three_stage_threaded_pipeline_delivers_in_order() {
         let mut inbuf = WireBuf::new();
         for chunk in chan_rx.iter() {
             inbuf.push_slice(&chunk);
-            p5.offer(&mut inbuf);
+            p5.ingest_wire(&mut inbuf, usize::MAX);
             p5.run(chunk.len() as u64);
             out.extend(p5.take_received());
         }
@@ -106,7 +106,7 @@ fn duplex_threads_cross_traffic() {
             // scheduling.
             while !(p5.tx.idle() && got.len() >= count as usize) && rounds < 10_000 {
                 p5.run(256);
-                p5.drain(&mut wire);
+                p5.drain_wire_into(&mut wire);
                 if !wire.is_empty() {
                     // Peer may have finished; ignore send failures then.
                     let _ = outbound.send(wire.take_vec());
@@ -116,7 +116,7 @@ fn duplex_threads_cross_traffic() {
                     inbuf.push_slice(&chunk);
                     progressed = true;
                 }
-                p5.offer(&mut inbuf);
+                p5.ingest_wire(&mut inbuf, usize::MAX);
                 p5.run(256);
                 got.extend(p5.take_received());
                 if !progressed {
@@ -126,7 +126,7 @@ fn duplex_threads_cross_traffic() {
             }
             // Flush wire bytes produced on the final round: the peer may
             // still be waiting on them.
-            p5.drain(&mut wire);
+            p5.drain_wire_into(&mut wire);
             if !wire.is_empty() {
                 let _ = outbound.send(wire.take_vec());
             }
