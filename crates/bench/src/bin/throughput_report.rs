@@ -7,7 +7,10 @@
 //!
 //! With `--smoke` the report runs a reduced IMIX (suitable for CI) and
 //! still writes `results/BENCH_throughput.json`, so `scripts/check.sh`
-//! can gate on the numbers existing and the shape holding.
+//! can gate on the numbers existing and the shape holding.  The
+//! `sonet_carriage` row is the same in both modes: the line frames per
+//! window and the fill share of a link over STM-16, exact counts that
+//! `--max-sonet-fill-ratio` gates.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -19,6 +22,7 @@ use p5_core::{DatapathWidth, P5};
 use p5_fpga::devices;
 use p5_link::{Link, LinkBuilder};
 use p5_rtl::synthesize_system;
+use p5_sonet::StmLevel;
 use p5_stream::{pool::alloc_count, BufPool};
 
 struct DatapathRun {
@@ -152,6 +156,61 @@ fn fast_path_run(width: DatapathWidth, datagrams: usize) -> FastPathRun {
 /// runs.
 const PAIRS: usize = 15;
 
+/// Windows the SONET carriage row sends, and datagrams per window.
+const SONET_WINDOWS: usize = 32;
+const SONET_WINDOW: usize = 1024;
+
+/// Line accounting of a fused link over an STM-16 path.  Both are
+/// exact counts of what the path ran, the same on every run and host.
+struct SonetCarriage {
+    /// STM-16 frames the path ran per window.
+    line_frames_per_window: f64,
+    /// Share of the SPE octets those frames carried that was flag fill
+    /// rather than the transmitter's wire.
+    fill_ratio: f64,
+}
+
+/// [`SONET_WINDOWS`] windows of [`SONET_WINDOW`] IMIX datagrams through
+/// a 32-bit link over STM-16, each run to drain and delivered through
+/// [`Link::drain_deliveries`]; the counts come from
+/// [`Link::stage_stats`]: the `oc-path` row's line frames and the
+/// `p5-tx` row's octets put on the line.
+fn sonet_carriage_run() -> SonetCarriage {
+    let level = StmLevel::Stm16;
+    let mut link = LinkBuilder::new()
+        .width(DatapathWidth::W32)
+        .sonet(level)
+        .build()
+        .expect("STM-16 link builds");
+    let payloads: Vec<Vec<u8>> = imix_sizes(SONET_WINDOW, 42)
+        .iter()
+        .enumerate()
+        .map(|(i, len)| ip_like_datagram(*len, i as u64))
+        .collect();
+    for _ in 0..SONET_WINDOWS {
+        for p in &payloads {
+            link.send(0x0021, p);
+        }
+        link.run(10_000_000).expect("SONET link failed to drain");
+        let delivered = link.drain_deliveries(|_, _| {});
+        assert_eq!(delivered, payloads.len(), "SONET link lost frames");
+    }
+    let stats = link.stage_stats();
+    let row = |name: &str| {
+        stats
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| *s)
+            .expect("a SONET link reports this row")
+    };
+    let frames = row("oc-path").cycles as f64;
+    let line_bytes = row("p5-tx").bytes_out as f64;
+    SonetCarriage {
+        line_frames_per_window: frames / SONET_WINDOWS as f64,
+        fill_ratio: 1.0 - line_bytes / (frames * level.payload_per_frame() as f64),
+    }
+}
+
 /// Host-simulation speed of the pre-vectorisation engine (recorded in
 /// EXPERIMENTS.md) — the denominators for the `sim_wall_uplift` column.
 const SIM_WALL_BASELINE_W8: f64 = 0.0388;
@@ -184,6 +243,10 @@ fn main() {
     // ratios — a ratio, so host speed cancels; per-octet escape
     // handling reads ~0.22, the word-wide byte sorter ~0.37.
     let min_dense = arg_value(&args, "--min-dense-over-clean");
+    // SONET fill gate: the share of the STM-16 path's SPE octets that
+    // were flag fill on the carriage row — an exact count, so flushes
+    // that run frames past the backlog fail on a number, not on speed.
+    let max_sonet_fill = arg_value(&args, "--max-sonet-fill-ratio");
     let datagrams = if smoke { 40 } else { 200 };
     print!(
         "{}",
@@ -304,9 +367,27 @@ fn main() {
             fast.dense_over_clean,
         );
     }
+    let sonet = sonet_carriage_run();
+    println!(
+        "\nsonet_carriage (32-bit link over STM-16, {SONET_WINDOWS} windows of \
+         {SONET_WINDOW} IMIX datagrams): {:.4} line frames/window, fill ratio {:.4}",
+        sonet.line_frames_per_window, sonet.fill_ratio,
+    );
+    if let Some(ceiling) = max_sonet_fill {
+        if sonet.fill_ratio > ceiling {
+            gate_failures.push(format!(
+                "sonet_carriage fill ratio {:.4} above ceiling {ceiling:.4}",
+                sonet.fill_ratio,
+            ));
+        }
+    }
     let json = format!(
         "{{\n  \"bench\": \"throughput\",\n  \"smoke\": {smoke},\n  \
-         \"imix_datagrams\": {datagrams},\n  \"rows\": [\n{rows}\n  ]\n}}\n"
+         \"imix_datagrams\": {datagrams},\n  \"rows\": [\n{rows}\n  ],\n  \
+         \"sonet_carriage\": {{\"level\": \"STM-16\", \"width_bits\": 32, \
+         \"windows\": {SONET_WINDOWS}, \"window_datagrams\": {SONET_WINDOW}, \
+         \"line_frames_per_window\": {:.4}, \"fill_ratio\": {:.4}}}\n}}\n",
+        sonet.line_frames_per_window, sonet.fill_ratio,
     );
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/BENCH_throughput.json", &json).expect("write results/");

@@ -186,7 +186,8 @@ pub struct Carriage {
     pub plan: Option<FaultPlan>,
     /// Landed octets awaiting the sink's [`P5::ingest_wire`].
     pub wire: WireBuf,
-    /// What the path recovered from the current transfer.
+    /// What the path recovered from the current transfer, on its way
+    /// through the plan.
     carried: Vec<u8>,
 }
 
@@ -203,7 +204,10 @@ impl Carriage {
     /// Carry `src`'s produced wire bytes: through the STM-N path, if
     /// any, then [`Carriage::land`].  `flush`: the source is between
     /// frames, so the path may pad out its last SPE (see
-    /// [`OcPath::carry`]).  Returns the octets taken from `src`.
+    /// [`OcPath::carry`]: two hunt frames follow only while the path's
+    /// receiver is out of frame).  Returns the octets taken from `src`.
+    /// With no plan, the path lands what it recovers straight into
+    /// [`Carriage::wire`].
     ///
     /// A plan's stall storm is one [`FaultPlan::stall_gate`] per call: a
     /// stalled call takes nothing, so the bytes back up in `src` and its
@@ -220,6 +224,11 @@ impl Carriage {
         let bytes = src.take_wire_out();
         let taken = bytes.len();
         match &mut self.path {
+            // Nothing between the path and the sink: land in place.
+            Some(path) if self.plan.is_none() => {
+                self.wire
+                    .extend_untagged_with(|out| path.carry_into(&bytes, flush, out));
+            }
             Some(path) => {
                 let mut carried = std::mem::take(&mut self.carried);
                 carried.clear();

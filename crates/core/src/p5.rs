@@ -6,7 +6,7 @@ use crate::rx::{RxCounters, RxPipeline};
 use crate::tx::{fcs_params, TxDescriptor, TxPipeline, TxQueueFull};
 use crate::word::Word;
 use p5_crc::{fcs16_wire_bytes, fcs32_wire_bytes, CrcEngine, EngineKind, FcsEngine};
-use p5_hdlc::sorter::destuff_run;
+use p5_hdlc::sorter::{destuff_run, flag_run};
 use p5_hdlc::{stuff_into, Accm, FcsMode, FLAG};
 use p5_stream::{Event, EventKind, FrameId, NullSink, TraceSink, WireBuf};
 use std::collections::VecDeque;
@@ -564,7 +564,13 @@ impl P5 {
                     self.close_fused_frame(false);
                     frames_closed += 1;
                 } else {
-                    self.rx.escape.idle_flags += 1;
+                    // Idle fill: this flag and the rest of its run,
+                    // counted a word at a time.  A flag that closes a
+                    // frame never gets here, so two frames sharing one
+                    // flag pay nothing for it.
+                    let run = flag_run(&bytes[i..]);
+                    self.rx.escape.idle_flags += 1 + run as u64;
+                    i += run;
                 }
                 continue;
             }

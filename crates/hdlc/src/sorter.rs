@@ -186,6 +186,22 @@ pub fn destuff_run(wire: &[u8], pending: &mut bool, out: &mut Vec<u8>, cap: usiz
     }
 }
 
+/// How many flag octets open `wire`: the idle fill a receiver between
+/// frames counts and skips, eight octets per step.
+#[inline]
+pub fn flag_run(wire: &[u8]) -> usize {
+    let mut at = 0;
+    while let Some(c) = wire[at..].first_chunk::<8>() {
+        // Non-zero exactly in the lanes that are not a flag.
+        let other = u64::from_le_bytes(*c) ^ (LSB * FLAG as u64);
+        if other != 0 {
+            return at + other.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    at + wire[at..].iter().take_while(|&&b| b == FLAG).count()
+}
+
 /// Destuff lanes `0..live` (`live` in 1..=8) of `w`, whose escape
 /// octets `escs` marks, into `dst`.  Returns the octets kept and the
 /// escapes decoded.
@@ -353,6 +369,21 @@ mod tests {
             assert_eq!(events, want);
         }
         assert_eq!(bulk.stats(), one.stats());
+    }
+
+    #[test]
+    fn flag_run_counts_the_leading_flags_at_every_phase() {
+        for wire in corpus() {
+            let want = wire.iter().take_while(|&&b| b == FLAG).count();
+            assert_eq!(flag_run(&wire), want, "wire {wire:02x?}");
+        }
+        for run in 0..40 {
+            for tail in [&[][..], &[0x7F], &[ESCAPE, FLAG], &[0x00; 9]] {
+                let mut wire = vec![FLAG; run];
+                wire.extend_from_slice(tail);
+                assert_eq!(flag_run(&wire), run, "run {run} tail {tail:02x?}");
+            }
+        }
     }
 
     #[test]

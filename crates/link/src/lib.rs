@@ -864,6 +864,55 @@ mod tests {
     }
 
     #[test]
+    fn an_in_frame_sonet_link_runs_no_hunt_frames_after_its_first_window() {
+        for level in [StmLevel::Stm1, StmLevel::Stm4, StmLevel::Stm16] {
+            let spe = level.payload_per_frame() as u64;
+            for width in [DatapathWidth::W8, DatapathWidth::W32] {
+                let what = format!("{level:?} {width:?}");
+                let mut link = LinkBuilder::new()
+                    .width(width)
+                    .sonet(level)
+                    .build()
+                    .unwrap();
+                let (mut frames, mut drained) = (0, 0);
+                for w in 0..50u32 {
+                    // 1 to 24 frames of 40 to 1500 B: under the wire
+                    // high-water mark, so the window crosses in the one
+                    // flushing pass of `run`.
+                    let window: Vec<Vec<u8>> = (0..1 + w * 7 % 24)
+                        .map(|i| {
+                            let len = 40 + (w * 331 + i * 577) % 1461;
+                            (0..len).map(|j| (w + i * 3 + j * 11) as u8).collect()
+                        })
+                        .collect();
+                    for p in &window {
+                        link.send(0x0021, p);
+                    }
+                    let (steps, carried) = (link.stack().steps(), link.stack().boundary[1]);
+                    link.run(100).unwrap();
+                    assert_eq!(link.stack().steps(), steps + 1, "{what}: one flush");
+                    let octets = link.stack().boundary[1].bytes_out - carried.bytes_out;
+                    // That flush found the path's backlog empty, so it
+                    // ran `frames_to_drain()` = ⌈octets / SPE⌉ frames,
+                    // plus two while the receiver still hunted.
+                    drained += octets.div_ceil(spe) + if w == 0 { 2 } else { 0 };
+                    let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
+                    assert!(
+                        got == window,
+                        "{what}: window {w} lost, reordered or corrupted"
+                    );
+                    // The `oc-path` row: line frames run so far.
+                    frames = link.stage_stats()[1].1.cycles;
+                    assert_eq!(frames, drained, "{what}: window {w}");
+                }
+                assert_eq!(link.rx_errors(), 0, "{what}");
+                assert_eq!(link.line.path().unwrap().section_stats().hunts, 1, "{what}");
+                assert!(frames > 50, "{what}");
+            }
+        }
+    }
+
+    #[test]
     fn duplex_transfer_loss_is_counted_and_healable() {
         let plan = FaultSpec::clean().transfer_loss(1.0).compile(4).unwrap();
         let mut link = LinkBuilder::new().fault(plan).build_duplex().unwrap();

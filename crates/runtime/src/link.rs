@@ -294,7 +294,8 @@ impl ShardLink {
 /// column of every tributary).
 pub(crate) struct Cohort {
     pub links: Vec<ShardLink>,
-    envelope: Option<Box<(TributaryGroup, TributaryGroup)>>,
+    /// Boxed: two tributary groups hold whole-frame buffers.
+    envelope: Option<Box<Envelope>>,
     /// Non-idle ticks this cohort has actually executed — the load-skew
     /// signal dynamic rebalancing needs (idle-skipped ticks don't
     /// count).
@@ -314,10 +315,11 @@ impl Cohort {
         debug_assert!(links.len() <= level.n());
         Cohort {
             links,
-            envelope: Some(Box::new((
-                TributaryGroup::new(level, BitErrorChannel::clean()),
-                TributaryGroup::new(level, BitErrorChannel::clean()),
-            ))),
+            envelope: Some(Box::new(Envelope {
+                ab: TributaryGroup::new(level, BitErrorChannel::clean()),
+                ba: TributaryGroup::new(level, BitErrorChannel::clean()),
+                landed: Vec::new(),
+            })),
             work_ticks: 0,
         }
     }
@@ -327,7 +329,7 @@ impl Cohort {
             || self
                 .envelope
                 .as_ref()
-                .is_some_and(|e| e.0.frames_to_drain() > 0 || e.1.frames_to_drain() > 0)
+                .is_some_and(|e| e.ab.frames_to_drain() > 0 || e.ba.frames_to_drain() > 0)
     }
 
     /// One tick for every link in the cohort.
@@ -342,22 +344,30 @@ impl Cohort {
                 }
             }
             Some(env) => {
-                let (ab, ba) = &mut **env;
+                let Envelope { ab, ba, landed } = &mut **env;
                 for (slot, l) in self.links.iter_mut().enumerate() {
                     l.egress_to_envelope(Dir::AtoB, ab, slot);
                     l.egress_to_envelope(Dir::BtoA, ba, slot);
                 }
                 let k = ab.frames_to_drain().max(ba.frames_to_drain());
                 if k > 0 {
-                    // +2: tributary delineation hunts across a boundary.
-                    ab.run_frames(k + 2);
-                    ba.run_frames(k + 2);
+                    // +2 only while a tributary hunts: an in-frame
+                    // receiver delivers each frame as it arrives.
+                    let hunt = if ab.is_aligned() && ba.is_aligned() {
+                        0
+                    } else {
+                        2
+                    };
+                    ab.run_frames(k + hunt);
+                    ba.run_frames(k + hunt);
                 }
                 for (slot, l) in self.links.iter_mut().enumerate() {
-                    let bytes = ab.recv(slot);
-                    l.ingress_from_envelope(Dir::AtoB, &bytes);
-                    let bytes = ba.recv(slot);
-                    l.ingress_from_envelope(Dir::BtoA, &bytes);
+                    landed.clear();
+                    ab.recv_into(slot, landed);
+                    l.ingress_from_envelope(Dir::AtoB, landed);
+                    landed.clear();
+                    ba.recv_into(slot, landed);
+                    l.ingress_from_envelope(Dir::BtoA, landed);
                 }
             }
         }
@@ -379,6 +389,14 @@ impl Cohort {
         self.work_ticks += n;
         n
     }
+}
+
+/// A channel group's envelope pair, one tributary group per direction,
+/// and the buffer every tributary's recovered bytes land from.
+struct Envelope {
+    ab: TributaryGroup,
+    ba: TributaryGroup,
+    landed: Vec<u8>,
 }
 
 // The whole point of the runtime is moving cohorts across threads.

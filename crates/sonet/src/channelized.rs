@@ -13,6 +13,7 @@
 use crate::channel::BitErrorChannel;
 use crate::frame::{FrameReceiver, FrameTransmitter, SectionStats, StmLevel};
 use crate::mux::{deinterleave_into, interleave_into};
+use crate::path::hand_over;
 use crate::scramble::PayloadScrambler;
 use p5_stream::{Observable, Snapshot};
 
@@ -101,7 +102,23 @@ impl TributaryGroup {
 
     /// Collect bytes tributary `trib` has delivered.
     pub fn recv(&mut self, trib: usize) -> Vec<u8> {
-        std::mem::take(&mut self.tribs[trib].rx_out)
+        let mut out = Vec::new();
+        self.recv_into(trib, &mut out);
+        out
+    }
+
+    /// Append the bytes tributary `trib` has delivered to `out`.  An
+    /// empty `out` trades storage with the tributary instead of copying,
+    /// so a carrier that clears and reuses one buffer allocates nothing
+    /// per tick.
+    pub fn recv_into(&mut self, trib: usize, out: &mut Vec<u8>) {
+        hand_over(&mut self.tribs[trib].rx_out, out);
+    }
+
+    /// Every tributary receiver is in frame (see [`crate::OcPath::carry`]):
+    /// a drain needs no hunt frames.
+    pub fn is_aligned(&self) -> bool {
+        self.tribs.iter().all(|t| t.receiver.is_aligned())
     }
 
     /// Delineation/parity statistics for tributary `trib`.
@@ -233,6 +250,36 @@ mod tests {
             p.run_frames(k);
             assert_eq!(g.recv(i), p.recv(), "tributary {i}");
         }
+    }
+
+    #[test]
+    fn aligned_groups_drain_without_hunt_frames_into_one_kept_buffer() {
+        let mut g = TributaryGroup::new(StmLevel::Stm4, BitErrorChannel::clean());
+        assert!(!g.is_aligned(), "fresh receivers hunt");
+        let mut landed = Vec::new();
+        for tick in 0..6usize {
+            let data: Vec<Vec<u8>> = (0..4)
+                .map(|i| (0..500 * i + tick * 97).map(|j| (j ^ i) as u8).collect())
+                .collect();
+            for (i, d) in data.iter().enumerate() {
+                g.send(i, d);
+            }
+            let hunt = if g.is_aligned() { 0 } else { 2 };
+            assert_eq!(hunt, if tick == 0 { 2 } else { 0 }, "tick {tick}");
+            g.run_frames(g.frames_to_drain() + hunt);
+            for (i, d) in data.iter().enumerate() {
+                landed.clear();
+                g.recv_into(i, &mut landed);
+                assert_eq!(&landed[..d.len()], &d[..], "tick {tick}, tributary {i}");
+                assert!(g.recv(i).is_empty(), "tick {tick}, tributary {i}");
+            }
+        }
+        // A non-empty buffer is appended to.
+        g.send(1, b"tail");
+        g.run_frames(1);
+        landed = b"head".to_vec();
+        g.recv_into(1, &mut landed);
+        assert_eq!(&landed[..8], b"headtail");
     }
 
     #[test]

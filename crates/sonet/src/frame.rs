@@ -400,6 +400,14 @@ impl FrameReceiver {
         &self.stats
     }
 
+    /// In frame with no frame split across pushes: the next whole frame
+    /// pushed is delivered by that push.  False while hunting (after a
+    /// loss of frame, or before the first lock), and while a lock taken
+    /// mid-push holds the head of a frame.
+    pub(crate) fn is_aligned(&self) -> bool {
+        matches!(self.state, RxState::Aligned) && self.buf.is_empty()
+    }
+
     /// Drain the defects observed since the last call — the most recent
     /// [`DEFECT_WINDOW`] of them, oldest first.
     pub fn poll_defects(&mut self) -> Vec<RxDefect> {

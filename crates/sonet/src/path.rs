@@ -10,8 +10,9 @@ use crate::scramble::PayloadScrambler;
 pub trait ByteLink {
     /// Offer transmit bytes to the link.
     fn send(&mut self, bytes: &[u8]);
-    /// Append the bytes the link has delivered to `out`; the link keeps
-    /// its own storage for the next delivery.
+    /// Append the bytes the link has delivered to `out`.  The link may
+    /// trade storage with an empty `out` instead of copying: either way
+    /// it has room for the next delivery without a fresh allocation.
     fn recv_into(&mut self, out: &mut Vec<u8>);
     /// [`ByteLink::recv_into`] into a fresh `Vec`.
     fn recv(&mut self) -> Vec<u8> {
@@ -129,10 +130,13 @@ impl OcPath {
     /// Carry one transfer across the path: queue `wire`, advance the
     /// line, return what the far end recovered.  Every SPE the backlog
     /// fills goes out; the last, partly filled one — padded with flag
-    /// octets, and followed by two frames because delineation hunts
-    /// across a frame boundary — only when `flush`.  Pass `flush = false`
-    /// while the source is mid-frame: padding inside an HDLC frame
-    /// aborts it at the receiver.
+    /// octets — only when `flush`.  An in-frame receiver delivers each
+    /// frame as it arrives, so a flush runs exactly
+    /// [`OcPath::frames_to_drain`] frames; only a receiver that is
+    /// hunting (before its first lock, or after a loss of frame) gets two
+    /// frames more, for delineation to find a frame boundary.  Pass
+    /// `flush = false` while the source is mid-frame: padding inside an
+    /// HDLC frame aborts it at the receiver.
     pub fn carry(&mut self, wire: &[u8], flush: bool) -> Vec<u8> {
         let mut out = Vec::new();
         self.carry_into(wire, flush, &mut out);
@@ -140,13 +144,16 @@ impl OcPath {
     }
 
     /// [`OcPath::carry`], appending what the far end recovered to `out`
-    /// — the form for a carrier that ferries every tick and keeps one
-    /// buffer for it.
+    /// (into `out`'s place when it is empty, without a copy) — the form
+    /// for a carrier that ferries every tick and keeps one buffer for
+    /// it.  Same line frames as [`OcPath::carry`]: no hunt frames while
+    /// the receiver is in frame.
     pub fn carry_into(&mut self, wire: &[u8], flush: bool, out: &mut Vec<u8>) {
         self.send(wire);
         let frames = if flush {
             match self.frames_to_drain() {
                 0 => 0,
+                k if self.receiver.is_aligned() => k,
                 k => k + 2,
             }
         } else {
@@ -165,14 +172,26 @@ impl ByteLink for OcPath {
     }
 
     fn recv_into(&mut self, out: &mut Vec<u8>) {
-        out.append(&mut self.rx_out);
+        hand_over(&mut self.rx_out, out);
+    }
+}
+
+/// Move every byte of a receiver's `delivered` buffer onto the end of
+/// `out`, leaving `delivered` empty.  An empty `out` takes the storage
+/// itself and hands its own capacity back for the next delivery, so the
+/// payload is not copied; a non-empty one is appended to.
+pub(crate) fn hand_over(delivered: &mut Vec<u8>, out: &mut Vec<u8>) {
+    if out.is_empty() {
+        std::mem::swap(out, delivered);
+    } else {
+        out.append(delivered);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::DEFECT_WINDOW;
+    use crate::frame::{DEFECT_WINDOW, IDLE_FILL};
 
     #[test]
     fn loopback_link_round_trips() {
@@ -226,6 +245,62 @@ mod tests {
         assert_eq!(path.section_stats().path_trace_mismatches, 100_000);
         assert_eq!(path.poll_defects().len(), DEFECT_WINDOW);
         assert!(path.poll_defects().is_empty());
+    }
+
+    /// Flush `data` across `path`; returns the line frames it ran and
+    /// checks the far end recovered `data` then flag fill to the end of
+    /// those frames, exactly.
+    fn flush(path: &mut OcPath, data: &[u8]) -> usize {
+        let before = path.transmitter().frames_emitted();
+        let got = path.carry(data, true);
+        let frames = (path.transmitter().frames_emitted() - before) as usize;
+        let fill = frames * path.level().payload_per_frame() - data.len();
+        assert_eq!(&got[..data.len()], data, "{:?}", path.level());
+        assert_eq!(got.len(), data.len() + fill, "{:?}", path.level());
+        assert!(got[data.len()..].iter().all(|&b| b == IDLE_FILL));
+        frames
+    }
+
+    #[test]
+    fn a_flush_runs_hunt_frames_only_while_out_of_frame() {
+        let level = StmLevel::Stm4;
+        let cap = level.payload_per_frame();
+        let data: Vec<u8> = (0..cap * 2 + 77).map(|i| (i * 31) as u8).collect();
+        let mut path = OcPath::new(level, BitErrorChannel::clean());
+        assert!(!path.receiver.is_aligned(), "a fresh receiver hunts");
+        assert_eq!(flush(&mut path, &data), 3 + 2);
+        assert!(path.receiver.is_aligned());
+        assert_eq!(flush(&mut path, &data), 3);
+        // Two frames with their framing smashed: out of frame, so the
+        // next flush hunts again, and the one after it does not.
+        let smashed = vec![0u8; level.frame_bytes()];
+        path.receiver.push(&smashed);
+        path.receiver.push(&smashed);
+        assert_eq!(path.section_stats().oof_events, 1);
+        assert!(!path.receiver.is_aligned());
+        assert_eq!(flush(&mut path, &data), 3 + 2);
+        assert_eq!(flush(&mut path, &data), 3);
+        // Nothing to carry: no frame at all.
+        assert_eq!(flush(&mut path, &[]), 0);
+    }
+
+    #[test]
+    fn twenty_clean_flushes_recover_every_byte_in_order() {
+        for level in [StmLevel::Stm1, StmLevel::Stm4, StmLevel::Stm16] {
+            let cap = level.payload_per_frame();
+            let mut path = OcPath::new(level, BitErrorChannel::clean());
+            let mut frames = 0;
+            let mut drained = 0;
+            for i in 0..20usize {
+                // Empty, short, one SPE exactly and several SPEs.
+                let len = [0, 1, 1500, cap, 3 * cap + 5][i % 5] + i;
+                let data: Vec<u8> = (0..len).map(|j| (i * 7 + j * 13) as u8).collect();
+                drained += len.div_ceil(cap);
+                frames += flush(&mut path, &data);
+            }
+            assert_eq!(frames, drained + 2, "{level:?}: hunt frames once only");
+            assert_eq!(path.section_stats().b1_errors, 0);
+        }
     }
 
     #[test]

@@ -31,16 +31,12 @@ pub struct StageStats {
     /// shared-memory transmit queue's drop counter).
     pub rejects: u64,
     /// Handshake attempts in which data was actually on offer.  Every
-    /// such attempt resolves to exactly one of
-    /// `accepted`/`rejected`/`blocked`:
-    /// `offered == accepted + rejected + blocked` is the stall-attribution
+    /// such attempt resolves to exactly one of `accepted`/`blocked`:
+    /// `offered == accepted + blocked` is the stall-attribution
     /// invariant a link maintains per boundary.
     pub offered: u64,
     /// Offered attempts in which at least one byte crossed.
     pub accepted: u64,
-    /// Offered attempts in which ready was up but the stage took nothing
-    /// (word-alignment or quota refusals).
-    pub rejected: u64,
     /// Offered attempts refused with ready deasserted — backpressure.
     pub blocked: u64,
 }
@@ -85,7 +81,6 @@ impl StageStats {
             .counter("rejects", self.rejects)
             .counter("offered", self.offered)
             .counter("accepted", self.accepted)
-            .counter("rejected", self.rejected)
             .counter("blocked", self.blocked)
     }
 }
@@ -138,5 +133,6 @@ mod tests {
         assert_eq!(snap.get("accepted"), Some(2));
         assert_eq!(snap.get("blocked"), Some(1));
         assert_eq!(snap.get("bytes_out"), Some(99));
+        assert_eq!(snap.get("rejected"), None, "no such leg");
     }
 }

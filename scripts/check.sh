@@ -60,11 +60,15 @@ echo "==> throughput smoke + perf gate (results/BENCH_throughput.json)"
 # ratios of seconds per payload octet, each dense run read against the
 # IMIX runs on either side of it.  A ratio, so host speed cancels; the
 # word-wide byte sorter reads ~0.37 on the simplex Link, per-octet escape
-# handling ~0.22.
+# handling ~0.22.  The SONET fill gate holds the share of flag fill in
+# the SPE octets a 32-bit link over STM-16 carries (32 windows of 1024
+# IMIX datagrams) to at most 0.1527: an exact count, 0.0756 with no hunt
+# frames while the path's receiver is in frame, 0.2297 with two after
+# every flush; the ceiling sits halfway between.
 cargo run -q --release --offline -p p5-bench --bin throughput_report -- \
     --smoke --min-bpc8 0.9998 --min-bpc32 3.9931 \
     --min-sim8 0.25 --min-sim32 0.75 --max-allocs-per-frame 1 \
-    --min-dense-over-clean 0.35
+    --min-dense-over-clean 0.35 --max-sonet-fill-ratio 0.1527
 
 echo "==> gate-sim smoke + perf gate (results/BENCH_gate_sim.json)"
 # The compiled 64-lane engine must stay >=10x the scalar walker on the
