@@ -15,10 +15,10 @@
 //!    good frame is histogrammed and gated against
 //!    `DeframerConfig::resync_bound_bytes`.
 //! 3. **Renegotiation under outage** — LCP/IPCP sessions over a duplex
-//!    link; a total transfer-loss outage degrades the measured delivery
-//!    ratio until the link-quality policy trips, the driver bounces the
-//!    link (`Session::renegotiate`), and the session must re-open
-//!    within the RFC 1661 restart budget.
+//!    link; a total transfer-loss outage runs until three consecutive
+//!    intervals deliver nothing, the trial bounces the link
+//!    (`Session::renegotiate`), and the session must re-open within the
+//!    RFC 1661 restart budget.
 //!
 //! Writes `results/BENCH_fault.json`.  `--smoke` shrinks the traffic
 //! for CI; every gate still runs.
@@ -28,7 +28,6 @@ use p5_core::{DatapathWidth, LinkCore};
 use p5_fault::FaultSpec;
 use p5_hdlc::{DeframeEvent, Deframer, DeframerConfig, Framer, FramerConfig};
 use p5_link::LinkBuilder;
-use p5_ppp::lqr::{QualityDelta, QualityPolicy, QualityTracker};
 use p5_ppp::session::{Session, SessionEvent};
 use p5_ppp::NegotiationProfile;
 use p5_sonet::StmLevel;
@@ -220,16 +219,19 @@ fn renegotiate_trial(seed: u64) -> (Option<u64>, u64) {
         }
     }
 
-    // Total outage: every wire transfer is lost.  The LQR-style quality
-    // policy watches the measured delivery ratio per interval.
+    // Total outage: every wire transfer is lost.  The trial counts
+    // 5-tick intervals that deliver nothing and bounces the link at the
+    // third in a row.
     let outage = FaultSpec::clean()
         .transfer_loss(1.0)
         .compile(seed)
         .expect("valid outage spec");
     link.set_fault(&outage);
-    let policy = QualityPolicy::default();
-    let mut tracker = QualityTracker::new(policy);
-    loop {
+    let mut dead_intervals = 0u32;
+    while dead_intervals < 3 {
+        if now > 2_000 {
+            return (None, 0);
+        }
         let mut received = 0u32;
         for _ in 0..5 {
             a.send_datagram(vec![0x45; 40]);
@@ -239,15 +241,10 @@ fn renegotiate_trial(seed: u64) -> (Option<u64>, u64) {
             link.exchange();
             now += 1;
         }
-        if tracker.observe(QualityDelta { sent: 5, received }) {
-            break;
-        }
-        if now > 2_000 {
-            return (None, 0);
-        }
+        dead_intervals = if received == 0 { dead_intervals + 1 } else { 0 };
     }
 
-    // The policy tripped: the driver bounces the link; the outage ends.
+    // The trial bounces the link; the outage ends.
     link.clear_fault();
     a.renegotiate();
     // LCP then IPCP each get one restart budget.
@@ -386,7 +383,7 @@ fn main() {
         ));
     }
 
-    // 3. Outage → policy trip → renegotiation within the restart budget.
+    // 3. Outage → link bounce → renegotiation within the restart budget.
     let mut reneg_hist = Histogram::new();
     let mut reneg_budget = 0u64;
     let mut reneg_max = 0u64;

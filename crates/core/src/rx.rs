@@ -204,23 +204,14 @@ pub struct RxCrc {
 
 impl RxCrc {
     pub fn new(width: usize, fcs: FcsMode) -> Self {
-        Self::with_engine_kind(width, fcs, EngineKind::default())
-    }
-
-    /// Select the CRC realisation (see [`crate::tx::TxCrc::with_engine_kind`]).
-    pub fn with_engine_kind(width: usize, fcs: FcsMode, kind: EngineKind) -> Self {
-        let engine = crate::tx::fcs_params(fcs).map(|p| FcsEngine::new(kind, p, width));
+        let engine =
+            crate::tx::fcs_params(fcs).map(|p| FcsEngine::new(EngineKind::default(), p, width));
         Self {
             fcs,
             engine,
             regs: VecDeque::with_capacity(2),
             stats: StageStats::default(),
         }
-    }
-
-    /// Which realisation is currently checking the FCS.
-    pub fn engine_kind(&self) -> Option<EngineKind> {
-        self.engine.as_ref().map(|e| e.kind())
     }
 
     pub fn ready(&self) -> bool {

@@ -84,18 +84,6 @@ impl ByteStager {
         self.items.push_back(Item::End { abort });
     }
 
-    /// Mark the most recently pushed byte as end-of-frame, if there is
-    /// one and it is a byte (transmit side knows eof at push time;
-    /// receive side retro-tags on seeing the closing flag).
-    pub fn tag_last_eof(&mut self) -> bool {
-        if let Some(Item::Byte(s)) = self.items.back_mut() {
-            s.eof = true;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Try to pop one output word of up to `width` lanes.
     ///
     /// Words never span frames: popping stops after an `eof` byte, and a
@@ -168,25 +156,6 @@ impl ByteStager {
             }
         }
         Some(word)
-    }
-
-    /// Pop every currently-complete word straight into a caller-provided
-    /// [`p5_stream::WireBuf`], carrying the SOF/EOF/abort tags across as
-    /// tagged lanes.  This is the batched egress path: one call empties
-    /// the stager without intermediate `Word` shuttling by the caller.
-    /// Returns the number of bytes moved.
-    pub fn pop_words_into(
-        &mut self,
-        width: usize,
-        force: bool,
-        out: &mut p5_stream::WireBuf,
-    ) -> usize {
-        let mut moved = 0;
-        while let Some(w) = self.pop_word(width, force) {
-            out.push_tagged(w.lanes(), w.sof, w.eof, w.abort);
-            moved += w.lanes().len();
-        }
-        moved
     }
 }
 
@@ -275,16 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn retro_tagging_eof() {
-        let mut s = ByteStager::new(32);
-        s.push_byte(7, true, false);
-        assert!(s.tag_last_eof());
-        let w = s.pop_word(4, false).unwrap();
-        assert!(w.eof);
-        assert!(!s.tag_last_eof(), "nothing left to tag");
-    }
-
-    #[test]
     #[should_panic(expected = "backpressure failed")]
     fn overflow_panics() {
         let mut s = ByteStager::new(2);
@@ -302,20 +261,6 @@ mod tests {
         assert_eq!(s.free(), 5);
         s.pop_word(4, false);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn pop_words_into_carries_tags_into_wirebuf() {
-        let mut s = ByteStager::new(32);
-        push_frame(&mut s, &[1, 2, 3, 4, 5]);
-        push_frame(&mut s, &[6, 7]);
-        let mut out = p5_stream::WireBuf::new();
-        let moved = s.pop_words_into(4, false, &mut out);
-        assert_eq!(moved, 7);
-        assert!(s.is_empty());
-        assert_eq!(out.frames_ready(), 2);
-        assert_eq!(out.pop_frame().unwrap().0, vec![1, 2, 3, 4, 5]);
-        assert_eq!(out.pop_frame().unwrap().0, vec![6, 7]);
     }
 
     #[test]

@@ -164,14 +164,7 @@ pub(crate) fn fcs_params(fcs: FcsMode) -> Option<CrcParams> {
 
 impl TxCrc {
     pub fn new(width: usize, fcs: FcsMode) -> Self {
-        Self::with_engine_kind(width, fcs, EngineKind::default())
-    }
-
-    /// Select the CRC realisation: [`EngineKind::Slice`] (the default)
-    /// for speed, [`EngineKind::Matrix`] to exercise the paper's
-    /// gate-model walk.  Byte-for-byte equivalent either way.
-    pub fn with_engine_kind(width: usize, fcs: FcsMode, kind: EngineKind) -> Self {
-        let engine = fcs_params(fcs).map(|p| FcsEngine::new(kind, p, width));
+        let engine = fcs_params(fcs).map(|p| FcsEngine::new(EngineKind::default(), p, width));
         Self {
             width,
             fcs,
@@ -180,12 +173,6 @@ impl TxCrc {
             stager: ByteStager::new(4 * width + 8),
             stats: StageStats::default(),
         }
-    }
-
-    /// Which realisation is currently computing the FCS (`None` when
-    /// the mode carries no FCS at all).
-    pub fn engine_kind(&self) -> Option<EngineKind> {
-        self.engine.as_ref().map(|e| e.kind())
     }
 
     /// Can accept one input word next clock (worst case it stages
@@ -515,13 +502,6 @@ impl TxPipeline {
         self.control.submit(desc)
     }
 
-    /// Drop the inter-stage latches (test hook for abort scenarios —
-    /// hardware clears the same registers on an abort strobe).
-    pub fn latch_flush_for_test(&mut self) {
-        self.latch_ctl_crc = None;
-        self.latch_crc_esc = None;
-    }
-
     pub fn idle(&self) -> bool {
         self.control.idle()
             && self.crc.idle()
@@ -842,7 +822,9 @@ mod abort_tests {
                 // Stop feeding the rest of the frame.
                 tx.control = TxControl::new(4, 0xFF);
                 tx.crc = TxCrc::new(4, FcsMode::Fcs32);
-                tx.latch_flush_for_test();
+                // Hardware clears the inter-stage latches on the strobe.
+                tx.latch_ctl_crc = None;
+                tx.latch_crc_esc = None;
             }
             if let Some(w) = tx.clock(true) {
                 wire.extend_from_slice(w.lanes());

@@ -14,7 +14,7 @@
 //! walked linearly, which is also why the ×1-lane configuration
 //! already beats the scalar walker before lane parallelism kicks in.
 
-use crate::lutsim::truth_table;
+use crate::lut::truth_table;
 use crate::map::MappedNetlist;
 use crate::netlist::{Netlist, NodeKind, Sig};
 use crate::sim::{InPort, OutPort};
@@ -394,6 +394,20 @@ mod tests {
         b.finish()
     }
 
+    /// A 6-bit counter with enable.
+    fn counter_netlist() -> Netlist {
+        let mut b = Builder::new("ctr");
+        let en = b.input("en");
+        let q = b.state_word(6, 0);
+        let one = b.const_word(1, 6);
+        let zero = b.lit(false);
+        let (inc, _) = b.add(&q, &one, zero);
+        let next = b.mux_word(en, &inc, &q);
+        b.bind_word(&q, &next);
+        b.output("count", &q);
+        b.finish()
+    }
+
     #[test]
     fn combinational_broadcast_matches_scalar() {
         let n = adder_netlist();
@@ -430,19 +444,9 @@ mod tests {
 
     #[test]
     fn sequential_step_and_lane_reset() {
-        // A 6-bit counter with enable: count only in even lanes, then
-        // reset one lane and check the others keep their state.
-        let mut b = Builder::new("ctr");
-        let en = b.input("en");
-        let q = b.state_word(6, 0);
-        let one = b.const_word(1, 6);
-        let zero = b.lit(false);
-        let (inc, _) = b.add(&q, &one, zero);
-        let next = b.mux_word(en, &inc, &q);
-        b.bind_word(&q, &next);
-        b.output("count", &q);
-        let n = b.finish();
-        let mut cs = CompiledSim::compile(&n);
+        // Count only in even lanes, then reset one lane and check the
+        // others keep their state.
+        let mut cs = CompiledSim::compile(&counter_netlist());
         let pen = cs.in_port("en");
         let pq = cs.out_port("count");
         for lane in 0..LANES {
@@ -468,27 +472,51 @@ mod tests {
 
     #[test]
     fn mapped_tape_matches_gate_tape() {
+        // Every pair of 8-bit addends, 64 per pass, in both map modes:
+        // the mapped tape against the gate tape and the scalar `Sim`.
         let n = adder_netlist();
+        let mut gs = Sim::new(&n);
         for mode in [MapMode::Depth, MapMode::Area] {
             let m = map(&n, mode);
             let mut cm = CompiledSim::compile_mapped(&n, &m);
             let mut cg = CompiledSim::compile(&n);
             let (pa, pb) = (cm.in_port("a"), cm.in_port("b"));
-            let psum = cm.out_port("sum");
-            for lane in 0..LANES {
-                let (a, b) = ((lane as u64 * 37) & 0xFF, (lane as u64 * 91) & 0xFF);
-                cm.set_bytes_lane(pa, lane, &[a as u8]);
-                cm.set_bytes_lane(pb, lane, &[b as u8]);
-                cg.set_lane(pa, lane, a);
-                cg.set_lane(pb, lane, b);
+            let (psum, pcout) = (cm.out_port("sum"), cm.out_port("cout"));
+            for a in 0..256u64 {
+                for b0 in (0..256u64).step_by(LANES) {
+                    cm.set(pa, a);
+                    cg.set(pa, a);
+                    for lane in 0..LANES {
+                        cm.set_bytes_lane(pb, lane, &[(b0 + lane as u64) as u8]);
+                        cg.set_lane(pb, lane, b0 + lane as u64);
+                    }
+                    for lane in 0..LANES {
+                        let b = b0 + lane as u64;
+                        gs.set("a", a);
+                        gs.set("b", b);
+                        let (sum, cout) = (gs.get("sum"), gs.get("cout"));
+                        assert_eq!(cm.get_lane(psum, lane), sum, "{mode:?} {a}+{b}");
+                        assert_eq!(cm.get_lane(pcout, lane), cout, "{mode:?} {a}+{b}");
+                        assert_eq!(cg.get_lane(psum, lane), sum, "{mode:?} {a}+{b}");
+                    }
+                }
             }
-            for lane in 0..LANES {
-                assert_eq!(
-                    cm.get_lane(psum, lane),
-                    cg.get_lane(psum, lane),
-                    "{mode:?} lane {lane}"
-                );
-            }
+        }
+
+        // A 6-bit counter with enable, mapped: FF CE and feedback
+        // through LUTs, stepped against the scalar `Sim`.
+        let n = counter_netlist();
+        let m = map(&n, MapMode::Depth);
+        let mut cm = CompiledSim::compile_mapped(&n, &m);
+        let mut gs = Sim::new(&n);
+        let (pen, pq) = (cm.in_port("en"), cm.out_port("count"));
+        for cyc in 0..100u64 {
+            let en = (cyc % 3 != 0) as u64;
+            cm.set(pen, en);
+            gs.set("en", en);
+            assert_eq!(cm.get_lane(pq, 0), gs.get("count"), "cycle {cyc}");
+            cm.step();
+            gs.step();
         }
     }
 

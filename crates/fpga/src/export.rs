@@ -8,7 +8,7 @@
 
 pub mod vcd;
 
-use crate::lutsim::LutNetwork;
+use crate::lut::LutNetwork;
 use crate::netlist::{NodeKind, Sig};
 use std::fmt::Write;
 

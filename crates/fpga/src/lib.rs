@@ -54,7 +54,7 @@
 pub mod builder;
 pub mod compiled;
 pub mod export;
-pub mod lutsim;
+pub mod lut;
 pub mod map;
 pub mod netlist;
 pub mod report;
@@ -67,7 +67,7 @@ pub use builder::Builder;
 pub use compiled::{CompiledSim, LANES};
 pub use export::to_blif;
 pub use export::vcd::VcdWriter;
-pub use lutsim::{LutNetwork, LutSim};
+pub use lut::LutNetwork;
 pub use map::{map, MapMode, MappedNetlist};
 pub use netlist::{Netlist, NodeKind, Sig};
 pub use report::{synthesize, SynthReport};

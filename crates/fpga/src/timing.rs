@@ -7,7 +7,10 @@
 //! and the speed-up is technological, not topological (the same netlist
 //! depth is analysed on both).
 
+use std::collections::HashMap;
+
 use crate::map::MappedNetlist;
+use crate::netlist::Sig;
 
 /// An FPGA device with capacity and timing parameters (delays in ns).
 #[derive(Debug, Clone, Copy)]
@@ -113,26 +116,63 @@ pub struct TimingReport {
     pub post_layout: bool,
 }
 
+/// Arrival times over a mapped netlist: per LUT root, when its output
+/// settles (leaves start at `t_cq` — inputs are assumed registered
+/// upstream) and which leaf's path set it.  The one recurrence behind
+/// [`analyze`]'s fMax and p5-lint's per-endpoint slack, so the two
+/// always agree.
+#[derive(Debug, Clone)]
+pub struct Arrivals {
+    t_cq: f64,
+    /// Per LUT root: its arrival, and the leaf whose path set it.
+    luts: HashMap<Sig, (f64, Option<Sig>)>,
+}
+
+impl Arrivals {
+    /// Propagate arrivals through the LUTs, which `map()` emits in
+    /// topological order.
+    pub fn compute(m: &MappedNetlist, dev: &Device, post_layout: bool) -> Self {
+        let mut a = Self {
+            t_cq: dev.t_cq,
+            luts: HashMap::new(),
+        };
+        for lut in &m.luts {
+            let mut t = dev.t_cq;
+            let mut from = None;
+            for &leaf in &lut.leaves {
+                let cand = a.at(leaf) + m.net_delay(dev, leaf, post_layout);
+                if cand > t {
+                    t = cand;
+                    from = Some(leaf);
+                }
+            }
+            a.luts.insert(lut.root, (t + dev.t_lut, from));
+        }
+        a
+    }
+
+    /// When `sig` settles: its LUT's arrival, or `t_cq` for a signal no
+    /// LUT drives (a register Q, a primary input, a constant).
+    #[must_use]
+    pub fn at(&self, sig: Sig) -> f64 {
+        self.luts.get(&sig).map_or(self.t_cq, |&(t, _)| t)
+    }
+
+    /// The leaf on the latest path into `sig`'s LUT — the previous hop
+    /// of the critical path — or `None` at a launch point.
+    #[must_use]
+    pub fn critical_leaf(&self, sig: Sig) -> Option<Sig> {
+        self.luts.get(&sig).and_then(|&(_, from)| from)
+    }
+}
+
 /// Run static timing analysis over a mapped netlist on a device.
 pub fn analyze(m: &MappedNetlist, dev: &Device, post_layout: bool) -> TimingReport {
-    // Arrival time per mapped LUT root (leaves start at t_cq — inputs are
-    // assumed registered upstream).
-    use std::collections::HashMap;
-    let mut arrival: HashMap<u32, f64> = HashMap::new();
+    let arrivals = Arrivals::compute(m, dev, post_layout);
     let mut worst = dev.t_cq; // a wire from FF straight to FF
     let mut worst_levels = 0usize;
-    // LUTs are already in topological order (map() walks topo order).
     for lut in &m.luts {
-        let mut t: f64 = dev.t_cq;
-        for &leaf in &lut.leaves {
-            let leaf_arrival = arrival.get(&leaf).copied().unwrap_or(dev.t_cq);
-            let cand = leaf_arrival + m.net_delay(dev, leaf, post_layout);
-            if cand > t {
-                t = cand;
-            }
-        }
-        t += dev.t_lut;
-        arrival.insert(lut.root, t);
+        let t = arrivals.at(lut.root);
         if t > worst {
             worst = t;
             worst_levels = lut.level;

@@ -3,7 +3,7 @@
 //! `assign` with its truth-table expression, each flip-flop an `always`
 //! block with native CE/SR semantics.
 
-use crate::lutsim::LutNetwork;
+use crate::lut::LutNetwork;
 use crate::netlist::{NodeKind, Sig};
 use std::fmt::Write;
 

@@ -535,15 +535,6 @@ impl Link {
             .collect()
     }
 
-    /// The parts of this link as a source → sink chain, for link-level
-    /// static analysis (p5-lint composes per-stage handshake contracts
-    /// over it).  Each hand-off holds whole transfers, so analysis
-    /// treats every part as buffered.
-    pub fn topology(&self) -> p5_stream::Topology {
-        let names = self.stage_stats().into_iter().map(|(n, _)| n.into());
-        p5_stream::Topology::chain("simplex link", names.collect())
-    }
-
     /// The link's pump-pass and boundary counters ([`PassStats`]).
     pub fn stack(&self) -> &PassStats {
         &self.passes
@@ -615,23 +606,6 @@ impl DuplexLink {
         let mut s = self.ab.stats();
         s.absorb(&self.ba.stats());
         s
-    }
-
-    /// The duplex stage topology: both devices and both carriages as a
-    /// ring (`a → wire → b → wire → a`), for link-level static
-    /// analysis.  The carriages hold whole transfers, so analysis treats
-    /// them as buffered stages.
-    pub fn topology(&self) -> p5_stream::Topology {
-        let mut t = p5_stream::Topology::new("duplex link");
-        let a = t.push_stage("device a");
-        let ab = t.push_stage("wire a->b");
-        let b = t.push_stage("device b");
-        let ba = t.push_stage("wire b->a");
-        t.connect(a, ab);
-        t.connect(ab, b);
-        t.connect(b, ba);
-        t.connect(ba, a);
-        t
     }
 }
 

@@ -24,7 +24,6 @@ source->sink chain.
 
 options:
   --json                 machine-readable JSON array, one object per module
-  --sarif                SARIF 2.1.0 log for CI ingestion
   --device NAME          timing device (default XC2V1000-6)
   --clock MHZ            clock budget in MHz (default 78.125)
   --strict               info findings count toward the exit code
@@ -78,7 +77,6 @@ impl Error for CliError {}
 
 struct Options {
     json: bool,
-    sarif: bool,
     strict: bool,
     deny_warnings: bool,
     help: bool,
@@ -94,7 +92,6 @@ struct Options {
 fn parse_args() -> Result<Options, CliError> {
     let mut opts = Options {
         json: false,
-        sarif: false,
         strict: false,
         deny_warnings: false,
         help: false,
@@ -113,7 +110,6 @@ fn parse_args() -> Result<Options, CliError> {
         };
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--sarif" => opts.sarif = true,
             "--strict" => opts.strict = true,
             "--deny-warnings" => opts.deny_warnings = true,
             "--report-timing" => opts.report_timing = true,
@@ -262,7 +258,7 @@ fn main() -> ExitCode {
             if let Err(e) = std::fs::write(&path, sta.to_json()) {
                 return fail(format_args!("{path}: {e}"));
             }
-            if !opts.json && !opts.sarif {
+            if !opts.json {
                 println!(
                     "timing {}: worst slack {:+.2} ns, fmax {:.1} MHz ({} endpoints) -> {path}",
                     n.name, sta.worst_slack_ns, sta.fmax_mhz, sta.endpoints
@@ -275,8 +271,6 @@ fn main() -> ExitCode {
     if opts.json {
         let body: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
         println!("[{}]", body.join(","));
-    } else if opts.sarif {
-        println!("{}", p5_lint::to_sarif(&reports));
     } else {
         for r in &reports {
             print!("{}", r.render_human());

@@ -5,9 +5,9 @@
 //! hazards that only exist once stages are *wired together*.  This pass
 //! abstracts every stage to a [`StageContract`] — which boundary
 //! signals it couples combinationally — composes the contracts over a
-//! stage topology (a [`LinkGraph`], built from the `p5_stream::Topology`
-//! a `p5-link` link exports via [`LinkGraph::from_topology`]), and
-//! looks for two composition-only failures:
+//! stage graph (a [`LinkGraph`]: the shipped tx/rx chains of
+//! [`crate::shipped_link_graphs`], or the modules of a multi-module
+//! `.p5n` file), and looks for two composition-only failures:
 //!
 //! * a **combinational ready/valid cycle** across module boundaries: a
 //!   closed dependency loop through transparent ready paths and Mealy
@@ -190,26 +190,6 @@ impl LinkGraph {
         }
     }
 
-    /// Build from an exported `p5_stream` topology: `resolve` supplies
-    /// the contract for stages with analyzable RTL; everything else is
-    /// assumed [`StageContract::buffered`] (the software stages sit
-    /// behind `WireBuf` elastic buffers).
-    pub fn from_topology<F>(topo: &p5_stream::Topology, resolve: F) -> Self
-    where
-        F: Fn(&str) -> Option<StageContract>,
-    {
-        let stages = topo
-            .stages
-            .iter()
-            .map(|name| resolve(name).unwrap_or_else(|| StageContract::buffered(name.clone())))
-            .collect();
-        Self {
-            name: topo.name.clone(),
-            stages,
-            edges: topo.edges.clone(),
-        }
-    }
-
     /// Run the composition checks, as a [`Report`] named after the graph.
     pub fn check(&self) -> Report {
         let mut findings = Vec::new();
@@ -374,6 +354,34 @@ mod tests {
         let r = ring.check();
         assert!(!r.is_clean());
         assert!(r.findings.iter().any(|f| f.message.contains("capacity-0")));
+    }
+
+    #[test]
+    fn duplex_ring_deadlocks_only_when_no_stage_buffers() {
+        // The duplex link's shape: both devices and both wires as a
+        // ring (`a → wire → b → wire → a`).  Buffered stages (the
+        // software carriages hold whole transfers) keep it clean; with
+        // every stage combinationally transparent there is no storage
+        // anywhere on the ring.
+        let ring = |stage: fn(&str) -> StageContract| LinkGraph {
+            name: "duplex link".into(),
+            stages: ["device a", "wire a->b", "device b", "wire b->a"]
+                .into_iter()
+                .map(stage)
+                .collect(),
+            edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
+        };
+        assert!(ring(|n| StageContract::buffered(n)).check().is_clean());
+        let r = ring(|n| StageContract {
+            comb_through_data: true,
+            ..StageContract::buffered(n)
+        })
+        .check();
+        assert!(
+            r.findings.iter().any(|f| f.message.contains("capacity-0")),
+            "{}",
+            r.render_human()
+        );
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod fanout;
 pub mod graph;
 pub mod handshake;
 pub mod report;
-pub mod sarif;
 pub mod structural;
 pub mod timing;
 
@@ -60,7 +59,6 @@ use p5_fpga::{map, Device, MapMode, Netlist};
 pub use baseline::{Baseline, BaselineEntry, BaselineError};
 pub use compose::{LinkGraph, StageContract};
 pub use report::{Finding, Report, Rule, Severity};
-pub use sarif::to_sarif;
 pub use timing::{static_timing, StaReport};
 
 /// The line clock both datapath widths must meet (2.5 Gbps / 32 bit).

@@ -2,8 +2,8 @@
 //!
 //! Where `P5L007` flags single nets whose fanout delay alone blows the
 //! budget, this pass prices whole paths: topological arrival-time
-//! propagation (the exact recurrence of [`p5_fpga::timing::analyze`],
-//! with the argmax predecessor recorded per LUT), per-endpoint required
+//! propagation ([`p5_fpga::timing::Arrivals`], the recurrence behind
+//! [`p5_fpga::timing::analyze`]'s fMax), per-endpoint required
 //! times and slack, and a critical-path report with the gate-by-gate
 //! breakdown — what a designer reads off a real timing analyzer before
 //! deciding whether to pipeline deeper or replicate a driver.
@@ -14,8 +14,7 @@
 //! slack is an **error**: the netlist cannot run at the requested clock
 //! on the requested device.
 
-use std::collections::HashMap;
-
+use p5_fpga::timing::Arrivals;
 use p5_fpga::{Device, MappedNetlist, Netlist, NodeKind, Sig};
 
 use crate::report::{json_string, Finding, Rule, Severity};
@@ -92,29 +91,7 @@ pub fn static_timing(
 ) -> StaReport {
     let period_ns = 1000.0 / clock_mhz;
 
-    // Arrival per LUT root, plus the predecessor leaf that set it — the
-    // same recurrence as `p5_fpga::timing::analyze`, so slack here and
-    // fMax there always agree.
-    let mut arrival: HashMap<Sig, f64> = HashMap::new();
-    let mut argmax: HashMap<Sig, Sig> = HashMap::new();
-    for lut in &m.luts {
-        let mut t = dev.t_cq;
-        let mut from = None;
-        for &leaf in &lut.leaves {
-            let leaf_arrival = arrival.get(&leaf).copied().unwrap_or(dev.t_cq);
-            let cand = leaf_arrival + m.net_delay(dev, leaf, true);
-            if cand > t {
-                t = cand;
-                from = Some(leaf);
-            }
-        }
-        t += dev.t_lut;
-        arrival.insert(lut.root, t);
-        if let Some(f) = from {
-            argmax.insert(lut.root, f);
-        }
-    }
-    let arrival_of = |sig: Sig| arrival.get(&sig).copied().unwrap_or(dev.t_cq);
+    let arrivals = Arrivals::compute(m, dev, true);
 
     // Endpoints: FF D/CE/SR pins and primary output bits.  The capture
     // cost (`t_su`) is charged at the endpoint, so required = T − t_su.
@@ -135,7 +112,7 @@ pub fn static_timing(
     let required_ns = period_ns - dev.t_su;
     let mut slacks: Vec<(f64, String, Sig)> = endpoints
         .iter()
-        .map(|(name, sig)| (required_ns - arrival_of(*sig), name.clone(), *sig))
+        .map(|(name, sig)| (required_ns - arrivals.at(*sig), name.clone(), *sig))
         .collect();
     // Most critical first; name then sig breaks ties deterministically.
     slacks.sort_by(|a, b| {
@@ -147,7 +124,7 @@ pub fn static_timing(
     let worst_slack_ns = slacks.first().map_or(required_ns - dev.t_cq, |s| s.0);
     let worst_arrival = slacks
         .first()
-        .map_or(dev.t_cq, |&(_, _, sig)| arrival_of(sig));
+        .map_or(dev.t_cq, |&(_, _, sig)| arrivals.at(sig));
     let violations = slacks.iter().filter(|s| s.0 < 0.0).count();
 
     let paths = slacks
@@ -158,7 +135,7 @@ pub fn static_timing(
             // replay it forward to accumulate per-hop delays.
             let mut chain = vec![*sig];
             let mut cur = *sig;
-            while let Some(&prev) = argmax.get(&cur) {
+            while let Some(prev) = arrivals.critical_leaf(cur) {
                 chain.push(prev);
                 cur = prev;
             }
@@ -182,7 +159,7 @@ pub fn static_timing(
             TimingPath {
                 endpoint: name.clone(),
                 endpoint_sig: *sig,
-                arrival_ns: arrival_of(*sig),
+                arrival_ns: arrivals.at(*sig),
                 required_ns,
                 slack_ns: *slack,
                 steps,

@@ -1,60 +1,9 @@
-//! Cross-crate composition: export real stage topologies from
-//! `p5-link`/`p5-stream` and run the P5L015 pass over them — the
-//! link-level counterpart of the per-netlist integration tests.
+//! Cross-crate composition: the P5L015 pass over the shipped tx/rx
+//! chains, whose stage contracts are extracted from the `p5-rtl`
+//! netlists — the link-level counterpart of the per-netlist
+//! integration tests.
 
-use p5_core::DatapathWidth;
-use p5_link::LinkBuilder;
-use p5_lint::{shipped_link_graphs, LinkGraph, StageContract};
-
-#[test]
-fn simplex_link_topology_composes_clean() {
-    for width in [DatapathWidth::W8, DatapathWidth::W32] {
-        let link = LinkBuilder::new().width(width).build().expect("build link");
-        let topo = link.topology();
-        assert!(topo.is_linear(), "a simplex link is a chain");
-        assert!(topo.stages.len() >= 2, "{:?}", topo.stages);
-        // Software stages sit behind elastic buffers: all buffered.
-        let g = LinkGraph::from_topology(&topo, |_| None);
-        let r = g.check();
-        assert!(r.is_clean(), "{}", r.render_human());
-    }
-}
-
-#[test]
-fn duplex_link_topology_is_a_ring_and_stays_clean_when_buffered() {
-    let duplex = LinkBuilder::new()
-        .width(DatapathWidth::W32)
-        .build_duplex()
-        .expect("build duplex");
-    let topo = duplex.topology();
-    assert!(!topo.is_linear(), "duplex is a ring through both wires");
-    let g = LinkGraph::from_topology(&topo, |_| None);
-    assert!(g.check().is_clean());
-}
-
-#[test]
-fn duplex_ring_of_transparent_stages_deadlocks() {
-    // Resolve every stage of the same duplex ring as combinationally
-    // transparent: with no storage anywhere on the ring, P5L015 must
-    // report the capacity-0 deadlock the buffered variant avoids.
-    let duplex = LinkBuilder::new()
-        .width(DatapathWidth::W8)
-        .build_duplex()
-        .expect("build duplex");
-    let topo = duplex.topology();
-    let g = LinkGraph::from_topology(&topo, |name| {
-        let mut c = StageContract::buffered(name);
-        c.comb_through_data = true;
-        Some(c)
-    });
-    let r = g.check();
-    assert!(!r.is_clean());
-    assert!(
-        r.findings.iter().any(|f| f.message.contains("capacity-0")),
-        "{}",
-        r.render_human()
-    );
-}
+use p5_lint::shipped_link_graphs;
 
 #[test]
 fn shipped_chain_contracts_are_extracted_not_defaulted() {

@@ -291,7 +291,6 @@ impl Collector {
                 errors: cur.errors.saturating_sub(t.prev.errors),
                 resync_bytes: cur.resync_bytes.saturating_sub(t.prev.resync_bytes),
                 shed: cur.shed.saturating_sub(t.prev.shed),
-                lqr_tripped: false,
             };
             t.prev = cur;
             t.flight.record(

@@ -1,8 +1,8 @@
 //! Per-link health scoring: a hysteresis state machine over windowed
 //! error readings.
 //!
-//! The paper's OAM block exposes FCS errors, sync state and LQR quality
-//! precisely so an operator can judge a link *while it runs*.  This
+//! The paper's OAM block exposes FCS errors and sync state precisely so
+//! an operator can judge a link *while it runs*.  This
 //! module turns those raw counters into a three-state verdict —
 //! [`HealthState::Healthy`] / [`Degraded`](HealthState::Degraded) /
 //! [`Down`](HealthState::Down) — with hysteresis on both edges, so a
@@ -60,9 +60,6 @@ pub struct HealthSample {
     pub resync_bytes: u64,
     /// Frames shed at admission this window.
     pub shed: u64,
-    /// The LQR quality tracker's verdict, if the link runs link-quality
-    /// monitoring (`p5_ppp::lqr::QualityTracker::is_tripped`).
-    pub lqr_tripped: bool,
 }
 
 /// How a window reads against the policy.
@@ -124,8 +121,7 @@ impl HealthPolicy {
         } else {
             s.shed as f64 / s.offered as f64
         };
-        if s.lqr_tripped
-            || (s.errors > 0 && error_rate >= self.degrade_error_rate)
+        if (s.errors > 0 && error_rate >= self.degrade_error_rate)
             || (s.shed > 0 && shed_rate >= self.degrade_shed_rate)
             || s.resync_bytes >= self.degrade_resync_bytes
         {
@@ -355,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn shed_resync_and_lqr_also_degrade() {
+    fn shed_and_resync_also_degrade() {
         let p = HealthPolicy::default();
         let mut shed = LinkHealth::new(p);
         let s = HealthSample {
@@ -375,15 +371,6 @@ mod tests {
         };
         resync.update(&s);
         assert_eq!(resync.update(&s).unwrap().to, HealthState::Degraded);
-
-        let mut lqr = LinkHealth::new(p);
-        let s = HealthSample {
-            delivered: 100,
-            lqr_tripped: true,
-            ..HealthSample::default()
-        };
-        lqr.update(&s);
-        assert_eq!(lqr.update(&s).unwrap().to, HealthState::Degraded);
     }
 
     #[test]

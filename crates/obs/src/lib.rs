@@ -1,7 +1,7 @@
 //! `p5-obs`: live observability over a running fleet.
 //!
 //! The paper's OAM block exposes per-link health (FCS errors, sync
-//! state, LQR quality) while the link runs, because a carrier
+//! state) while the link runs, because a carrier
 //! deployment is judged live, not post-mortem.  `p5-runtime` (PR 8)
 //! drives thousands of links but only reported end-of-run snapshots;
 //! this crate closes that gap in four pieces:
@@ -13,7 +13,7 @@
 //!   windowed p99 latency bound instead of run-lifetime aggregates.
 //! * **Per-link health scoring** — a hysteresis state machine
 //!   ([`LinkHealth`]: [`HealthState::Healthy`] / `Degraded` / `Down`)
-//!   fed by FCS-error rate, resync cost, shed rate and LQR verdicts,
+//!   fed by FCS-error rate, resync cost and shed rate,
 //!   rolled up into a bounded-cardinality [`HealthSummary`].
 //! * **Flight recorder** — a per-link bounded ring
 //!   ([`FlightRecorder`]) that freezes shortly after a trigger (error

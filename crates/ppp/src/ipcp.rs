@@ -13,13 +13,14 @@ use crate::protocol::Protocol;
 /// IPCP option type for IP-Address.
 pub const OPT_IP_ADDRESS: u8 = 3;
 
+/// Address suggested to a peer that has none (0.0.0.0): TEST-NET-1.
+const SUGGESTION: [u8; 4] = [192, 0, 2, 99];
+
 /// IPCP negotiation policy.
 #[derive(Debug, Clone)]
 pub struct IpcpNegotiator {
     our_addr: [u8; 4],
     peer_addr: Option<[u8; 4]>,
-    /// Address we suggest to a peer that has none (0.0.0.0).
-    suggestion: [u8; 4],
 }
 
 impl IpcpNegotiator {
@@ -27,13 +28,7 @@ impl IpcpNegotiator {
         Self {
             our_addr,
             peer_addr: None,
-            suggestion: [192, 0, 2, 99],
         }
-    }
-
-    pub fn with_suggestion(mut self, addr: [u8; 4]) -> Self {
-        self.suggestion = addr;
-        self
     }
 
     pub fn our_addr(&self) -> [u8; 4] {
@@ -74,7 +69,7 @@ impl Negotiator for IpcpNegotiator {
         let mut rejects = Vec::new();
         for raw in opts {
             match Self::parse_addr(raw) {
-                Some([0, 0, 0, 0]) => naks.push(Self::addr_option(self.suggestion)),
+                Some([0, 0, 0, 0]) => naks.push(Self::addr_option(SUGGESTION)),
                 Some(_) => {}
                 None => rejects.push(raw.clone()),
             }
@@ -134,10 +129,10 @@ mod tests {
 
     #[test]
     fn zero_address_is_naked_with_suggestion() {
-        let mut n = IpcpNegotiator::new([10, 0, 0, 1]).with_suggestion([10, 0, 0, 9]);
+        let mut n = IpcpNegotiator::new([10, 0, 0, 1]);
         assert_eq!(
             n.review_peer_request(&[addr_opt([0, 0, 0, 0])]),
-            Verdict::Nak(vec![addr_opt([10, 0, 0, 9])])
+            Verdict::Nak(vec![addr_opt(SUGGESTION)])
         );
     }
 

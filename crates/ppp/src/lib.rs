@@ -39,7 +39,6 @@ pub mod fsm;
 pub mod ipcp;
 pub mod lcp;
 pub mod lcp_negotiator;
-pub mod lqr;
 pub mod mapos;
 pub mod pap;
 pub mod profile;

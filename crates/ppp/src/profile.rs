@@ -4,7 +4,7 @@
 //! Before the transport redesign, configuring a session meant touching
 //! scattered knobs: an [`EndpointConfig`] for the RFC 1661 timers, a
 //! hand-built `LcpNegotiator` for MRU and field compression, ad-hoc
-//! wiring for PAP and LQR.  A `NegotiationProfile` gathers the whole
+//! wiring for PAP.  A `NegotiationProfile` gathers the whole
 //! surface — the same shape a production PPP test platform exposes as
 //! one configuration object — and is consumed identically by
 //! `Session::with_profile`, `p5_link::LinkBuilder::profile` and
@@ -34,9 +34,9 @@ pub enum AuthPolicy {
 }
 
 /// Typed builder for everything one session endpoint negotiates: MRU,
-/// ACFC/PFC field compression, the RFC 1661 restart budget, the LQR
-/// reporting interval and the authentication stance — plus the IPCP
-/// address and LCP magic number that identify the endpoint.
+/// ACFC/PFC field compression, the RFC 1661 restart budget and the
+/// authentication stance — plus the IPCP address and LCP magic number
+/// that identify the endpoint.
 #[derive(Debug, Clone)]
 pub struct NegotiationProfile {
     mru: u16,
@@ -47,7 +47,6 @@ pub struct NegotiationProfile {
     restart_period: u64,
     max_configure: u32,
     max_terminate: u32,
-    lqr_interval: Option<u64>,
     auth: AuthPolicy,
 }
 
@@ -63,7 +62,6 @@ impl Default for NegotiationProfile {
             restart_period: cfg.restart_period,
             max_configure: cfg.max_configure,
             max_terminate: cfg.max_terminate,
-            lqr_interval: None,
             auth: AuthPolicy::None,
         }
     }
@@ -129,13 +127,6 @@ impl NegotiationProfile {
         self
     }
 
-    /// Emit a Link-Quality-Report every `ticks` (RFC 1989 cadence);
-    /// `None` disables LQR.
-    pub fn lqr_every(mut self, ticks: u64) -> Self {
-        self.lqr_interval = Some(ticks);
-        self
-    }
-
     /// Authenticate to the peer with PAP once the link opens.
     pub fn pap_client(mut self, id: &[u8], secret: &[u8]) -> Self {
         self.auth = AuthPolicy::PapClient {
@@ -166,11 +157,6 @@ impl NegotiationProfile {
     /// [`EndpointConfig::restart_budget_ticks`]).
     pub fn restart_budget_ticks(&self) -> u64 {
         self.config().restart_budget_ticks()
-    }
-
-    /// The LQR reporting interval, if enabled.
-    pub fn lqr_interval(&self) -> Option<u64> {
-        self.lqr_interval
     }
 
     /// The configured authentication stance.
@@ -222,7 +208,6 @@ mod tests {
             .restart_period(5)
             .max_configure(4)
             .max_terminate(3)
-            .lqr_every(64)
             .pap_client(b"alice", b"s3cret");
         assert_eq!(p.mru_requested(), 2048);
         assert_eq!(p.magic_number(), 0xDEAD_BEEF);
@@ -233,7 +218,6 @@ mod tests {
         assert_eq!(cfg.max_configure, 4);
         assert_eq!(cfg.max_terminate, 3);
         assert_eq!(p.restart_budget_ticks(), (4 + 1) * 5);
-        assert_eq!(p.lqr_interval(), Some(64));
         assert!(matches!(p.auth_policy(), AuthPolicy::PapClient { .. }));
     }
 }

@@ -100,8 +100,8 @@ impl Session {
         self.pump();
     }
 
-    /// The physical layer dropped — e.g. a SONET error storm tripped the
-    /// link-quality policy.  LCP leaves Opened, which cascades a Down
+    /// The physical layer dropped — e.g. an outage delivered nothing
+    /// for several intervals.  LCP leaves Opened, which cascades a Down
     /// into IPCP via the internal event pump.
     pub fn lower_down(&mut self) {
         self.lcp.lower_down();

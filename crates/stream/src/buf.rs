@@ -253,22 +253,6 @@ impl WireBuf {
         self.segs.iter().filter(|s| s.tagged && s.eof).count()
     }
 
-    /// Borrow the front frame without consuming it.
-    pub fn peek_frame(&self) -> Option<(&[u8], FrameMeta)> {
-        let seg = self.segs.front()?;
-        if !seg.tagged || !seg.eof {
-            return None;
-        }
-        Some((
-            &self.as_slice()[..seg.len],
-            FrameMeta {
-                len: seg.len,
-                abort: seg.abort,
-                id: seg.id,
-            },
-        ))
-    }
-
     /// Pop the front frame into a caller-provided buffer (cleared first),
     /// or return `None` if the front of the stream is not a complete frame.
     pub fn pop_frame_into(&mut self, out: &mut Vec<u8>) -> Option<FrameMeta> {

@@ -14,21 +14,17 @@
 //!   frame path at zero allocations;
 //! * [`StageStats`] and [`Offer`] — the flow-counter and admission
 //!   vocabulary every boundary reports in;
-//! * [`Topology`] — a link's stage graph, for p5-lint's composition
-//!   pass;
 //! * the `p5-trace` re-exports below.
 
 pub mod buf;
 pub mod offer;
 pub mod pool;
 pub mod stats;
-pub mod topology;
 
 pub use buf::{FrameMeta, WireBuf};
 pub use offer::Offer;
 pub use pool::{shrink_scratch, BufPool, PoolStats, SCRATCH_HIGH_WATER};
 pub use stats::StageStats;
-pub use topology::Topology;
 
 // Re-exported so downstream crates implement `Observable` and emit
 // trace events without naming `p5-trace` in their manifests.

@@ -97,8 +97,8 @@ fn main() {
     }
     assert!(ponged, "datagram must arrive over the negotiated link");
 
-    // A link-quality trip (e.g. an LQR policy, DESIGN.md §14) bounces
-    // the lower layer: LCP renegotiates and must re-open within the
+    // A link-quality trip (e.g. an outage that delivers nothing for
+    // three intervals, as in `fault_report`) bounces the lower layer: LCP renegotiates and must re-open within the
     // restart budget.
     let budget = 2 * a.lcp.config().restart_budget_ticks();
     println!("\nrenegotiating (budget {budget} ticks)...");

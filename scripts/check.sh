@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> pub census (pub items no other crate names: pub_census.txt)"
+# A new pub item nothing outside its crate names, or a listed one that
+# gained a caller or went, fails here; re-run the script into
+# pub_census.txt to accept the change on purpose.
+sh scripts/pub_census.sh | diff -u pub_census.txt -
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

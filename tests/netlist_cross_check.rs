@@ -181,12 +181,13 @@ fn hardware_fcs_check_agrees_with_software_check() {
 fn mapped_escape_gen_matches_gate_level_at_lut_granularity() {
     // Verify the technology mapper itself on the paper's biggest module:
     // map the 32-bit escape generate, compute every LUT's truth table,
-    // and co-simulate the LUT network against the gate network.
-    use p5_fpga::{map, LutNetwork, LutSim, MapMode, Sim};
+    // and co-simulate the compiled LUT tape against the gate network.
+    use p5_fpga::{map, CompiledSim, MapMode, Sim};
     let n = build_escape_gen(4, SorterStyle::Barrel);
     for mode in [MapMode::Depth, MapMode::Area] {
         let m = map(&n, mode);
-        let mut luts = LutSim::new(LutNetwork::new(&n, &m));
+        let mut luts = CompiledSim::compile_mapped(&n, &m);
+        let (in_data, in_valid) = (luts.in_port("in_data"), luts.in_port("in_valid"));
         let mut gates = Sim::new(&n);
         let mut rng = StdRng::seed_from_u64(41);
         for cycle in 0..200 {
@@ -197,13 +198,14 @@ fn mapped_escape_gen_matches_gate_level_at_lut_granularity() {
                 rng.gen(),
             ];
             let valid = rng.gen_bool(0.8) as u64;
-            luts.set_bytes("in_data", &word);
-            luts.set("in_valid", valid);
+            luts.set(in_data, u32::from_le_bytes(word).into());
+            luts.set(in_valid, valid);
             gates.set_bytes("in_data", &word);
             gates.set("in_valid", valid);
             for out in ["out_data", "out_valid", "in_ready", "occupancy"] {
+                let port = luts.out_port(out);
                 assert_eq!(
-                    luts.get(out),
+                    luts.get_lane(port, 0),
                     gates.get(out),
                     "{mode:?} cycle {cycle} {out}"
                 );
@@ -309,26 +311,29 @@ fn compiled_escape_gen_stuffs_64_distinct_streams_at_once() {
 #[test]
 fn mapped_crc_unit_matches_gate_level_at_lut_granularity() {
     use p5_crc::FCS32;
-    use p5_fpga::{map, LutNetwork, LutSim, MapMode, Sim};
+    use p5_fpga::{map, CompiledSim, MapMode, Sim};
     let n = p5_rtl::build_crc_unit(FCS32, 4);
     let m = map(&n, MapMode::Area);
-    let mut luts = LutSim::new(LutNetwork::new(&n, &m));
+    let mut luts = CompiledSim::compile_mapped(&n, &m);
     let mut gates = Sim::new(&n);
     let mut rng = StdRng::seed_from_u64(17);
-    luts.set("en", 1);
-    luts.set("init", 0);
-    luts.set("byte_mode", 0);
-    luts.set("byte_lane", 0);
-    gates.set("en", 1);
-    gates.set("init", 0);
-    gates.set("byte_mode", 0);
-    gates.set("byte_lane", 0);
+    for (name, value) in [("en", 1), ("init", 0), ("byte_mode", 0), ("byte_lane", 0)] {
+        let port = luts.in_port(name);
+        luts.set(port, value);
+        gates.set(name, value);
+    }
+    let data = luts.in_port("data");
+    let (crc, fcs_ok) = (luts.out_port("crc"), luts.out_port("fcs_ok"));
     for cycle in 0..100 {
         let word: [u8; 4] = rng.gen();
-        luts.set_bytes("data", &word);
+        luts.set(data, u32::from_le_bytes(word).into());
         gates.set_bytes("data", &word);
-        assert_eq!(luts.get("crc"), gates.get("crc"), "cycle {cycle}");
-        assert_eq!(luts.get("fcs_ok"), gates.get("fcs_ok"), "cycle {cycle}");
+        assert_eq!(luts.get_lane(crc, 0), gates.get("crc"), "cycle {cycle}");
+        assert_eq!(
+            luts.get_lane(fcs_ok, 0),
+            gates.get("fcs_ok"),
+            "cycle {cycle}"
+        );
         luts.step();
         gates.step();
     }
