@@ -39,6 +39,18 @@ const fn lanes_eq(word: u64, b: u8) -> u64 {
     !(((x & LOW7) + LOW7) | x | LOW7)
 }
 
+/// Running counts of a lane mask with one bit per lane (bit 0 of each
+/// lane): lane `k` holds how many of lanes `0..=k` are marked, so the top
+/// lane holds them all.  The sort needs the lane counts for positions
+/// anyway, and the total read from them is one shift — the baseline
+/// x86-64 target has no POPCNT, and a software popcount would sit on the
+/// loop-carried output length.
+#[inline]
+const fn lane_counts(mask: u64) -> (u64, usize) {
+    let counts = mask.wrapping_mul(LSB);
+    (counts, (counts >> 56) as usize)
+}
+
 /// Does any lane of `word` hold a flag or an escape?  The zero-byte
 /// test's borrow may mark the wrong lane, but never a word with no hit.
 #[inline]
@@ -101,12 +113,12 @@ pub(crate) fn stuff(body: &[u8], out: &mut Vec<u8>) -> usize {
         out.extend_from_slice(&[ESCAPE; 16]);
         let dst = out[o..].first_chunk_mut::<16>().expect("just appended");
         let h = hits >> 7;
-        let to = (h.wrapping_mul(LSB) + LANE_INDEX).to_le_bytes();
+        let (counts, inserted) = lane_counts(h);
+        let to = (counts + LANE_INDEX).to_le_bytes();
         let octets = (w ^ (h * u64::from(ESCAPE_XOR))).to_le_bytes();
         for (&to, &b) in to.iter().zip(&octets) {
             dst[usize::from(to & 15)] = b;
         }
-        let inserted = hits.count_ones() as usize;
         out.truncate(o + n + inserted);
         escapes += inserted;
         at += n;
@@ -234,14 +246,14 @@ fn destuff_word(
     // lane lands where the octet after it will overwrite it, or past
     // the end.
     let e1 = e >> 7;
-    let to = (LANE_INDEX - (e1.wrapping_mul(LSB) - e1)).to_le_bytes();
+    let (counts, n_esc) = lane_counts(e1);
+    let to = (LANE_INDEX - (counts - e1)).to_le_bytes();
     for (&to, &b) in to.iter().zip(&w.to_le_bytes()) {
         dst[usize::from(to & 7)] = b;
     }
     // An escape in the last live lane waits for its octet.
     let ends_pending = (e >> (8 * live - 1)) & 1 != 0;
     *pending = ends_pending;
-    let n_esc = e.count_ones() as usize;
     (
         live - n_esc,
         n_esc + usize::from(carried != 0) - usize::from(ends_pending),
@@ -303,6 +315,25 @@ mod tests {
             }
         }
         v
+    }
+
+    #[test]
+    fn lane_counts_match_popcount_on_every_lane_mask() {
+        for marked in 0..=255u32 {
+            let mask = (0..8)
+                .filter(|k| marked >> k & 1 != 0)
+                .fold(0u64, |m, k| m | 1 << (8 * k));
+            let (counts, total) = lane_counts(mask);
+            assert_eq!(total, marked.count_ones() as usize, "mask {marked:08b}");
+            for (k, &c) in counts.to_le_bytes().iter().enumerate() {
+                let below = marked & ((2u32 << k) - 1);
+                assert_eq!(
+                    u32::from(c),
+                    below.count_ones(),
+                    "mask {marked:08b}, lane {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,11 +29,17 @@ impl Accm {
 /// On the octet-synchronous SONET map ([`Accm::SONET`]) only `0x7E`
 /// and `0x7D` need escaping, so a body of a word or more goes through
 /// the word-wide byte sorter ([`crate::sorter`]).  A shorter one (a
-/// frame's header or FCS) and any body under a non-zero ACCM take the
-/// exact per-octet path, which is cheaper than a word step there.
+/// frame's header or FCS) is appended as one block when it holds
+/// neither, and otherwise — like any body under a non-zero ACCM — takes
+/// the exact per-octet path, which is cheaper than a word step there.
 pub fn stuff_into(body: &[u8], accm: Accm, out: &mut Vec<u8>) -> usize {
-    if accm == Accm::SONET && body.len() >= 8 {
+    if accm != Accm::SONET {
+        stuff_ref(body, accm, out)
+    } else if body.len() >= 8 {
         crate::sorter::stuff(body, out)
+    } else if body.iter().all(|&b| b != FLAG && b != ESCAPE) {
+        out.extend_from_slice(body);
+        0
     } else {
         stuff_ref(body, accm, out)
     }
@@ -169,6 +175,24 @@ mod tests {
         let n = stuff_into(&[0x7E, 0x00, 0x7D, 0x7E], Accm::SONET, &mut out);
         assert_eq!(n, 3);
         assert_eq!(out.len(), 7);
+    }
+
+    #[test]
+    fn short_bodies_match_the_per_octet_stuffer() {
+        // Every body of up to four octets over flag, escape, their
+        // neighbours and a clean octet, appended after earlier output.
+        let alphabet = [FLAG, ESCAPE, 0x7C, 0x7F, 0x5E, 0x00];
+        for len in 0..=4u32 {
+            for code in 0..6usize.pow(len) {
+                let body: Vec<u8> = (0..len)
+                    .map(|i| alphabet[code / 6usize.pow(i) % 6])
+                    .collect();
+                let (mut got, mut want) = (vec![0x11], vec![0x11]);
+                let n = stuff_into(&body, Accm::SONET, &mut got);
+                assert_eq!(n, stuff_ref(&body, Accm::SONET, &mut want), "{body:02X?}");
+                assert_eq!(got, want, "{body:02X?}");
+            }
+        }
     }
 
     #[test]

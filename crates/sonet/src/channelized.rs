@@ -140,9 +140,8 @@ impl TributaryGroup {
             self.channel.transmit(&mut self.line);
             deinterleave_into(&self.line, &mut self.frames);
             for (t, frame) in self.tribs.iter_mut().zip(&self.frames) {
-                let landed = t.rx_out.len();
-                t.receiver.push_into(frame, &mut t.rx_out);
-                t.rx_scrambler.descramble(&mut t.rx_out[landed..]);
+                t.receiver
+                    .push_descrambled_into(frame, Some(&mut t.rx_scrambler), &mut t.rx_out);
             }
         }
     }

@@ -11,7 +11,7 @@
 //! BIP-8 parity, H1/H2 fixed pointer, and the POH bytes J1, B3, C2
 //! (0x16 = PPP with x⁴³+1 scrambling, RFC 2615), G1.
 
-use crate::scramble::{FrameScrambler, PayloadScrambler};
+use crate::scramble::{frame_key, frame_key_parity, FrameScrambler, PayloadScrambler};
 use std::collections::VecDeque;
 
 /// A1 framing byte.
@@ -22,6 +22,10 @@ pub const A2: u8 = 0x28;
 pub const C2_PPP_SCRAMBLED: u8 = 0x16;
 /// HDLC flag used as inter-frame fill when the transmit queue runs dry.
 pub const IDLE_FILL: u8 = 0x7E;
+
+/// A row's worth of idle fill, the source a payload row reads once the
+/// queue is dry.
+static FILL: [u8; StmLevel::Stm16.row_bytes()] = [IDLE_FILL; StmLevel::Stm16.row_bytes()];
 
 /// SDH multiplexing level (with the SONET name and line rate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,7 +104,6 @@ pub struct FrameTransmitter {
     frames_emitted: u64,
     payload_bytes_sent: u64,
     fill_bytes_sent: u64,
-    idle_fill: u8,
     /// Section trace byte (J0) — programmable, checked by the peer.
     pub section_trace: u8,
     /// Path trace byte (J1).
@@ -127,7 +130,6 @@ impl FrameTransmitter {
             frames_emitted: 0,
             payload_bytes_sent: 0,
             fill_bytes_sent: 0,
-            idle_fill: IDLE_FILL,
             section_trace: 0x01,
             path_trace: 0x89,
             send_rdi: false,
@@ -198,80 +200,132 @@ impl FrameTransmitter {
     /// scrambler.  RFC 2615 requires the scrambler to run continuously
     /// over the SPE payload — fill octets included — or the receiver
     /// loses scrambler alignment across idle gaps.
-    pub fn emit_frame_into(&mut self, mut x43: Option<&mut PayloadScrambler>, f: &mut Vec<u8>) {
+    pub fn emit_frame_into(&mut self, x43: Option<&mut PayloadScrambler>, f: &mut Vec<u8>) {
+        self.emit_frame_from(x43, &mut &[][..], f);
+    }
+
+    /// [`FrameTransmitter::emit_frame_into`], taking payload from the
+    /// queue first and then from the front of `more`, which is advanced
+    /// past what the frame took: a carrier that hands its octets over
+    /// here queues only what does not fill a frame.
+    ///
+    /// Every line octet is written once.  The overhead columns are the
+    /// frame key with the few overhead values XORed in; each payload row
+    /// is one keyed pass (x⁴³+1, then the frame key, straight into the
+    /// line image), which also yields its share of B3 and B1.
+    pub(crate) fn emit_frame_from(
+        &mut self,
+        mut x43: Option<&mut PayloadScrambler>,
+        more: &mut &[u8],
+        f: &mut Vec<u8>,
+    ) {
         let n = self.level.n();
         let row = self.level.row_bytes();
         let soh = self.level.soh_bytes();
-        f.clear();
-        f.resize(self.level.frame_bytes(), 0);
+        if f.len() != self.level.frame_bytes() {
+            f.clear();
+            f.resize(self.level.frame_bytes(), 0);
+        }
 
-        // Row 0 SOH: A1 ×3N, A2 ×3N, J0, zero-fill.
+        // Row 0 SOH goes out in the clear: A1 ×3N, A2 ×3N, J0, zero-fill.
         f[..3 * n].fill(A1);
         f[3 * n..6 * n].fill(A2);
         f[6 * n] = self.section_trace; // J0 section trace
-
-        // Row 1 SOH: B1.
-        f[row] = self.next_b1;
-        // Row 3 SOH: H1/H2 fixed pointer (concatenation-style constant),
-        // H3 = 0.  Path AIS replaces the pointer with all ones.
-        let ais = self.ais_frames > 0;
-        if ais {
-            self.ais_frames -= 1;
-            f[3 * row] = 0xFF;
-            f[3 * row + n] = 0xFF;
-        } else {
-            f[3 * row] = 0x62; // H1: NDF=0110, ss=10, pointer MSBs 0
-            f[3 * row + n] = 0x0A; // H2 pointer LSBs (fixed)
+        f[6 * n + 1..soh].fill(0);
+        // Every other overhead octet is under the frame-synchronous
+        // scrambler, whose keystream also advanced under row 0's SOH:
+        // lay the key down, then XOR the non-zero values in.
+        f[soh] = FrameScrambler::key_at(soh);
+        for r in 1..9 {
+            f[r * row..][..soh + 1].copy_from_slice(frame_key(r * row, soh + 1));
         }
-        // Row 4 SOH: B2.
-        f[4 * row] = self.next_b2;
+        // Row 1 SOH: B1.  Row 3: H1/H2 fixed pointer (concatenation-style
+        // constant), H3 = 0; path AIS replaces the pointer with all ones.
+        // Row 4: B2.
+        f[row] ^= self.next_b1;
+        let ais = self.ais_frames > 0;
+        let (h1, h2) = if ais {
+            self.ais_frames -= 1;
+            (0xFF, 0xFF)
+        } else {
+            // H1: NDF=0110, ss=10, pointer MSBs 0; H2: pointer LSBs.
+            (0x62, 0x0A)
+        };
+        f[3 * row] ^= h1;
+        f[3 * row + n] ^= h2;
+        f[4 * row] ^= self.next_b2;
 
-        // Path overhead column (first payload column), one byte per row.
-        let poh_col = soh;
-        f[poh_col] = self.path_trace; // J1 path trace
-        f[row + poh_col] = self.next_b3; // B3 path BIP-8 (previous SPE)
-        f[2 * row + poh_col] = C2_PPP_SCRAMBLED;
-        // G1: REI in bits 4-7 (0..=8 errors), RDI in bit 3.
+        // Path overhead column (first payload column), one byte per row:
+        // J1 path trace, B3 path BIP-8 (previous SPE), C2, and G1 with
+        // REI in bits 4-7 (0..=8 errors) and RDI in bit 3.
         let rei = self.rei_backlog.min(8) as u8;
         self.rei_backlog -= rei as u64;
-        f[3 * row + poh_col] = (rei << 4) | (u8::from(self.send_rdi) << 3);
-
-        // Fill the payload (everything right of the POH column) a row
-        // at a time: queued octets, then idle fill.  B3 for the next
-        // frame is the path BIP-8 over this frame's SPE (POH column
-        // included), before line scrambling.
-        let mut payload_filled = 0usize;
-        let mut b3 = 0u8;
-        for spe in f.chunks_exact_mut(row).map(|r| &mut r[soh..]) {
-            let payload = &mut spe[1..];
-            let take = payload.len().min(self.queue.len() - self.head);
-            payload[..take].copy_from_slice(&self.queue[self.head..self.head + take]);
-            payload[take..].fill(self.idle_fill);
-            self.head += take;
-            payload_filled += take;
-            if let Some(scr) = x43.as_deref_mut() {
-                scr.scramble(payload);
-            }
-            b3 ^= bip8(spe);
+        let poh = [
+            self.path_trace,
+            self.next_b3,
+            C2_PPP_SCRAMBLED,
+            (rei << 4) | (u8::from(self.send_rdi) << 3),
+        ];
+        for (r, &value) in poh.iter().enumerate() {
+            f[r * row + soh] ^= value;
         }
-        self.next_b3 = b3;
 
-        // The frame-synchronous scrambler runs over the whole frame but
-        // the first row of SOH is transmitted unscrambled; the keystream
-        // still advances under it.
-        let mut scr = FrameScrambler::new();
-        scr.skip(soh);
-        scr.apply(&mut f[soh..]);
+        // The payload (everything right of the POH column) a row at a
+        // time: queued octets, then `more`, then idle fill.  B3 for the
+        // next frame is the path BIP-8 over this frame's SPE (POH column
+        // included) before line scrambling.  B1 over the line image is
+        // each row's overhead octets plus its payload's parity, which is
+        // the scrambled payload's XOR the key's (parity is linear).
+        let mut fill = 0usize;
+        let mut payload_parity = 0u8;
+        let mut b1 = 0u8;
+        for r in 0..9 {
+            let (overhead, payload) = f[r * row..(r + 1) * row].split_at_mut(soh + 1);
+            let key = frame_key(r * row + soh + 1, payload.len());
+            b1 ^= bip8(overhead) ^ frame_key_parity(r * row + soh + 1, payload.len());
+            let mut done = 0;
+            while done < payload.len() {
+                let queued = self.queue.len() - self.head;
+                let src: &[u8] = if queued > 0 {
+                    &self.queue[self.head..]
+                } else if !more.is_empty() {
+                    more
+                } else {
+                    &FILL
+                };
+                let take = src.len().min(payload.len() - done);
+                let (src, key) = (&src[..take], &key[done..][..take]);
+                let dst = &mut payload[done..][..take];
+                payload_parity ^= match x43.as_deref_mut() {
+                    Some(scr) => scr.scramble_keyed(src, key, dst),
+                    None => {
+                        for ((d, s), k) in dst.iter_mut().zip(src).zip(key) {
+                            *d = s ^ k;
+                        }
+                        bip8(src)
+                    }
+                };
+                if queued > 0 {
+                    self.head += take;
+                } else if !more.is_empty() {
+                    *more = &more[take..];
+                } else {
+                    fill += take;
+                }
+                done += take;
+            }
+        }
+        self.next_b3 = bip8(&poh) ^ payload_parity;
 
         // Parity for the *next* frame.  B2 excludes the regenerator
         // section overhead (rows 0..3 of the SOH columns), and XOR
         // parity cancels: B2 = B1 ^ BIP-8(RSOH).
-        self.next_b1 = bip8(f);
+        self.next_b1 = b1 ^ payload_parity;
         self.next_b2 = self.next_b1 ^ rsoh_parity(f, row, soh);
 
         self.frames_emitted += 1;
-        self.payload_bytes_sent += payload_filled as u64;
-        self.fill_bytes_sent += (self.level.payload_per_frame() - payload_filled) as u64;
+        self.payload_bytes_sent += (self.level.payload_per_frame() - fill) as u64;
+        self.fill_bytes_sent += fill as u64;
     }
 }
 
@@ -431,14 +485,25 @@ impl FrameReceiver {
     /// Push line bytes, appending the recovered payload to `out`.  A
     /// whole frame at the expected offset is read straight from `bytes`;
     /// only a frame split across pushes is copied.
-    pub fn push_into(&mut self, mut bytes: &[u8], out: &mut Vec<u8>) {
+    pub fn push_into(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
+        self.push_descrambled_into(bytes, None, out);
+    }
+
+    /// [`FrameReceiver::push_into`], with the recovered payload also
+    /// x⁴³+1-descrambled by `x43` in the same pass (RFC 2615 mode).
+    pub(crate) fn push_descrambled_into(
+        &mut self,
+        mut bytes: &[u8],
+        mut x43: Option<&mut PayloadScrambler>,
+        out: &mut Vec<u8>,
+    ) {
         let frame_bytes = self.level.frame_bytes();
         while !bytes.is_empty() {
             match self.state {
                 RxState::Hunt => bytes = self.hunt(bytes),
                 RxState::Aligned if self.buf.is_empty() && bytes.len() >= frame_bytes => {
                     let (frame, rest) = bytes.split_at(frame_bytes);
-                    self.process_frame(frame, out);
+                    self.process_frame(frame, x43.as_deref_mut(), out);
                     bytes = rest;
                 }
                 RxState::Aligned => {
@@ -448,7 +513,7 @@ impl FrameReceiver {
                     bytes = rest;
                     if self.buf.len() == frame_bytes {
                         let frame = std::mem::take(&mut self.buf);
-                        self.process_frame(&frame, out);
+                        self.process_frame(&frame, x43.as_deref_mut(), out);
                         self.buf = frame;
                         self.buf.clear();
                     }
@@ -498,7 +563,12 @@ impl FrameReceiver {
         self.stats.hunts += 1;
     }
 
-    fn process_frame(&mut self, line: &[u8], out: &mut Vec<u8>) {
+    fn process_frame(
+        &mut self,
+        line: &[u8],
+        mut x43: Option<&mut PayloadScrambler>,
+        out: &mut Vec<u8>,
+    ) {
         let n = self.level.n();
         let row = self.level.row_bytes();
         let soh = self.level.soh_bytes();
@@ -544,18 +614,21 @@ impl FrameReceiver {
         self.expected_b2 = Some(this_b2);
 
         // Extract the payload (everything right of the POH column) a
-        // row at a time, descrambling it where it lands in `out`.  Path
-        // BIP-8 runs over the descrambled SPE, POH column included, and
-        // is checked against the B3 carried in the *next* frame.
+        // row at a time in one keyed pass: the frame key off, then x⁴³+1
+        // if on, each octet written once where it lands in `out`.  Path
+        // BIP-8 runs over the SPE with the frame key off, POH column
+        // included — the line's parity XOR the key's — and is checked
+        // against the B3 carried in the *next* frame.
         let mut this_b3 = 0u8;
         for r in 0..9 {
             let poh = r * row + soh;
-            let landed = out.len();
-            out.extend_from_slice(&line[poh + 1..(r + 1) * row]);
-            let mut scr = FrameScrambler::new();
-            scr.skip(poh + 1);
-            scr.apply(&mut out[landed..]);
-            this_b3 ^= clear(poh) ^ bip8(&out[landed..]);
+            let payload = &line[poh + 1..(r + 1) * row];
+            let key = frame_key(poh + 1, payload.len());
+            match x43.as_deref_mut() {
+                Some(scr) => scr.descramble_keyed_into(payload, key, out),
+                None => out.extend(payload.iter().zip(key).map(|(l, k)| l ^ k)),
+            }
+            this_b3 ^= clear(poh) ^ bip8(payload) ^ frame_key_parity(poh + 1, payload.len());
         }
         if self.expected_b3.is_some_and(|exp| clear(row + soh) != exp) {
             self.stats.b3_errors += 1;

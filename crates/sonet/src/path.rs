@@ -107,16 +107,22 @@ impl OcPath {
     /// Advance the line by `k` frames (k × 125 µs), carrying queued
     /// payload across the channel.
     pub fn run_frames(&mut self, k: usize) {
+        self.run_frames_from(k, &mut &[][..]);
+    }
+
+    /// [`OcPath::run_frames`], the frames filled from the queue first and
+    /// then from the front of `more` (advanced past what they took).
+    /// Each side is one keyed pass per payload row: x⁴³+1 and the frame
+    /// key go on as the line image is written, and come off as the
+    /// payload lands in `rx_out`.
+    fn run_frames_from(&mut self, k: usize, more: &mut &[u8]) {
         for _ in 0..k {
             let x43 = self.scramble_payload.then_some(&mut self.tx_scrambler);
-            self.transmitter.emit_frame_into(x43, &mut self.line);
+            self.transmitter.emit_frame_from(x43, more, &mut self.line);
             self.channel.transmit(&mut self.line);
-            // The payload lands in `rx_out` and is descrambled there.
-            let landed = self.rx_out.len();
-            self.receiver.push_into(&self.line, &mut self.rx_out);
-            if self.scramble_payload {
-                self.rx_scrambler.descramble(&mut self.rx_out[landed..]);
-            }
+            let x43 = self.scramble_payload.then_some(&mut self.rx_scrambler);
+            self.receiver
+                .push_descrambled_into(&self.line, x43, &mut self.rx_out);
         }
     }
 
@@ -148,18 +154,24 @@ impl OcPath {
     /// for a carrier that ferries every tick and keeps one buffer for
     /// it.  Same line frames as [`OcPath::carry`]: no hunt frames while
     /// the receiver is in frame.
+    ///
+    /// `wire` goes onto the line straight from the caller's slice: only
+    /// what does not fill a frame (when not flushing) is queued.
     pub fn carry_into(&mut self, wire: &[u8], flush: bool, out: &mut Vec<u8>) {
-        self.send(wire);
+        let backlog = self.transmitter.backlog() + wire.len();
+        let cap = self.level.payload_per_frame();
         let frames = if flush {
-            match self.frames_to_drain() {
+            match backlog.div_ceil(cap) {
                 0 => 0,
                 k if self.receiver.is_aligned() => k,
                 k => k + 2,
             }
         } else {
-            self.transmitter.backlog() / self.level.payload_per_frame()
+            backlog / cap
         };
-        self.run_frames(frames);
+        let mut rest = wire;
+        self.run_frames_from(frames, &mut rest);
+        self.transmitter.offer_payload(rest);
         self.recv_into(out);
     }
 }

@@ -12,6 +12,11 @@
 //! Both run word- and slice-wide (DESIGN.md §2.1 has the derivations);
 //! the bit-serial forms they must match octet for octet live in
 //! `tests/common/serial.rs` as the oracle of `tests/wordwide_equiv.rs`.
+//! The framer runs them together, one keyed pass per payload row and
+//! side (`PayloadScrambler::scramble_keyed` on transmit,
+//! `PayloadScrambler::descramble_keyed_into` on receive).
+
+use crate::frame::StmLevel;
 
 /// Octets in one keystream period: the LFSR repeats every 127 bits and
 /// gcd(8, 127) = 1, so the octet stream repeats every 127 octets —
@@ -37,6 +42,52 @@ const fn keystream() -> [u8; PERIOD] {
         i += 1;
     }
     table
+}
+
+/// The keystream from every phase on, for as long as the widest row:
+/// `KEY_RUN[o % 127..][..len]` keys any `len ≤ 4320` line octets from
+/// line offset `o` in one contiguous slice.
+static KEY_RUN: [u8; KEY_RUN_LEN] = key_run();
+
+/// Prefix parity of [`KEY_RUN`]: `KEY_PARITY[i]` is the XOR of its first
+/// `i` octets.
+static KEY_PARITY: [u8; KEY_RUN_LEN + 1] = key_parity();
+
+const KEY_RUN_LEN: usize = PERIOD + StmLevel::Stm16.row_bytes();
+
+const fn key_run() -> [u8; KEY_RUN_LEN] {
+    let mut run = [0u8; KEY_RUN_LEN];
+    let mut i = 0;
+    while i < KEY_RUN_LEN {
+        run[i] = KEYSTREAM[i % PERIOD];
+        i += 1;
+    }
+    run
+}
+
+const fn key_parity() -> [u8; KEY_RUN_LEN + 1] {
+    let run = key_run();
+    let mut parity = [0u8; KEY_RUN_LEN + 1];
+    let mut i = 0;
+    while i < KEY_RUN_LEN {
+        parity[i + 1] = parity[i] ^ run[i];
+        i += 1;
+    }
+    parity
+}
+
+/// The frame keystream under line octets `offset..offset + len` of a
+/// frame (`len` at most one STM-16 row).
+#[inline]
+pub(crate) fn frame_key(offset: usize, len: usize) -> &'static [u8] {
+    &KEY_RUN[offset % PERIOD..][..len]
+}
+
+/// BIP-8 of [`frame_key`]`(offset, len)`, from the prefix table.
+#[inline]
+pub(crate) fn frame_key_parity(offset: usize, len: usize) -> u8 {
+    let at = offset % PERIOD;
+    KEY_PARITY[at] ^ KEY_PARITY[at + len]
 }
 
 #[inline]
@@ -90,22 +141,50 @@ impl FrameScrambler {
         key
     }
 
-    /// Scramble (or descramble — XOR is an involution) a buffer in place:
-    /// the rest of the current period, whole periods, then the tail.
+    /// Scramble (or descramble — XOR is an involution) a buffer in place,
+    /// a row's worth of keystream at a time.
     pub fn apply(&mut self, buf: &mut [u8]) {
-        let len = buf.len();
-        let (head, body) = buf.split_at_mut(len.min((PERIOD - self.phase) % PERIOD));
-        xor_into(head, &KEYSTREAM[self.phase..]);
-        let mut periods = body.chunks_exact_mut(PERIOD);
-        for chunk in &mut periods {
-            xor_into(chunk, &KEYSTREAM);
+        for chunk in buf.chunks_mut(KEY_RUN_LEN - PERIOD) {
+            xor_into(chunk, frame_key(self.phase, chunk.len()));
+            self.skip(chunk.len());
         }
-        xor_into(periods.into_remainder(), &KEYSTREAM);
-        self.skip(len);
     }
 }
 
 const MASK43: u64 = (1 << 43) - 1;
+
+/// One 64-bit word of x⁴³+1 transmit: the output word, from history `h`
+/// and input word `w` (big-endian, first bit transmitted at the top).
+/// The next history is `out & MASK43`.
+#[inline(always)]
+fn word_step(h: u64, w: u64) -> u64 {
+    // History aligned under the word's first 43 bits; the last 21 take
+    // the word's own first 21 output bits.
+    let t = w ^ (h << 21);
+    t ^ (t >> 43)
+}
+
+/// Two words (128 bits) of x⁴³+1 transmit: both output words and the
+/// next history.  128 = 3·43 − 1, so with no data the history comes
+/// back as itself rotated right by one bit; the data adds a term that
+/// needs no history.  The chain carried from step to step is that one
+/// rotate and one XOR — the output words hang off it, not in it.
+#[inline(always)]
+fn pair_step(h: u64, w0: u64, w1: u64) -> (u64, u64, u64) {
+    let o0 = word_step(h, w0);
+    let o1 = word_step(o0 & MASK43, w1);
+    let data = word_step(word_step(0, w0) & MASK43, w1) & MASK43;
+    let rotated = (h >> 1) | ((h & 1) << 42);
+    (o0, o1, rotated ^ data)
+}
+
+/// x⁴³+1 receive for one octet: `out[n] = in[n] ^ in[n-43]`, and bit
+/// `n - 43` of octet `i` is bit `n + 5` of octet `i - 6` (its first
+/// three bits) or of octet `i - 5` (its last five).
+#[inline(always)]
+fn lag_octet(six_back: u8, five_back: u8, octet: u8) -> u8 {
+    octet ^ (six_back << 5) ^ (five_back >> 3)
+}
 
 /// RFC 2615 self-synchronous x⁴³ + 1 scrambler.
 ///
@@ -113,8 +192,8 @@ const MASK43: u64 = (1 << 43) - 1;
 /// in[n-43]`.  The 43-bit history lives in a shift register; bits are
 /// MSB-first to match serial transmission order.  Because the delay is
 /// longer than an octet, an octet's eight bits depend only on the
-/// history; of a 64-bit word only the last 21 bits depend on its own
-/// first 21 — so slices go eight octets a step, with an octet tail.
+/// history.  Transmit goes two 64-bit words a step, then one, then
+/// octets; receive is an octet lag form with no carried dependency.
 #[derive(Debug, Clone)]
 pub struct PayloadScrambler {
     /// 43-bit delay line shifting left: bit 42 is the oldest bit (the
@@ -137,7 +216,7 @@ impl PayloadScrambler {
     #[inline]
     pub fn scramble_byte(&mut self, byte: u8) -> u8 {
         let out = byte ^ (self.history >> 35) as u8;
-        self.history = ((self.history << 8) | u64::from(out)) & MASK43;
+        self.shift_in(out);
         out
     }
 
@@ -146,40 +225,147 @@ impl PayloadScrambler {
     pub fn descramble_byte(&mut self, byte: u8) -> u8 {
         let out = byte ^ (self.history >> 35) as u8;
         // Self-synchronous: the *received* bits enter the delay line.
-        self.history = ((self.history << 8) | u64::from(byte)) & MASK43;
+        self.shift_in(byte);
         out
     }
 
+    /// One octet into the delay line.
+    #[inline]
+    fn shift_in(&mut self, octet: u8) {
+        self.history = ((self.history << 8) | u64::from(octet)) & MASK43;
+    }
+
     pub fn scramble(&mut self, buf: &mut [u8]) {
-        let (words, tail) = buf.as_chunks_mut::<8>();
+        let (pairs, tail) = buf.as_chunks_mut::<16>();
         let mut h = self.history;
-        for word in words {
-            // History aligned under the word's first 43 bits; the last
-            // 21 take the word's own first 21 output bits.
-            let t = u64::from_be_bytes(*word) ^ (h << 21);
-            let out = t ^ (t >> 43);
-            h = out & MASK43;
-            *word = out.to_be_bytes();
+        for pair in pairs {
+            let (w0, w1) = split_pair(pair);
+            let (o0, o1, next) = pair_step(h, w0, w1);
+            *pair = join_pair(o0, o1);
+            h = next;
         }
         self.history = h;
-        for b in tail {
+        self.scramble_tail(tail);
+    }
+
+    /// Fewer than 16 octets: one word step if there is a word, then
+    /// octet steps.
+    fn scramble_tail(&mut self, tail: &mut [u8]) {
+        let (words, octets) = tail.as_chunks_mut::<8>();
+        for word in words {
+            let out = word_step(self.history, u64::from_be_bytes(*word));
+            self.history = out & MASK43;
+            *word = out.to_be_bytes();
+        }
+        for b in octets {
             *b = self.scramble_byte(*b);
         }
     }
 
-    pub fn descramble(&mut self, buf: &mut [u8]) {
-        let (words, tail) = buf.as_chunks_mut::<8>();
+    /// [`PayloadScrambler::scramble`] `src` and XOR `key` over it into
+    /// `dst` (all three the same length) — transmit's one pass over a
+    /// payload row, writing each line octet once.  Returns the BIP-8 of
+    /// the scrambled octets before the key (their share of B3).
+    pub(crate) fn scramble_keyed(&mut self, src: &[u8], key: &[u8], dst: &mut [u8]) -> u8 {
+        let (pairs, tail) = src.as_chunks::<16>();
+        let (dst_pairs, dst_tail) = dst.as_chunks_mut::<16>();
+        let (key_pairs, key_tail) = key.as_chunks::<16>();
         let mut h = self.history;
-        for word in words {
-            let w = u64::from_be_bytes(*word);
-            *word = (w ^ (h << 21) ^ (w >> 43)).to_be_bytes();
-            h = w & MASK43;
+        let mut parity = 0u64;
+        for ((pair, out), key) in pairs.iter().zip(dst_pairs).zip(key_pairs) {
+            let (w0, w1) = split_pair(pair);
+            let (k0, k1) = split_pair(key);
+            let (o0, o1, next) = pair_step(h, w0, w1);
+            *out = join_pair(o0 ^ k0, o1 ^ k1);
+            parity ^= o0 ^ o1;
+            h = next;
         }
         self.history = h;
-        for b in tail {
-            *b = self.descramble_byte(*b);
+        dst_tail.copy_from_slice(tail);
+        self.scramble_tail(dst_tail);
+        let parity = fold_parity(parity) ^ crate::frame::bip8(dst_tail);
+        xor_into(dst_tail, key_tail);
+        parity
+    }
+
+    pub fn descramble(&mut self, buf: &mut [u8]) {
+        // Received octets go through a block on the stack behind the six
+        // before them, so the lags read what was received, not what was
+        // written back.
+        const BLOCK: usize = 256;
+        let mut received = [0u8; 6 + BLOCK];
+        received[..6].copy_from_slice(&self.octets_back());
+        for block in buf.chunks_mut(BLOCK) {
+            let n = block.len();
+            received[6..6 + n].copy_from_slice(block);
+            let lags = received.iter().zip(&received[1..]).zip(&received[6..6 + n]);
+            for (b, ((&six_back, &five_back), &octet)) in block.iter_mut().zip(lags) {
+                *b = lag_octet(six_back, five_back, octet);
+            }
+            received.copy_within(n..n + 6, 0);
+        }
+        for &b in &received[..6] {
+            self.shift_in(b);
         }
     }
+
+    /// Receive one payload row: `line ^ key` is the received x⁴³+1
+    /// stream (the frame key comes off first); append it descrambled to
+    /// `out` — each octet written once, where it lands.
+    pub(crate) fn descramble_keyed_into(&mut self, line: &[u8], key: &[u8], out: &mut Vec<u8>) {
+        let len = line.len();
+        let head = len.min(6);
+        // The six octets before the row, then the row's first six.
+        let mut edge = [0u8; 12];
+        edge[..6].copy_from_slice(&self.octets_back());
+        for (e, (l, k)) in edge[6..].iter_mut().zip(line.iter().zip(key)) {
+            *e = l ^ k;
+        }
+        out.extend((0..head).map(|i| lag_octet(edge[i], edge[i + 1], edge[i + 6])));
+        if len > 6 {
+            let (six_back, six_key) = (&line[..len - 6], &key[..len - 6]);
+            let (five_back, five_key) = (&line[1..len - 5], &key[1..len - 5]);
+            out.extend(
+                line[6..]
+                    .iter()
+                    .zip(&key[6..])
+                    .zip(six_back.iter().zip(six_key))
+                    .zip(five_back.iter().zip(five_key))
+                    .map(|(((l, k), (l6, k6)), (l5, k5))| lag_octet(l6 ^ k6, l5 ^ k5, l ^ k)),
+            );
+        }
+        for (l, k) in line[len - head..].iter().zip(&key[len - head..]) {
+            self.shift_in(l ^ k);
+        }
+    }
+
+    /// The six received octets before the next one, as the history holds
+    /// them (the oldest keeps only its last three bits — all the lag
+    /// form reads of it).
+    fn octets_back(&self) -> [u8; 6] {
+        let h = self.history;
+        [40, 32, 24, 16, 8, 0].map(|shift| (h >> shift) as u8)
+    }
+}
+
+/// Sixteen octets as two big-endian words, and back.
+#[inline(always)]
+fn split_pair(pair: &[u8; 16]) -> (u64, u64) {
+    let v = u128::from_be_bytes(*pair);
+    ((v >> 64) as u64, v as u64)
+}
+
+#[inline(always)]
+fn join_pair(w0: u64, w1: u64) -> [u8; 16] {
+    ((u128::from(w0) << 64) | u128::from(w1)).to_be_bytes()
+}
+
+/// BIP-8 of the eight octets of `word`.
+#[inline]
+fn fold_parity(word: u64) -> u8 {
+    let w = word ^ (word >> 32);
+    let w = w ^ (w >> 16);
+    (w ^ (w >> 8)) as u8
 }
 
 #[cfg(test)]
@@ -260,5 +446,91 @@ mod tests {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(flipped, 2);
+    }
+
+    /// splitmix64, for histories and octets.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Every length 0..=4320 (one phase each, cycling), and every one
+    /// of the 127 phases at the lengths around the lag and the steps.
+    fn phases_and_lengths() -> impl Iterator<Item = (usize, usize)> {
+        let max = StmLevel::Stm16.row_bytes();
+        let every_length = (0..=max).map(|len| ((len * 53) % PERIOD, len));
+        let every_phase = (0..PERIOD)
+            .flat_map(move |p| [0, 1, 5, 6, 7, 15, 16, 17, 33, max - 1, max].map(|len| (p, len)));
+        every_length.chain(every_phase)
+    }
+
+    #[test]
+    fn pair_step_is_two_word_steps_and_a_rotation() {
+        let mut rng = 3;
+        for _ in 0..10_000 {
+            let h = splitmix(&mut rng) & MASK43;
+            let (w0, w1) = (splitmix(&mut rng), splitmix(&mut rng));
+            let o0 = word_step(h, w0);
+            let o1 = word_step(o0 & MASK43, w1);
+            assert_eq!(pair_step(h, w0, w1), (o0, o1, o1 & MASK43));
+        }
+    }
+
+    #[test]
+    fn keyed_receive_is_the_frame_key_then_descramble() {
+        let mut rng = 5;
+        let line: Vec<u8> = (0..StmLevel::Stm16.row_bytes())
+            .map(|_| splitmix(&mut rng) as u8)
+            .collect();
+        let mut out = Vec::new();
+        for (phase, len) in phases_and_lengths() {
+            let history = splitmix(&mut rng) & MASK43;
+            let line = &line[..len];
+            let key = frame_key(phase, len);
+            assert_eq!(frame_key_parity(phase, len), crate::frame::bip8(key));
+            let mut want: Vec<u8> = line.iter().zip(key).map(|(l, k)| l ^ k).collect();
+            let mut by_octet = PayloadScrambler { history };
+            let stepped: Vec<u8> = want.iter().map(|&b| by_octet.descramble_byte(b)).collect();
+            let mut in_place = PayloadScrambler { history };
+            in_place.descramble(&mut want);
+            assert_eq!(want, stepped, "phase {phase}, {len} octets");
+            let mut keyed = PayloadScrambler { history };
+            out.clear();
+            out.push(0xA5); // appended after what is there
+            keyed.descramble_keyed_into(line, key, &mut out);
+            assert_eq!(out[0], 0xA5);
+            assert!(out[1..] == want[..], "phase {phase}, {len} octets");
+            assert_eq!(keyed.history, by_octet.history, "phase {phase}, {len}");
+            assert_eq!(in_place.history, by_octet.history, "phase {phase}, {len}");
+        }
+    }
+
+    #[test]
+    fn keyed_transmit_is_scramble_then_the_frame_key() {
+        let mut rng = 7;
+        let data: Vec<u8> = (0..StmLevel::Stm16.row_bytes())
+            .map(|_| splitmix(&mut rng) as u8)
+            .collect();
+        let mut dst = vec![0u8; data.len()];
+        for (phase, len) in phases_and_lengths() {
+            let history = splitmix(&mut rng) & MASK43;
+            let (src, key) = (&data[..len], frame_key(phase, len));
+            let mut by_octet = PayloadScrambler { history };
+            let stepped: Vec<u8> = src.iter().map(|&b| by_octet.scramble_byte(b)).collect();
+            let mut want = src.to_vec();
+            let mut in_place = PayloadScrambler { history };
+            in_place.scramble(&mut want);
+            assert_eq!(want, stepped, "phase {phase}, {len} octets");
+            let mut keyed = PayloadScrambler { history };
+            let parity = keyed.scramble_keyed(src, key, &mut dst[..len]);
+            assert_eq!(parity, crate::frame::bip8(&want), "phase {phase}, {len}");
+            xor_into(&mut want, key);
+            assert!(dst[..len] == want[..], "phase {phase}, {len} octets");
+            assert_eq!(keyed.history, by_octet.history, "phase {phase}, {len}");
+            assert_eq!(in_place.history, by_octet.history, "phase {phase}, {len}");
+        }
     }
 }

@@ -15,7 +15,7 @@ use p5_fault::FaultSpec;
 use p5_sonet::frame::{C2_PPP_SCRAMBLED, DEFECT_WINDOW, IDLE_FILL};
 use p5_sonet::{
     deinterleave, interleave, BitErrorChannel, ByteLink, FrameReceiver, FrameScrambler,
-    FrameTransmitter, OcPath, PayloadScrambler, StmLevel,
+    FrameTransmitter, OcPath, PayloadScrambler, StmLevel, TributaryGroup,
 };
 use proptest::prelude::*;
 
@@ -107,6 +107,46 @@ proptest! {
         let mut got = data;
         piecewise(&mut got, &cuts, |piece| wide.descramble(piece));
         prop_assert_eq!(got, want);
+    }
+
+    // Odd-length rows after prior traffic: the two-word step (whole
+    // slices), the one-word step (8-octet pieces, below a pair) and the
+    // octet step all equal the bit-serial register, from any history.
+    #[test]
+    fn x43_two_word_step_matches_one_word_step_and_serial(
+        prior in proptest::collection::vec(any::<u8>(), 0..40),
+        half in 0usize..2160,
+        seed in any::<u64>(),
+    ) {
+        let data = Rng(seed).bytes(2 * half + 1);
+        let mut serial = SerialPayloadScrambler::new();
+        let (mut pairs, mut words, mut octets) =
+            (PayloadScrambler::new(), PayloadScrambler::new(), PayloadScrambler::new());
+        let mut p = prior.clone();
+        serial.scramble(&mut p);
+        for x43 in [&mut pairs, &mut words, &mut octets] {
+            let mut p = prior.clone();
+            x43.scramble(&mut p);
+        }
+        let mut want = data.clone();
+        serial.scramble(&mut want);
+        let mut by_pairs = data.clone();
+        pairs.scramble(&mut by_pairs);
+        let mut by_words = data.clone();
+        by_words.chunks_mut(8).for_each(|word| words.scramble(word));
+        let by_octets: Vec<u8> = data.iter().map(|&b| octets.scramble_byte(b)).collect();
+        prop_assert_eq!(&by_pairs, &want);
+        prop_assert_eq!(&by_words, &want);
+        prop_assert_eq!(&by_octets, &want);
+        // The three registers end in the same state: six zero octets
+        // read all 43 bits of it back out.
+        let mut want = [0u8; 6];
+        serial.scramble(&mut want);
+        for x43 in [&mut pairs, &mut words, &mut octets] {
+            let mut next = [0u8; 6];
+            x43.scramble(&mut next);
+            prop_assert_eq!(next, want);
+        }
     }
 
     // The octet step and the word step are the same register.
@@ -377,6 +417,120 @@ fn noisy_path_matches_serial_oracle_on_every_level() {
             assert!(path.section_stats().b1_errors > 0);
         }
     }
+}
+
+/// `OcPath::carry_into`, flushing and not, against the oracle chain
+/// with the same frame counts: the carried octets go onto the line
+/// straight from the caller's slice and only the part short of a frame
+/// is queued, in both RFC 2615 and RFC 1619 (no x⁴³+1) modes.
+#[test]
+fn carried_path_matches_serial_oracle_in_both_modes() {
+    for level in LEVELS {
+        for scrambled in [true, false] {
+            let cap = level.payload_per_frame();
+            let mut rng = Rng(level.n() as u64 + 100);
+            let path = OcPath::new(level, BitErrorChannel::clean());
+            let mut path = if scrambled {
+                path
+            } else {
+                path.without_payload_scrambling()
+            };
+            let mut tx = SerialTransmitter::new(level);
+            let mut rx = SerialReceiver::new(level);
+            let (mut tx_x43, mut rx_x43) =
+                (SerialPayloadScrambler::new(), SerialPayloadScrambler::new());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut frames_run = 0;
+            for i in 0..14 {
+                let wire = rng.some_bytes([40, cap, 3 * cap][i % 3]);
+                let flush = rng.below(3) > 0;
+                tx.offer_payload(&wire);
+                let frames = match (flush, tx.backlog().div_ceil(cap)) {
+                    (false, _) => tx.backlog() / cap,
+                    (true, 0) => 0,
+                    (true, k) if frames_run > 0 => k,
+                    (true, k) => k + 2,
+                };
+                for _ in 0..frames {
+                    let x43 = scrambled.then_some(&mut tx_x43);
+                    let mut payload = rx.push(&tx.emit_frame_scrambled(x43));
+                    if scrambled {
+                        rx_x43.descramble(&mut payload);
+                    }
+                    want.extend(payload);
+                }
+                frames_run += frames;
+                path.carry_into(&wire, flush, &mut got);
+                let tag = format!("{level:?}, scrambled {scrambled}, carry {i}");
+                assert!(got == want, "{tag}: recovered payload differs");
+                assert_eq!(path.transmitter().backlog(), tx.backlog(), "{tag}");
+                assert_eq!(path.transmitter().frames_emitted(), frames_run as u64);
+                assert_eq!(path.section_stats(), rx.stats(), "{tag}");
+            }
+        }
+    }
+}
+
+/// A channelized STM-4 group over a noisy envelope against four oracle
+/// chains interleaved by hand around an identically seeded channel: each
+/// tributary's keyed passes recover the oracle's payload and parity
+/// counts exactly.
+#[test]
+fn tributary_group_matches_serial_oracle() {
+    let envelope = StmLevel::Stm4;
+    let tribs = envelope.n();
+    let cap = StmLevel::Stm1.payload_per_frame();
+    let spec = FaultSpec::clean().ber(2e-5);
+    let mut group = TributaryGroup::new(
+        envelope,
+        BitErrorChannel::from_plan(spec.clone().compile(21).unwrap()),
+    );
+    let mut channel = BitErrorChannel::from_plan(spec.compile(21).unwrap());
+    let mut oracle: Vec<_> = (0..tribs)
+        .map(|_| {
+            (
+                SerialTransmitter::new(StmLevel::Stm1),
+                SerialPayloadScrambler::new(),
+                SerialReceiver::new(StmLevel::Stm1),
+                SerialPayloadScrambler::new(),
+            )
+        })
+        .collect();
+    let mut want = vec![Vec::new(); tribs];
+    let mut rng = Rng(77);
+    for _ in 0..5 {
+        for (t, (tx, ..)) in oracle.iter_mut().enumerate() {
+            let wire = rng.some_bytes(3 * cap);
+            tx.offer_payload(&wire);
+            group.send(t, &wire);
+        }
+        let k = group.frames_to_drain() + 1;
+        for _ in 0..k {
+            let frames: Vec<Vec<u8>> = oracle
+                .iter_mut()
+                .map(|(tx, tx_x43, ..)| tx.emit_frame_scrambled(Some(tx_x43)))
+                .collect();
+            let mut line = common::serial::interleave(&frames);
+            channel.transmit(&mut line);
+            let frames = common::serial::deinterleave(&line, tribs);
+            for ((_, _, rx, rx_x43), (frame, want)) in
+                oracle.iter_mut().zip(frames.iter().zip(&mut want))
+            {
+                let mut payload = rx.push(frame);
+                rx_x43.descramble(&mut payload);
+                want.extend(payload);
+            }
+        }
+        group.run_frames(k);
+        for (t, want) in want.iter_mut().enumerate() {
+            assert!(group.recv(t) == *want, "tributary {t}: payload differs");
+            assert_eq!(group.section_stats(t), oracle[t].2.stats(), "tributary {t}");
+            want.clear();
+        }
+    }
+    assert_eq!(group.channel().stats(), channel.stats());
+    let hit: u64 = (0..tribs).map(|t| group.section_stats(t).b3_errors).sum();
+    assert!(hit > 0, "the noise reached the path parity");
 }
 
 #[test]

@@ -59,8 +59,9 @@ echo "==> throughput smoke + perf gate (results/BENCH_throughput.json)"
 # widths on the reference host; the floors sit far below so shared-CI
 # noise cannot flake, yet far above the staged-path ~0.04/0.17 Gbps —
 # losing the fused path fails here).  The alloc ceiling holds the
-# steady-state datapath at <=1 heap allocation per datagram (measured
-# 0: every buffer comes from the recycling pool after warm-up).  The
+# steady-state datapath at 0 heap allocations per datagram, an exact
+# count (every buffer comes from the recycling pool after warm-up, so
+# one allocation per frame fails).  The
 # dense/clean gate holds the fused link's rate on 25 %-escape datagrams
 # to at least 0.35 of its IMIX rate: one over the median of 15 per-pair
 # ratios of seconds per payload octet, each dense run read against the
@@ -73,7 +74,7 @@ echo "==> throughput smoke + perf gate (results/BENCH_throughput.json)"
 # every flush; the ceiling sits halfway between.
 cargo run -q --release --offline -p p5-bench --bin throughput_report -- \
     --smoke --min-bpc8 0.9998 --min-bpc32 3.9931 \
-    --min-sim8 0.25 --min-sim32 0.75 --max-allocs-per-frame 1 \
+    --min-sim8 0.25 --min-sim32 0.75 --max-allocs-per-frame 0 \
     --min-dense-over-clean 0.35 --max-sonet-fill-ratio 0.1527
 
 echo "==> gate-sim smoke + perf gate (results/BENCH_gate_sim.json)"
