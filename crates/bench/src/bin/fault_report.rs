@@ -20,10 +20,12 @@
 //!    (`Session::renegotiate`), and the session must re-open within the
 //!    RFC 1661 restart budget.
 //!
-//! Writes `results/BENCH_fault.json`.  `--smoke` shrinks the traffic
-//! for CI; every gate still runs.
+//! Writes `BENCH_fault.json` (under `target/` with `--smoke`, which
+//! shrinks the traffic for CI; under `results/` without) and ends with
+//! the ledger's exact counts — every reading here is seeded, so all of
+//! them repeat.  Every gate runs in both modes.
 
-use p5_bench::{heading, imix_sizes, ip_like_datagram};
+use p5_bench::{heading, imix_sizes, ip_like_datagram, Ledger};
 use p5_core::{DatapathWidth, LinkCore};
 use p5_fault::FaultSpec;
 use p5_hdlc::{DeframeEvent, Deframer, DeframerConfig, Framer, FramerConfig};
@@ -49,6 +51,17 @@ struct ScenarioOut {
 impl ScenarioOut {
     fn accounted(&self) -> bool {
         self.delivered as u64 + self.errors >= self.sent as u64 - 4
+    }
+
+    fn ledger(&self, ledger: &mut Ledger) {
+        let name = self.name;
+        ledger.put(&format!("{name}.sent"), self.sent);
+        ledger.put(&format!("{name}.delivered"), self.delivered);
+        ledger.put(&format!("{name}.counted_drops"), self.errors);
+        ledger.put(&format!("{name}.corrupt"), self.corrupt);
+        for (kind, n) in &self.injected {
+            ledger.put(&format!("{name}.injected.{kind}"), n);
+        }
     }
 
     fn json(&self) -> String {
@@ -273,6 +286,7 @@ fn main() {
     );
 
     let mut gate_failures: Vec<String> = Vec::new();
+    let mut ledger = Ledger::new("fault");
 
     // 1. Injection scenarios over the STM-4 link.
     let scenarios = [
@@ -307,6 +321,7 @@ fn main() {
             "{:>10}: sent={} delivered={} counted-drops={} corrupt={} injected={:?}",
             out.name, out.sent, out.delivered, out.errors, out.corrupt, out.injected
         );
+        out.ledger(&mut ledger);
         if out.corrupt > 0 {
             gate_failures.push(format!(
                 "{name}: {} corrupt deliveries slipped past the FCS",
@@ -374,6 +389,10 @@ fn main() {
     for line in hist.render().lines() {
         println!("  {line}");
     }
+    ledger.put("resync.measured", hist.count());
+    ledger.put("resync.sum_bytes", hist.sum());
+    ledger.put("resync.max_bytes", max_dist);
+    ledger.put("resync.bound_bytes", bound);
     if hist.is_empty() {
         gate_failures.push("resync: no corruption produced a measurement".into());
     }
@@ -407,6 +426,10 @@ fn main() {
         reneg_max,
         reneg_budget
     );
+    ledger.put("renegotiate.recovered", reneg_hist.count());
+    ledger.put("renegotiate.sum_ticks", reneg_hist.sum());
+    ledger.put("renegotiate.max_ticks", reneg_max);
+    ledger.put("renegotiate.budget_ticks", reneg_budget);
 
     let json = format!(
         "{{\n  \"bench\": \"fault\",\n  \"smoke\": {smoke},\n  \
@@ -424,14 +447,5 @@ fn main() {
         reneg_hist.count(),
         reneg_hist.mean(),
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_fault.json", &json).expect("write results/");
-    println!("\nwrote results/BENCH_fault.json");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    ledger.finish(smoke, &json, &gate_failures);
 }

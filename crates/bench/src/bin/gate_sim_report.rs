@@ -8,14 +8,17 @@
 //! vector across the lanes measures the same work as 64 distinct
 //! vectors (the equivalence tests cover lane independence).
 //!
-//! Writes `results/BENCH_gate_sim.json`.  With `--min-x64 <factor>`
-//! the run fails (exit 1) when the 32-bit system aggregate ×64 speedup
-//! drops below the floor — the regression gate `scripts/check.sh` pins.
+//! Writes `BENCH_gate_sim.json` (under `target/` with `--smoke`, under
+//! `results/` without) and ends with the ledger's exact counts: each
+//! netlist's node count and compiled tape length.  With `--min-x64
+//! <factor>` the run fails (exit 1) when the 32-bit system aggregate
+//! ×64 speedup drops below the floor — the regression gate
+//! `scripts/check.sh` pins.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::heading;
+use p5_bench::{arg_value, heading, slug, Ledger};
 use p5_fpga::{CompiledSim, Netlist, Sim, LANES};
 use p5_lint::shipped_netlists;
 
@@ -75,13 +78,6 @@ fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
     best
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -106,6 +102,7 @@ fn main() {
     let mut sys_compiled = 0.0f64;
 
     let mut rows = String::new();
+    let mut ledger = Ledger::new("gate_sim");
     for n in shipped_netlists() {
         let mut cs = CompiledSim::compile(&n);
         let input_names: Vec<String> = n.inputs.iter().map(|b| b.name.clone()).collect();
@@ -113,6 +110,8 @@ fn main() {
         let compiled = best_of(|| run_compiled(&mut cs, &input_names, cycles, 2003));
         let x1 = scalar / compiled;
         let x64 = x1 * LANES as f64;
+        ledger.put(&format!("{}.nodes", slug(&n.name)), n.nodes.len());
+        ledger.put(&format!("{}.tape_len", slug(&n.name)), cs.tape_len());
         if system32.iter().any(|m| m == &n.name) {
             sys_scalar += scalar;
             sys_compiled += compiled;
@@ -159,14 +158,13 @@ fn main() {
          \"cycles\": {cycles},\n  \"lanes\": {LANES},\n  \
          \"system32_speedup_x64\": {sys_x64:.1},\n  \"rows\": [\n{rows}\n  ]\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_gate_sim.json", &json).expect("write results/");
-    println!("wrote results/BENCH_gate_sim.json");
-
+    let mut gate_failures = Vec::new();
     if let Some(floor) = min_x64 {
         if sys_x64 < floor {
-            eprintln!("REGRESSION: 32-bit system x64 speedup {sys_x64:.1} below floor {floor}");
-            std::process::exit(1);
+            gate_failures.push(format!(
+                "32-bit system x64 speedup {sys_x64:.1} below floor {floor}"
+            ));
         }
     }
+    ledger.finish(smoke, &json, &gate_failures);
 }

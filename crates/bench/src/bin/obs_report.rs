@@ -19,14 +19,16 @@
 //!    must hold all four entry kinds (trigger, sample, transition,
 //!    device), i.e. the freeze captured the window around the event.
 //!
-//! Writes `results/BENCH_obs.json`; any gate failure exits 1.
-//! `--smoke` shrinks the overhead workload for CI.
+//! Writes `BENCH_obs.json` (under `target/` with `--smoke`, which
+//! shrinks the overhead workload for CI; under `results/` without) and
+//! ends with the ledger's exact readings from experiments 2 and 3; any
+//! gate failure exits 1.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use p5_bench::{heading, interleaved_overhead};
+use p5_bench::{arg_value, heading, interleaved_overhead, Ledger};
 use p5_fault::FaultSpec;
 use p5_obs::{serve, Collector, CollectorConfig, HealthState};
 use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
@@ -92,13 +94,6 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     out
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -149,6 +144,13 @@ fn main() {
         .find(|t| t.link == BAD_LINK && t.to == HealthState::Degraded)
         .map(|t| t.tick);
     let gate_ticks = max_detect_ticks.map_or(budget, |v| v as u64);
+    let mut ledger = Ledger::new("obs");
+    ledger.put("ber.budget_ticks", budget);
+    ledger.put("ber.live_at_scrape", live);
+    ledger.put(
+        "ber.degraded_tick",
+        detect.map_or("none".to_string(), |t| t.to_string()),
+    );
     match detect {
         Some(t) => {
             println!(
@@ -178,6 +180,8 @@ fn main() {
         && metrics.contains("p5_obs_health_links{state=\"degraded\"}")
         && health.contains(&format!("\"link\":{BAD_LINK}"));
     println!("live scrape: ok={scrape_ok}, /metrics payload {metrics_lines} lines");
+    ledger.put("ber.scrape_ok", scrape_ok);
+    ledger.put("ber.metrics_lines", metrics_lines);
     if !scrape_ok {
         gate_failures.push("live /metrics-/health scrape missing the degraded link".into());
     }
@@ -191,6 +195,7 @@ fn main() {
         .filter(|k| pm.contains(&format!("\"kind\":\"{k}\"")))
         .count();
     let completeness = present as f64 / kinds.len() as f64;
+    ledger.put("ber.flight_kinds_present", present);
     println!(
         "flight recorder: {present}/{} entry kinds captured (completeness {completeness:.2})",
         kinds.len()
@@ -222,14 +227,5 @@ fn main() {
         detect.map_or("null".to_string(), |t| t.to_string()),
         kinds.len()
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_obs.json", &json).expect("write results/");
-    println!("\nwrote results/BENCH_obs.json");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    ledger.finish(smoke, &json, &gate_failures);
 }

@@ -5,16 +5,12 @@
 //! fast path *composes*: shard N independent links across a worker
 //! pool and the aggregate simulation speed scales past any single
 //! link.  This report measures that — a link-count sweep on the raw
-//! carrier (every worker core in play), one work-stealing vs static
-//! sharding comparison, and one channelized-STM-4 realism row —
-//! writing `results/BENCH_runtime.json` for `scripts/check.sh` to gate
-//! on:
+//! carrier (every worker core in play) and one channelized-STM-4
+//! realism row — and gates on:
 //!
 //! * `--min-uplift <x>`: best aggregate Gbps at ≥ 64 links must be at
 //!   least `x` times the single-link row (enforced only when the host
 //!   has ≥ 4 cores — below that, the scaling claim is vacuous);
-//! * `--max-p99-ticks <n>`: p99 submit→delivery latency ceiling on
-//!   every uncongested sweep row;
 //! * `--min-channelized-over-single <x>`: the channelized-STM-4 fleet's
 //!   payload rate over the single-link fleet's, read as one over the
 //!   median of interleaved per-pair ratios of seconds per payload octet
@@ -29,14 +25,17 @@
 //!   deliver every offered frame (zero shed, zero rejected, zero
 //!   lost).
 //!
-//! With `--smoke` the report sweeps a reduced link set with a smaller
-//! payload budget (suitable for CI) and still writes the same JSON.
+//! Each row's p99 submit→delivery latency, delivered frames and ticks
+//! are exact — per-link results do not depend on the worker count — so
+//! they end the output as ledger lines.  Writes `BENCH_runtime.json`:
+//! under `target/` with `--smoke`, which sweeps a reduced link set with
+//! a smaller payload budget (suitable for CI), under `results/` without.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::{heading, interleaved_overhead};
-use p5_runtime::{Carrier, Fleet, FleetConfig, Sharding, TrafficSpec};
+use p5_bench::{arg_value, heading, interleaved_overhead, Ledger};
+use p5_runtime::{Carrier, Fleet, FleetConfig, TrafficSpec};
 use p5_sonet::StmLevel;
 
 /// Payload octets per frame across the whole report.
@@ -51,6 +50,18 @@ struct RowMeasure {
     p99_latency_ticks: Option<u64>,
     delivered: u64,
     ticks: u64,
+}
+
+impl RowMeasure {
+    /// The exact readings, under `key`.
+    fn ledger(&self, ledger: &mut Ledger, key: &str) {
+        ledger.put(
+            &format!("{key}.p99_ticks"),
+            self.p99_latency_ticks.unwrap_or(0),
+        );
+        ledger.put(&format!("{key}.delivered"), self.delivered);
+        ledger.put(&format!("{key}.ticks"), self.ticks);
+    }
 }
 
 /// Offered ticks per link so the whole fleet moves ≈ `budget` payload
@@ -134,12 +145,11 @@ fn rss_kb_per_link(cfg: &FleetConfig) -> Option<f64> {
     Some(after.saturating_sub(before) as f64 / cfg.links as f64)
 }
 
-fn sweep_config(links: usize, budget: usize, sharding: Sharding, carrier: Carrier) -> FleetConfig {
+fn sweep_config(links: usize, budget: usize, carrier: Carrier) -> FleetConfig {
     FleetConfig {
         links,
         workers: 0, // one per available core
         carrier,
-        sharding,
         seed: 42,
         traffic: Some(TrafficSpec {
             frames_per_tick: FRAMES_PER_TICK,
@@ -152,18 +162,10 @@ fn sweep_config(links: usize, budget: usize, sharding: Sharding, carrier: Carrie
     }
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let min_uplift = arg_value(&args, "--min-uplift");
-    let max_p99 = arg_value(&args, "--max-p99-ticks");
     let min_channelized = arg_value(&args, "--min-channelized-over-single");
     let max_rss = arg_value(&args, "--max-rss-kb-per-link");
     let cores = std::thread::available_parallelism()
@@ -182,13 +184,9 @@ fn main() {
     println!("host cores: {cores}");
 
     let mut gate_failures: Vec<String> = Vec::new();
+    let mut ledger = Ledger::new("runtime");
     let largest = *link_counts.last().expect("a non-empty sweep");
-    let rss = rss_kb_per_link(&sweep_config(
-        largest,
-        budget,
-        Sharding::WorkStealing,
-        Carrier::Raw,
-    ));
+    let rss = rss_kb_per_link(&sweep_config(largest, budget, Carrier::Raw));
     match rss {
         Some(kb) => println!("rss_kb_per_link: {kb:.1} ({largest} links)\n"),
         None => println!("rss_kb_per_link: n/a (no /proc/self/status)\n"),
@@ -209,10 +207,8 @@ fn main() {
     let mut single_gbps = 0f64;
     let mut best_at_scale = 0f64;
     for &links in link_counts {
-        let m = measure(
-            &sweep_config(links, budget, Sharding::WorkStealing, Carrier::Raw),
-            reps,
-        );
+        let m = measure(&sweep_config(links, budget, Carrier::Raw), reps);
+        m.ledger(&mut ledger, &format!("raw.links{links}"));
         if links == 1 {
             single_gbps = m.aggregate_gbps;
         }
@@ -224,13 +220,6 @@ fn main() {
             "{:>7} {:>8} {:>7} {:>10} {:>12.4} {:>10} {:>10.4}",
             links, m.workers, m.ticks, m.delivered, m.aggregate_gbps, p99, m.wall_s
         );
-        if let Some(ceiling) = max_p99 {
-            if p99 as f64 > ceiling {
-                gate_failures.push(format!(
-                    "links={links}: p99 latency {p99} ticks above ceiling {ceiling:.0}"
-                ));
-            }
-        }
         if !rows.is_empty() {
             rows.push_str(",\n");
         }
@@ -264,51 +253,25 @@ fn main() {
         }
     }
 
-    // Mode comparison rows at a fixed fleet size: how the cohorts are
-    // dealt to workers, and what per-tributary SDH carriage costs.
-    let cmp_links = if smoke { 64 } else { 256 };
-    let single = sweep_config(1, budget, Sharding::WorkStealing, Carrier::Raw);
     // Channelized realism: 16 links as tributaries of STM-4 envelopes,
     // full transmission convergence per envelope — this measures
     // fidelity, not speed.
-    let channelized = sweep_config(
-        16,
-        budget / 64,
-        Sharding::WorkStealing,
-        Carrier::Channelized(StmLevel::Stm4),
+    let single = sweep_config(1, budget, Carrier::Raw);
+    let channelized = sweep_config(16, budget / 64, Carrier::Channelized(StmLevel::Stm4));
+    let m = measure(&channelized, 2);
+    m.ledger(&mut ledger, "stm4_channelized.links16");
+    println!(
+        "channelized STM-4, 16 links: {:.4} Gbps, p99 {} ticks",
+        m.aggregate_gbps,
+        m.p99_latency_ticks.unwrap_or(0)
     );
-    let mut modes = String::new();
-    for (name, cfg) in [
-        (
-            "work_stealing",
-            sweep_config(cmp_links, budget / 2, Sharding::WorkStealing, Carrier::Raw),
-        ),
-        (
-            "static",
-            sweep_config(cmp_links, budget / 2, Sharding::Static, Carrier::Raw),
-        ),
-        ("channelized_stm4", channelized.clone()),
-    ] {
-        let m = measure(&cfg, 2);
-        let links = cfg.links;
-        println!(
-            "mode {name:<17} links {links:>4}: {:.4} Gbps, p99 {} ticks",
-            m.aggregate_gbps,
-            m.p99_latency_ticks.unwrap_or(0)
-        );
-        if !modes.is_empty() {
-            modes.push_str(",\n");
-        }
-        let _ = write!(
-            modes,
-            "    {{\"mode\": \"{name}\", \"links\": {links}, \
-             \"aggregate_gbps\": {:.4}, \"p99_latency_ticks\": {}, \
-             \"wall_s\": {:.4}}}",
-            m.aggregate_gbps,
-            m.p99_latency_ticks.unwrap_or(0),
-            m.wall_s
-        );
-    }
+    let channelized_json = format!(
+        "{{\"links\": 16, \"aggregate_gbps\": {:.4}, \"p99_latency_ticks\": {}, \
+         \"wall_s\": {:.4}}}",
+        m.aggregate_gbps,
+        m.p99_latency_ticks.unwrap_or(0),
+        m.wall_s
+    );
 
     // The channelized gate: channelized runs alternated with single-link
     // runs, each read against the single-link runs on either side of it,
@@ -342,15 +305,7 @@ fn main() {
          \"scaling_uplift\": {uplift:.2},\n  \
          \"channelized_over_single\": {channelized_over_single:.3},\n  \
          \"rss_kb_per_link\": {rss_json},\n  \"sweep\": [\n{rows}\n  ],\n  \
-         \"modes\": [\n{modes}\n  ]\n}}\n"
+         \"channelized_stm4\": {channelized_json}\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_runtime.json", &json).expect("write results/");
-    println!("\nwrote results/BENCH_runtime.json");
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    ledger.finish(smoke, &json, &gate_failures);
 }

@@ -11,10 +11,11 @@
 //!    stall plan holds, sent a window past the transmitter's wire
 //!    high-water mark; the admission and line boundaries'
 //!    offered/accepted/blocked table names where frames waited.
-//! 3. **Overhead gate** — the instrumented-but-disabled device re-runs
-//!    the throughput workload; its deterministic bytes/cycle must stay
-//!    within `--max-overhead-pct` (default 3%) of the baseline recorded
-//!    in `results/BENCH_throughput.json`, or the run exits 1.
+//! 3. **Tracing overhead** — the instrumented device re-runs the
+//!    throughput workload with tracing disabled and with a recorder
+//!    attached; both runs' cycles and wire octets go to the ledger,
+//!    where the disabled run matches `throughput_report`'s staged
+//!    counts exactly.
 //! 4. **Fleet-path overhead gate** — a 256-link fleet runs plain
 //!    (`Fleet::run_until_drained`) and through the observability
 //!    sampling path (`Fleet::run_sampled`) with *no collector
@@ -22,15 +23,15 @@
 //!    wall-time ratios must stay within `--max-fleet-overhead-pct`
 //!    (default 3%) when nothing is sampling.
 //!
-//! Writes `results/BENCH_trace.json`.  `--smoke` shrinks the duplex
-//! traffic for CI; the overhead gate replays whatever frame count the
-//! baseline file records, so the comparison is exact either way.
+//! Writes `BENCH_trace.json` (under `target/` with `--smoke`, which
+//! shrinks the traffic for CI; under `results/` without) and ends with
+//! the ledger's exact counts from experiments 1–3.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::{heading, imix_sizes, interleaved_overhead, ip_like_datagram};
+use p5_bench::{arg_value, heading, imix_sizes, interleaved_overhead, ip_like_datagram, Ledger};
 use p5_core::{DatapathWidth, P5};
 use p5_fault::FaultSpec;
 use p5_link::LinkBuilder;
@@ -64,15 +65,32 @@ impl Latency {
         l
     }
 
+    fn min(&self) -> u64 {
+        if self.hist.is_empty() {
+            0
+        } else {
+            self.min
+        }
+    }
+
     fn json(&self) -> String {
         format!(
             "{{\"frames\": {}, \"mean_cycles\": {:.1}, \
              \"min_cycles\": {}, \"max_cycles\": {}}}",
             self.hist.count(),
             self.hist.mean(),
-            if self.hist.is_empty() { 0 } else { self.min },
+            self.min(),
             self.max
         )
+    }
+
+    /// The exact readings: frames matched, and the sum, least and most
+    /// of their latencies in cycles.
+    fn ledger(&self, ledger: &mut Ledger, key: &str) {
+        ledger.put(&format!("{key}.frames"), self.hist.count());
+        ledger.put(&format!("{key}.sum_cycles"), self.hist.sum());
+        ledger.put(&format!("{key}.min_cycles"), self.min());
+        ledger.put(&format!("{key}.max_cycles"), self.max);
     }
 }
 
@@ -188,9 +206,15 @@ fn event_census(rec: &SharedRecorder) -> String {
 /// Send `datagrams` IMIX datagrams over a simplex link whose line a
 /// seeded stall plan holds, run it to drain, and return the rendered
 /// stall table, the boundary counters for the JSON report and the
-/// plan's stall decisions.  The window passes the transmitter's wire
-/// high-water mark, so sends pump the line and storms queue frames.
-fn stall_run(width: DatapathWidth, datagrams: usize) -> (String, String, u64) {
+/// plan's stall decisions; the counters also go to the ledger under
+/// `key`.  The window passes the transmitter's wire high-water mark,
+/// so sends pump the line and storms queue frames.
+fn stall_run(
+    width: DatapathWidth,
+    datagrams: usize,
+    ledger: &mut Ledger,
+    key: &str,
+) -> (String, String, u64) {
     let plan = FaultSpec::clean()
         .stall(0.5, 8)
         .compile(31)
@@ -224,6 +248,10 @@ fn stall_run(width: DatapathWidth, datagrams: usize) -> (String, String, u64) {
             100.0 * b.blocked as f64 / b.offered.max(1) as f64,
             b.bytes_out,
         );
+        ledger.put(&format!("{key}.{name}.offered"), b.offered);
+        ledger.put(&format!("{key}.{name}.accepted"), b.accepted);
+        ledger.put(&format!("{key}.{name}.blocked"), b.blocked);
+        ledger.put(&format!("{key}.{name}.bytes_out"), b.bytes_out);
         if !json.is_empty() {
             json.push_str(", ");
         }
@@ -239,12 +267,14 @@ fn stall_run(width: DatapathWidth, datagrams: usize) -> (String, String, u64) {
         .into_iter()
         .find(|(name, _)| *name == "fault")
         .map_or(0, |(_, st)| st.stall_cycles);
+    ledger.put(&format!("{key}.stall_cycles"), stall_cycles);
     (table, json, stall_cycles)
 }
 
-/// Deterministic bytes/cycle of the throughput workload, with tracing
-/// either left disabled (the overhead-gate configuration) or attached.
-fn measure_bpc(width: DatapathWidth, datagrams: usize, traced: bool) -> (f64, f64) {
+/// The throughput workload through the cycle model, with tracing either
+/// left disabled or attached: (cycles, wire octets, wire Gbit/s of host
+/// simulation).
+fn measure_bpc(width: DatapathWidth, datagrams: usize, traced: bool) -> (u64, u64, f64) {
     let mut p5 = P5::new(width);
     let rec = SharedRecorder::with_capacity(1 << 15);
     if traced {
@@ -256,11 +286,8 @@ fn measure_bpc(width: DatapathWidth, datagrams: usize, traced: bool) -> (f64, f6
     let started = Instant::now();
     let cycles = p5.run_until_idle(100_000_000);
     let wall = started.elapsed().as_secs_f64();
-    let wire = p5.take_wire_out();
-    (
-        wire.len() as f64 / cycles as f64,
-        wire.len() as f64 * 8.0 / wall / 1e9,
-    )
+    let wire = p5.take_wire_out().len() as u64;
+    (cycles, wire, wire as f64 * 8.0 / wall / 1e9)
 }
 
 /// Wall time (seconds) of one fleet run on a freshly built fleet.
@@ -292,31 +319,9 @@ fn fleet_wall(links: usize, ticks: u64, sampled: bool) -> f64 {
     started.elapsed().as_secs_f64()
 }
 
-/// Pull one numeric field out of the baseline JSON by string scan (the
-/// harness ships no JSON parser), searching forward from `anchor`.
-fn scan_number(json: &str, anchor: &str, field: &str) -> Option<f64> {
-    let start = json.find(anchor)?;
-    let rest = &json[start..];
-    let key = format!("\"{field}\": ");
-    let at = rest.find(&key)? + key.len();
-    let tail = &rest[at..];
-    let end = tail
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let max_overhead_pct = arg_value(&args, "--max-overhead-pct").unwrap_or(3.0);
     let max_fleet_overhead_pct = arg_value(&args, "--max-fleet-overhead-pct").unwrap_or(3.0);
     let frames = if smoke { 24 } else { 120 };
 
@@ -325,7 +330,7 @@ fn main() {
         heading("Trace report - duplex lifecycle, stall attribution, overhead")
     );
 
-    let baseline = std::fs::read_to_string("results/BENCH_throughput.json").ok();
+    let mut ledger = Ledger::new("trace");
     let mut gate_failures: Vec<String> = Vec::new();
     let (mut duplex_rows, mut stall_rows, mut overhead_rows) =
         (String::new(), String::new(), String::new());
@@ -353,6 +358,10 @@ fn main() {
                 println!("  {line}");
             }
         }
+        ledger.put(&format!("w{bits}.duplex.events_a"), d.events_a);
+        ledger.put(&format!("w{bits}.duplex.events_b"), d.events_b);
+        d.a2b.ledger(&mut ledger, &format!("w{bits}.duplex.a2b"));
+        d.b2a.ledger(&mut ledger, &format!("w{bits}.duplex.b2a"));
         if d.a2b.hist.count() as usize != frames || d.b2a.hist.count() as usize != frames {
             gate_failures.push(format!(
                 "{bits}-bit duplex: matched {}/{} A->B and {}/{} B->A lifecycles",
@@ -378,7 +387,8 @@ fn main() {
 
         // 2. Stall attribution on a link under a seeded stall plan.
         let stall_frames = 40 * frames;
-        let (table, boundaries_json, stall_cycles) = stall_run(width, stall_frames);
+        let (table, boundaries_json, stall_cycles) =
+            stall_run(width, stall_frames, &mut ledger, &format!("w{bits}.stall"));
         println!("\nstall attribution (stalled line, {stall_frames} frames):");
         print!("{table}");
         println!("stall decisions that held the line: {stall_cycles}");
@@ -391,60 +401,32 @@ fn main() {
              \"stall_cycles\": {stall_cycles}, \"boundaries\": [{boundaries_json}]}}"
         );
 
-        // 3. Overhead: instrumented-but-disabled vs the recorded baseline.
-        let anchor = format!("\"width_bits\": {bits}");
-        let base_bpc = baseline
-            .as_deref()
-            .and_then(|j| scan_number(j, &anchor, "bytes_per_cycle"));
-        let base_n = baseline
-            .as_deref()
-            .and_then(|j| scan_number(j, "\"bench\"", "imix_datagrams"))
-            .map_or(if smoke { 40 } else { 200 }, |n| n as usize);
-        let (bpc_off, wall_off) = measure_bpc(width, base_n, false);
-        let (bpc_on, _) = measure_bpc(width, base_n, true);
-        match base_bpc {
-            Some(base) => {
-                let delta_pct = 100.0 * (base - bpc_off) / base;
-                println!(
-                    "\noverhead: disabled {bpc_off:.4} B/cyc vs baseline {base:.4} \
-                     ({delta_pct:+.2}% loss), enabled {bpc_on:.4} B/cyc, \
-                     sim {wall_off:.4} Gbps"
-                );
-                if bpc_off < base * (1.0 - max_overhead_pct / 100.0) {
-                    gate_failures.push(format!(
-                        "{bits}-bit disabled-tracing bytes/cycle {bpc_off:.4} more than \
-                         {max_overhead_pct}% below baseline {base:.4}"
-                    ));
-                }
-                if !overhead_rows.is_empty() {
-                    overhead_rows.push_str(",\n");
-                }
-                let _ = write!(
-                    overhead_rows,
-                    "    {{\"width_bits\": {bits}, \"imix_datagrams\": {base_n}, \
-                     \"baseline_bytes_per_cycle\": {base:.4}, \
-                     \"disabled_bytes_per_cycle\": {bpc_off:.4}, \
-                     \"enabled_bytes_per_cycle\": {bpc_on:.4}, \
-                     \"loss_pct\": {delta_pct:.2}, \"gate_pct\": {max_overhead_pct}}}"
-                );
-            }
-            None => {
-                println!(
-                    "\noverhead: no results/BENCH_throughput.json baseline - \
-                     measured disabled {bpc_off:.4} / enabled {bpc_on:.4} B/cyc (ungated)"
-                );
-                if !overhead_rows.is_empty() {
-                    overhead_rows.push_str(",\n");
-                }
-                let _ = write!(
-                    overhead_rows,
-                    "    {{\"width_bits\": {bits}, \"imix_datagrams\": {base_n}, \
-                     \"baseline_bytes_per_cycle\": null, \
-                     \"disabled_bytes_per_cycle\": {bpc_off:.4}, \
-                     \"enabled_bytes_per_cycle\": {bpc_on:.4}}}"
-                );
-            }
+        // 3. Tracing overhead: the throughput workload, tracing disabled
+        //    and attached.
+        let imix = if smoke { 40 } else { 200 };
+        let (cycles_off, wire_off, gbps_off) = measure_bpc(width, imix, false);
+        let (cycles_on, wire_on, _) = measure_bpc(width, imix, true);
+        let (bpc_off, bpc_on) = (
+            wire_off as f64 / cycles_off as f64,
+            wire_on as f64 / cycles_on as f64,
+        );
+        println!(
+            "\noverhead: disabled {bpc_off:.4} B/cyc, enabled {bpc_on:.4} B/cyc, \
+             sim {gbps_off:.4} Gbps"
+        );
+        ledger.put(&format!("w{bits}.disabled_cycles"), cycles_off);
+        ledger.put(&format!("w{bits}.disabled_wire_bytes"), wire_off);
+        ledger.put(&format!("w{bits}.enabled_cycles"), cycles_on);
+        ledger.put(&format!("w{bits}.enabled_wire_bytes"), wire_on);
+        if !overhead_rows.is_empty() {
+            overhead_rows.push_str(",\n");
         }
+        let _ = write!(
+            overhead_rows,
+            "    {{\"width_bits\": {bits}, \"imix_datagrams\": {imix}, \
+             \"disabled_bytes_per_cycle\": {bpc_off:.4}, \
+             \"enabled_bytes_per_cycle\": {bpc_on:.4}}}"
+        );
     }
 
     // 4. Fleet-path overhead: the observability drive path with nothing
@@ -484,14 +466,5 @@ fn main() {
          \"overhead\": [\n{overhead_rows}\n  ],\n  \
          \"fleet_overhead\": {fleet_json}\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_trace.json", &json).expect("write results/");
-    println!("\nwrote results/BENCH_trace.json");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    ledger.finish(smoke, &json, &gate_failures);
 }

@@ -15,33 +15,27 @@
 //!    collapsing, not host variance).
 //! 3. **Reconnect recovery** — two engines over a deterministic pipe,
 //!    serviced in this thread on advanced session ticks, are severed
-//!    mid-run; both sessions must renegotiate to open within
-//!    `--max-reconnect-ticks` (default 66: one RFC 1661 restart budget
-//!    each for LCP and IPCP, as `fault_report` allows) — an exact
-//!    count, the same on every run and host; the wall time is printed,
-//!    not gated — and every frame delivered across the whole run must
-//!    be byte-exact (zero corrupt deliveries, the same invariant the
-//!    fault gates enforce).
+//!    mid-run; both sessions must renegotiate to open within one
+//!    RFC 1661 restart budget each for LCP and IPCP (as `fault_report`
+//!    allows), and every frame delivered across the whole run must be
+//!    byte-exact (zero corrupt deliveries, the same invariant the fault
+//!    gates enforce).  The tick counts are exact, the same on every run
+//!    and host, so they go to the ledger; the wall time is printed, not
+//!    gated.
 //!
-//! Writes `results/BENCH_xport.json`; any gate failure exits 1.
-//! `--smoke` shrinks the throughput workload for CI.
+//! Writes `BENCH_xport.json` (under `target/` with `--smoke`, which
+//! shrinks the throughput workload for CI; under `results/` without)
+//! and ends with the ledger lines; any gate failure exits 1.
 
 use std::time::{Duration, Instant};
 
-use p5_bench::heading;
+use p5_bench::{arg_value, heading, Ledger};
 use p5_core::DatapathWidth;
 use p5_link::LinkBuilder;
 use p5_ppp::NegotiationProfile;
 use p5_xport::{LinkEngine, PipeTransport, SessionDriver, TcpTransport};
 
 const IPV4: u16 = 0x0021;
-
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 fn profile(magic: u32, ip: [u8; 4]) -> NegotiationProfile {
     NegotiationProfile::new().magic(magic).ip(ip)
@@ -149,8 +143,7 @@ fn main() {
     let min_gbps = arg_value(&args, "--min-gbps").unwrap_or(0.05);
     // One restart budget each for LCP and IPCP.
     let budget = 2 * NegotiationProfile::new().restart_budget_ticks();
-    let max_reconnect_ticks =
-        arg_value(&args, "--max-reconnect-ticks").map_or(budget, |t| t as u64);
+    let mut ledger = Ledger::new("xport");
 
     print!(
         "{}",
@@ -194,6 +187,8 @@ fn main() {
     }
     let a_engine = a.shutdown();
     let io_errors = a_engine.counters.io_errors;
+    ledger.put("tcp.corrupt", corrupt);
+    ledger.put("tcp.io_errors", io_errors);
     let short_writes = a_engine.counters.short_writes;
     if io_errors > 0 {
         gate_failures.push(format!("{io_errors} hard I/O errors on loopback"));
@@ -224,6 +219,7 @@ fn main() {
         pipe_tick(&mut a, &mut b, tick);
         tick += 1;
     }
+    ledger.put("pipe.bringup_ticks", tick);
     let (pre_bytes, pre_corrupt) = pipe_blast(&mut a, &mut b, &mut tick, 200);
     ctl.sever();
     let (severed, severed_at) = (tick, Instant::now());
@@ -231,7 +227,7 @@ fn main() {
         pipe_tick(&mut a, &mut b, tick);
         tick += 1;
         let reopened = a.is_network_up() && b.is_network_up();
-        if reopened || tick - severed > max_reconnect_ticks {
+        if reopened || tick - severed > budget {
             break;
         }
     }
@@ -239,13 +235,19 @@ fn main() {
     let reconnect_ms = severed_at.elapsed().as_secs_f64() * 1e3;
     let (post_bytes, post_corrupt) = pipe_blast(&mut a, &mut b, &mut tick, 200);
     let corrupt_total = pre_corrupt + post_corrupt;
+    let disconnects = a.counters.disconnects + b.counters.disconnects;
+    ledger.put("pipe.reconnect_ticks", reconnect_ticks);
+    ledger.put("pipe.delivered_bytes", pre_bytes + post_bytes);
+    ledger.put("pipe.corrupt", corrupt_total);
+    ledger.put("pipe.disconnects", disconnects);
+    ledger.put("pipe.end_tick", tick);
     println!(
         "pipe sever -> renegotiated in {reconnect_ticks} ticks ({reconnect_ms:.3} ms); \
          {pre_bytes} B before + {post_bytes} B after, {corrupt_total} corrupt"
     );
-    if reconnect_ticks > max_reconnect_ticks {
+    if reconnect_ticks > budget {
         gate_failures.push(format!(
-            "sessions not reopened within {max_reconnect_ticks} ticks of the sever"
+            "sessions not reopened within {budget} ticks of the sever"
         ));
     }
     if corrupt_total > 0 {
@@ -253,7 +255,6 @@ fn main() {
             "{corrupt_total} corrupt deliveries across the sever run"
         ));
     }
-    let disconnects = a.counters.disconnects + b.counters.disconnects;
     if disconnects == 0 {
         gate_failures.push("sever was never observed by either endpoint".into());
     }
@@ -265,18 +266,9 @@ fn main() {
          \"wall_s\": {wall_s:.6}, \"gbps\": {gbps:.4}, \"gate_gbps\": {min_gbps}, \
          \"corrupt\": {corrupt}, \"io_errors\": {io_errors}, \
          \"short_writes\": {short_writes}}},\n  \
-         \"reconnect\": {{\"ticks\": {reconnect_ticks}, \"gate_ticks\": {max_reconnect_ticks}, \
+         \"reconnect\": {{\"ticks\": {reconnect_ticks}, \"budget_ticks\": {budget}, \
          \"wall_ms\": {reconnect_ms:.3}, \"disconnects\": {disconnects}, \
          \"corrupt\": {corrupt_total}}}\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_xport.json", &json).expect("write results/");
-    println!("\nwrote results/BENCH_xport.json");
-
-    if !gate_failures.is_empty() {
-        for f in &gate_failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
+    ledger.finish(smoke, &json, &gate_failures);
 }

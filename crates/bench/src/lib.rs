@@ -1,5 +1,9 @@
-//! Shared workload generators and report formatting for the benchmark
-//! harness — one binary per paper table/figure (see DESIGN.md §4).
+//! Shared workload generators and report plumbing for the benchmark
+//! harness: the `paper` report (every table and figure, DESIGN.md §4)
+//! and the seven smoke-gated reports.
+
+use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,6 +92,85 @@ pub fn heading(title: &str) -> String {
     format!("\n{}\n{}\n", title, "=".repeat(title.len()))
 }
 
+/// Parse `--flag <value>` from the argument list.
+pub fn arg_value(args: &[String], flag: &str) -> Option<f64> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+}
+
+/// A key segment from a free-form name: lowercase alphanumerics, runs
+/// of anything else collapsed to one `-` (`"CRC-32 unit (8-bit)"` →
+/// `crc-32-unit-8-bit`).
+pub fn slug(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    let mut dash = false;
+    for c in name.chars() {
+        if c.is_ascii_alphanumeric() {
+            out.push(c.to_ascii_lowercase());
+            dash = false;
+        } else if !dash && !out.is_empty() {
+            out.push('-');
+            dash = true;
+        }
+    }
+    out.trim_end_matches('-').to_string()
+}
+
+/// A report's exact readings: counts and other values that repeat to
+/// the last digit on every run and host.  Printed as sorted
+/// `<report>.<key> <value>` lines, which `scripts/check.sh` compares
+/// against the committed `results/ledger.txt` — so where a bound would
+/// only catch a large move, any move of these fails by name.
+pub struct Ledger {
+    report: &'static str,
+    rows: BTreeMap<String, String>,
+}
+
+impl Ledger {
+    pub fn new(report: &'static str) -> Self {
+        Ledger {
+            report,
+            rows: BTreeMap::new(),
+        }
+    }
+
+    /// Record `value` under `<report>.<key>`; `key` must hold no
+    /// whitespace.
+    pub fn put(&mut self, key: &str, value: impl Display) {
+        assert!(
+            !key.contains(char::is_whitespace),
+            "ledger key {key:?} holds whitespace"
+        );
+        self.rows
+            .insert(format!("{}.{key}", self.report), value.to_string());
+    }
+
+    /// End a report: write its JSON as `BENCH_<report>.json` — under
+    /// `results/` for a full run, under `target/` for a `--smoke` one,
+    /// so a smoke run leaves the committed files alone — print the
+    /// sorted `key value` lines, then print every gate failure and exit
+    /// 1 if there was one.
+    pub fn finish(&self, smoke: bool, json: &str, failures: &[String]) {
+        let dir = if smoke { "target" } else { "results" };
+        let path = format!("{dir}/BENCH_{}.json", self.report);
+        std::fs::create_dir_all(dir).expect("create the report directory");
+        std::fs::write(&path, json).expect("write the report JSON");
+        println!("\nwrote {path}\n");
+        for (key, value) in &self.rows {
+            println!("{key} {value}");
+        }
+        if failures.is_empty() {
+            return;
+        }
+        for f in failures {
+            eprintln!("REGRESSION: {f}");
+        }
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +199,12 @@ mod tests {
         let sizes = imix_sizes(1000, 4);
         assert!(sizes.iter().all(|s| [40, 576, 1500].contains(s)));
         assert!(sizes.iter().filter(|&&s| s == 40).count() > 300);
+    }
+
+    #[test]
+    fn slug_collapses_punctuation() {
+        assert_eq!(slug("CRC-32 unit (8-bit)"), "crc-32-unit-8-bit");
+        assert_eq!(slug("rx-control"), "rx-control");
     }
 
     #[test]

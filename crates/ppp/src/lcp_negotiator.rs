@@ -36,8 +36,6 @@ pub struct LcpNegotiator {
     /// What we ask the peer to let us receive.
     our_mru: u16,
     our_magic: u32,
-    request_pfc: bool,
-    request_acfc: bool,
     /// MRU drop mask: options the peer Configure-Rejected.
     mru_rejected: bool,
     magic_rejected: bool,
@@ -56,8 +54,6 @@ impl LcpNegotiator {
         Self {
             our_mru: mru,
             our_magic: magic,
-            request_pfc: false,
-            request_acfc: false,
             mru_rejected: false,
             magic_rejected: false,
             peer_params: LinkParams::default(),
@@ -65,20 +61,6 @@ impl LcpNegotiator {
             min_mru: 64,
             loopback_suspected: false,
         }
-    }
-
-    /// Also request protocol- and address/control-field compression.
-    pub fn with_compression(self) -> Self {
-        self.request_fields(true, true)
-    }
-
-    /// Request the field compressions individually (the
-    /// `NegotiationProfile` surface exposes ACFC and PFC as separate
-    /// flags).
-    pub fn request_fields(mut self, pfc: bool, acfc: bool) -> Self {
-        self.request_pfc = pfc;
-        self.request_acfc = acfc;
-        self
     }
 
     /// MRU the peer asked for — the size we may send.
@@ -113,12 +95,6 @@ impl Negotiator for LcpNegotiator {
         }
         if !self.magic_rejected {
             opts.push(LcpOption::MagicNumber(self.our_magic).to_raw());
-        }
-        if self.request_pfc {
-            opts.push(LcpOption::Pfc.to_raw());
-        }
-        if self.request_acfc {
-            opts.push(LcpOption::Acfc.to_raw());
         }
         opts
     }
@@ -162,8 +138,6 @@ impl Negotiator for LcpNegotiator {
     fn peer_acked(&mut self, opts: &[ConfigOption]) {
         for raw in opts {
             match LcpOption::from_raw(raw) {
-                LcpOption::Pfc => self.our_params.compression.pfc = true,
-                LcpOption::Acfc => self.our_params.compression.acfc = true,
                 LcpOption::Accm(v) => self.our_params.accm = v,
                 LcpOption::FcsAlternatives(v) => self.our_params.fcs_alternatives = v,
                 _ => {}
@@ -186,8 +160,6 @@ impl Negotiator for LcpNegotiator {
             match LcpOption::from_raw(raw) {
                 LcpOption::Mru(_) => self.mru_rejected = true,
                 LcpOption::MagicNumber(_) => self.magic_rejected = true,
-                LcpOption::Pfc => self.request_pfc = false,
-                LcpOption::Acfc => self.request_acfc = false,
                 _ => {}
             }
         }
@@ -266,25 +238,29 @@ mod tests {
 
     #[test]
     fn rejection_prunes_future_requests() {
-        let mut n = LcpNegotiator::new(9000, 7).with_compression();
-        n.peer_rejected(&[LcpOption::Mru(9000).to_raw(), LcpOption::Pfc.to_raw()]);
+        let mut n = LcpNegotiator::new(9000, 7);
+        n.peer_rejected(&[LcpOption::Mru(9000).to_raw()]);
         let req = n.our_request();
         assert!(!req
             .iter()
             .any(|r| matches!(LcpOption::from_raw(r), LcpOption::Mru(_))));
-        assert!(!req.iter().any(|r| LcpOption::from_raw(r) == LcpOption::Pfc));
         assert!(req
             .iter()
             .any(|r| matches!(LcpOption::from_raw(r), LcpOption::MagicNumber(_))));
     }
 
     #[test]
-    fn ack_applies_compression_to_tx_direction() {
-        let mut n = LcpNegotiator::new(1500, 7).with_compression();
-        let req = n.our_request();
-        n.peer_acked(&req);
-        assert!(n.tx_params().compression.pfc);
-        assert!(n.tx_params().compression.acfc);
-        assert!(!n.rx_params().compression.pfc);
+    fn field_compression_is_acked_from_the_peer_but_never_requested() {
+        // The receiver drops compressed headers, so we never tell the
+        // peer we can take them; a peer's own request only permits us
+        // to compress (RFC 1661 §6.5, §6.6), which we never do.
+        let mut n = LcpNegotiator::new(1500, 7);
+        let is_compression =
+            |r: &ConfigOption| matches!(LcpOption::from_raw(r), LcpOption::Pfc | LcpOption::Acfc);
+        assert!(!n.our_request().iter().any(is_compression));
+        let peer = [LcpOption::Pfc.to_raw(), LcpOption::Acfc.to_raw()];
+        assert_eq!(n.review_peer_request(&peer), Verdict::Ack);
+        n.peer_acked(&peer);
+        assert_eq!(n.tx_params().compression, FieldCompression::default());
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Before the transport redesign, configuring a session meant touching
 //! scattered knobs: an [`EndpointConfig`] for the RFC 1661 timers, a
-//! hand-built `LcpNegotiator` for MRU and field compression, ad-hoc
+//! hand-built `LcpNegotiator` for the MRU, ad-hoc
 //! wiring for PAP.  A `NegotiationProfile` gathers the whole
 //! surface — the same shape a production PPP test platform exposes as
 //! one configuration object — and is consumed identically by
@@ -34,16 +34,13 @@ pub enum AuthPolicy {
 }
 
 /// Typed builder for everything one session endpoint negotiates: MRU,
-/// ACFC/PFC field compression, the RFC 1661 restart budget and the
-/// authentication stance — plus the IPCP address and LCP magic number
+/// the RFC 1661 restart budget and the authentication stance — plus the IPCP address and LCP magic number
 /// that identify the endpoint.
 #[derive(Debug, Clone)]
 pub struct NegotiationProfile {
     mru: u16,
     magic: u32,
     ip: [u8; 4],
-    acfc: bool,
-    pfc: bool,
     restart_period: u64,
     max_configure: u32,
     max_terminate: u32,
@@ -57,8 +54,6 @@ impl Default for NegotiationProfile {
             mru: 1500,
             magic: 0,
             ip: [0; 4],
-            acfc: false,
-            pfc: false,
             restart_period: cfg.restart_period,
             max_configure: cfg.max_configure,
             max_terminate: cfg.max_terminate,
@@ -88,24 +83,6 @@ impl NegotiationProfile {
     pub fn ip(mut self, ip: [u8; 4]) -> Self {
         self.ip = ip;
         self
-    }
-
-    /// Request Address-and-Control-Field-Compression.
-    pub fn acfc(mut self, on: bool) -> Self {
-        self.acfc = on;
-        self
-    }
-
-    /// Request Protocol-Field-Compression.
-    pub fn pfc(mut self, on: bool) -> Self {
-        self.pfc = on;
-        self
-    }
-
-    /// Request both field compressions (the paper's §2 MAPOS-friendly
-    /// short header).
-    pub fn compression(self, on: bool) -> Self {
-        self.acfc(on).pfc(on)
     }
 
     /// Restart-timer period in ticks (RFC 1661 §4.6).
@@ -179,16 +156,6 @@ impl NegotiationProfile {
         self.ip
     }
 
-    /// Whether ACFC is requested.
-    pub fn wants_acfc(&self) -> bool {
-        self.acfc
-    }
-
-    /// Whether PFC is requested.
-    pub fn wants_pfc(&self) -> bool {
-        self.pfc
-    }
-
     pub(crate) fn take_auth(&self) -> AuthPolicy {
         self.auth.clone()
     }
@@ -204,7 +171,6 @@ mod tests {
             .mru(2048)
             .magic(0xDEAD_BEEF)
             .ip([10, 0, 0, 7])
-            .compression(true)
             .restart_period(5)
             .max_configure(4)
             .max_terminate(3)
@@ -212,7 +178,6 @@ mod tests {
         assert_eq!(p.mru_requested(), 2048);
         assert_eq!(p.magic_number(), 0xDEAD_BEEF);
         assert_eq!(p.ip_addr(), [10, 0, 0, 7]);
-        assert!(p.wants_acfc() && p.wants_pfc());
         let cfg = p.config();
         assert_eq!(cfg.restart_period, 5);
         assert_eq!(cfg.max_configure, 4);

@@ -58,13 +58,10 @@ impl Session {
     }
 
     /// Build a session from a typed [`NegotiationProfile`] — the
-    /// redesigned configuration surface (MRU, ACFC/PFC, restart
-    /// budget, auth stance and addressing in one object).
+    /// redesigned configuration surface (MRU, restart budget, auth
+    /// stance and addressing in one object).
     pub fn with_profile(profile: &NegotiationProfile) -> Self {
-        let mut lcp_neg = LcpNegotiator::new(profile.mru_requested(), profile.magic_number());
-        if profile.wants_acfc() || profile.wants_pfc() {
-            lcp_neg = lcp_neg.request_fields(profile.wants_pfc(), profile.wants_acfc());
-        }
+        let lcp_neg = LcpNegotiator::new(profile.mru_requested(), profile.magic_number());
         let cfg = profile.config();
         Self {
             lcp: Endpoint::new(lcp_neg, cfg),
@@ -499,27 +496,6 @@ mod tests {
         assert!(!b.is_network_up());
         assert!(a.poll_events().contains(&SessionEvent::AuthFailed));
         assert!(b.poll_events().contains(&SessionEvent::AuthFailed));
-    }
-
-    #[test]
-    fn profile_compression_flags_reach_the_negotiator() {
-        let mut a = Session::with_profile(
-            &NegotiationProfile::new()
-                .magic(1)
-                .ip([10, 0, 0, 1])
-                .compression(true),
-        );
-        let mut b = Session::with_profile(
-            &NegotiationProfile::new()
-                .magic(2)
-                .ip([10, 0, 0, 2])
-                .compression(true),
-        );
-        a.start();
-        b.start();
-        converge(&mut a, &mut b);
-        let tx = a.lcp.negotiator.tx_params();
-        assert!(tx.compression.pfc && tx.compression.acfc);
     }
 
     #[test]

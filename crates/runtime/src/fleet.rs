@@ -7,7 +7,7 @@
 //! which runs the cohort's entire n-tick batch before claiming the
 //! next — so no per-tick barrier exists, idle cohorts are skipped via
 //! the `has_work` check, and per-link results are independent of the
-//! worker count, the sharding mode and the claim order.
+//! worker count and the claim order.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,17 +44,6 @@ pub enum Carrier {
     Channelized(StmLevel),
 }
 
-/// How cohorts are assigned to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sharding {
-    /// Workers claim the next unclaimed cohort from a shared cursor —
-    /// long-running cohorts don't stall the rest of a stride.
-    WorkStealing,
-    /// Worker `w` owns cohorts `w, w + W, w + 2W, …` — zero contention
-    /// on the claim path, at the cost of load imbalance.
-    Static,
-}
-
 /// Fleet construction parameters.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -64,7 +53,6 @@ pub struct FleetConfig {
     pub workers: usize,
     pub width: DatapathWidth,
     pub carrier: Carrier,
-    pub sharding: Sharding,
     /// Chaos: forked per link/direction via `FaultPlan::fork_link`, so
     /// per-link fault streams replay independent of scheduling.
     pub fault: Option<FaultSpec>,
@@ -100,7 +88,6 @@ impl Default for FleetConfig {
             workers: 0,
             width: DatapathWidth::W32,
             carrier: Carrier::Raw,
-            sharding: Sharding::WorkStealing,
             fault: None,
             seed: 1,
             ingress_depth: DEFAULT_INGRESS_DEPTH,
@@ -434,47 +421,28 @@ impl Fleet {
                 t.idle_claims += (ran == 0) as u64;
             }
         } else {
-            match self.cfg.sharding {
-                Sharding::WorkStealing => {
-                    let cursor = AtomicUsize::new(0);
-                    let cursor = &cursor;
-                    let cohorts = &self.cohorts;
-                    let params = &params;
-                    std::thread::scope(|s| {
-                        for (wi, t) in tallies.iter_mut().enumerate() {
-                            s.spawn(move || loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(c) = cohorts.get(i) else { break };
-                                let ran = lock(c).drive(params, n);
-                                t.claims += 1;
-                                t.busy_ticks += ran;
-                                t.idle_claims += (ran == 0) as u64;
-                                // A claim static striding would have
-                                // handed to a different worker.
-                                t.steals += (i % w != wi) as u64;
-                            });
-                        }
+            // Workers claim the next unclaimed cohort from a shared
+            // cursor, so a long-running cohort never stalls the rest.
+            let cursor = AtomicUsize::new(0);
+            let cursor = &cursor;
+            let cohorts = &self.cohorts;
+            let params = &params;
+            std::thread::scope(|s| {
+                for (wi, t) in tallies.iter_mut().enumerate() {
+                    s.spawn(move || loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(c) = cohorts.get(i) else { break };
+                        let ran = lock(c).drive(params, n);
+                        t.claims += 1;
+                        t.busy_ticks += ran;
+                        t.idle_claims += (ran == 0) as u64;
+                        // A claim static striding (worker `w` taking
+                        // cohorts `w, w + W, …`) would have handed to a
+                        // different worker.
+                        t.steals += (i % w != wi) as u64;
                     });
                 }
-                Sharding::Static => {
-                    let cohorts = &self.cohorts;
-                    let params = &params;
-                    std::thread::scope(|s| {
-                        for (wi, t) in tallies.iter_mut().enumerate() {
-                            s.spawn(move || {
-                                let mut i = wi;
-                                while let Some(c) = cohorts.get(i) {
-                                    let ran = lock(c).drive(params, n);
-                                    t.claims += 1;
-                                    t.busy_ticks += ran;
-                                    t.idle_claims += (ran == 0) as u64;
-                                    i += w;
-                                }
-                            });
-                        }
-                    });
-                }
-            }
+            });
         }
         let busy: u64 = tallies.iter().map(|t| t.busy_ticks).sum();
         for (acc, t) in self.worker_stats.iter_mut().zip(tallies.iter()) {

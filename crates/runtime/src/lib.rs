@@ -15,9 +15,7 @@
 //! * **Cohort-granular scheduling.**  A worker claims a cohort and runs
 //!   its whole tick batch; no state is shared between cohorts, so
 //!   per-link results are a pure function of `(config, link id)` —
-//!   byte-identical replay regardless of worker count, sharding mode
-//!   ([`Sharding::WorkStealing`] vs [`Sharding::Static`]) or claim
-//!   order.
+//!   byte-identical replay regardless of worker count or claim order.
 //! * **Idle links cost nothing.**  `has_work` (the device `is_idle`
 //!   machinery lifted to fleet scope) lets a cohort's drive loop return
 //!   immediately, so a 10k-link fleet with 100 active links pays for
@@ -53,9 +51,7 @@ pub mod fleet;
 mod link;
 pub mod traffic;
 
-pub use fleet::{
-    Carrier, Fleet, FleetConfig, FleetStats, LinkReport, RuntimeError, Sharding, WorkerStats,
-};
+pub use fleet::{Carrier, Fleet, FleetConfig, FleetStats, LinkReport, RuntimeError, WorkerStats};
 pub use link::Dir;
 pub use p5_core::link::LinkCounters;
 pub use p5_stream::Offer;

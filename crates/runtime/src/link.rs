@@ -2,8 +2,8 @@
 //! it.  Everything here is *single-threaded per cohort*: a worker that
 //! claims a cohort runs its whole tick batch, so no state is shared
 //! between links and per-link results are a pure function of
-//! `(fleet config, link id)` — independent of worker count, sharding
-//! mode and claim order.
+//! `(fleet config, link id)` — independent of worker count and claim
+//! order.
 
 use std::collections::VecDeque;
 

@@ -1,9 +1,9 @@
 //! Fleet integration: round trips over every carrier, replay
-//! determinism across worker counts and sharding modes, and the
+//! determinism across worker counts, and the
 //! telemetry surface.
 
 use p5_fault::FaultSpec;
-use p5_runtime::{Carrier, Dir, Fleet, FleetConfig, Offer, RuntimeError, Sharding, TrafficSpec};
+use p5_runtime::{Carrier, Dir, Fleet, FleetConfig, Offer, RuntimeError, TrafficSpec};
 use p5_sonet::StmLevel;
 
 fn drained(mut fleet: Fleet) -> Fleet {
@@ -111,11 +111,10 @@ fn channelized_carrier_round_trips() {
     }
 }
 
-fn replay_config(workers: usize, sharding: Sharding) -> FleetConfig {
+fn replay_config(workers: usize) -> FleetConfig {
     FleetConfig {
         links: 20,
         workers,
-        sharding,
         carrier: Carrier::Raw,
         fault: Some(FaultSpec {
             ber: 2e-4,
@@ -136,10 +135,11 @@ fn replay_config(workers: usize, sharding: Sharding) -> FleetConfig {
 
 /// The acceptance-criterion replay test: same seeds and link count give
 /// identical per-link delivery counts and fault statistics, no matter
-/// how many workers drive the fleet or how cohorts are assigned.
+/// how many workers drive the fleet: one worker, which walks the cohorts
+/// in order, is the reference.
 #[test]
-fn replay_is_independent_of_worker_count_and_sharding() {
-    let reference: Vec<_> = drained(Fleet::new(replay_config(1, Sharding::Static)).unwrap())
+fn replay_is_independent_of_worker_count() {
+    let reference: Vec<_> = drained(Fleet::new(replay_config(1)).unwrap())
         .link_reports()
         .into_iter()
         .map(|r| (r.link, r.flow, r.fault))
@@ -147,21 +147,13 @@ fn replay_is_independent_of_worker_count_and_sharding() {
     // Faults were injected and something was still delivered.
     assert!(reference.iter().any(|(_, f, _)| f.delivered > 0));
     assert!(reference.iter().any(|(_, _, s)| s.bit_errors > 0));
-    for (workers, sharding) in [
-        (2, Sharding::WorkStealing),
-        (5, Sharding::WorkStealing),
-        (8, Sharding::Static),
-        (3, Sharding::Static),
-    ] {
-        let got: Vec<_> = drained(Fleet::new(replay_config(workers, sharding)).unwrap())
+    for workers in [2, 5, 8, 3] {
+        let got: Vec<_> = drained(Fleet::new(replay_config(workers)).unwrap())
             .link_reports()
             .into_iter()
             .map(|r| (r.link, r.flow, r.fault))
             .collect();
-        assert_eq!(
-            got, reference,
-            "replay diverged at workers={workers}, sharding={sharding:?}"
-        );
+        assert_eq!(got, reference, "replay diverged at workers={workers}");
     }
 }
 

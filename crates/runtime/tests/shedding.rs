@@ -12,7 +12,7 @@
 //!   zero FCS/abort/header errors);
 //! * all of it is byte-identical across worker counts.
 
-use p5_runtime::{Fleet, FleetConfig, Sharding, TrafficSpec};
+use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
 use proptest::prelude::*;
 
 fn drained(cfg: FleetConfig) -> Fleet {
@@ -96,11 +96,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // A hard 64-octet/tick cap forces the full shed/reject chain.
-        let report = |workers: usize, sharding: Sharding| {
+        let report = |workers: usize| {
             drained(FleetConfig {
                 links,
                 workers,
-                sharding,
                 ingress_depth,
                 wire_bytes_per_tick: Some(64),
                 seed,
@@ -117,8 +116,8 @@ proptest! {
             .map(|r| (r.link, r.flow))
             .collect::<Vec<_>>()
         };
-        let reference = report(1, Sharding::Static);
-        prop_assert_eq!(&report(4, Sharding::WorkStealing), &reference);
-        prop_assert_eq!(&report(7, Sharding::Static), &reference);
+        let reference = report(1);
+        prop_assert_eq!(&report(4), &reference);
+        prop_assert_eq!(&report(7), &reference);
     }
 }

@@ -52,47 +52,67 @@ echo "==> p5lint (shipped netlists + compositions, timing gate)"
 cargo run -q --release -p p5-lint --bin p5lint --offline -- \
     --strict --deny-warnings --baseline lint.baseline.json --report-timing
 
-echo "==> throughput smoke + perf gate (results/BENCH_throughput.json)"
-# The bytes/cycle floors are the shipped numbers: a cycle-model change
-# that costs cycles fails here rather than landing silently.  The
-# sim-speed floors gate the fused fast path (measured ~2.9 Gbps both
-# widths on the reference host; the floors sit far below so shared-CI
-# noise cannot flake, yet far above the staged-path ~0.04/0.17 Gbps —
-# losing the fused path fails here).  The alloc ceiling holds the
-# steady-state datapath at 0 heap allocations per datagram, an exact
-# count (every buffer comes from the recycling pool after warm-up, so
-# one allocation per frame fails).  The
-# dense/clean gate holds the fused link's rate on 25 %-escape datagrams
-# to at least 0.35 of its IMIX rate: one over the median of 15 per-pair
-# ratios of seconds per payload octet, each dense run read against the
-# IMIX runs on either side of it.  A ratio, so host speed cancels; the
-# word-wide byte sorter reads ~0.37 on the simplex Link, per-octet escape
-# handling ~0.22.  The SONET fill gate holds the share of flag fill in
-# the SPE octets a 32-bit link over STM-16 carries (32 windows of 1024
-# IMIX datagrams) to at most 0.1527: an exact count, 0.0756 with no hunt
-# frames while the path's receiver is in frame, 0.2297 with two after
-# every flush; the ceiling sits halfway between.
-cargo run -q --release --offline -p p5-bench --bin throughput_report -- \
-    --smoke --min-bpc8 0.9998 --min-bpc32 3.9931 \
-    --min-sim8 0.25 --min-sim32 0.75 --max-allocs-per-frame 0 \
-    --min-dense-over-clean 0.35 --max-sonet-fill-ratio 0.1527
+echo "==> paper report (results/paper.txt)"
+# Tables 1-3, Figures 1-6, the pipeline-fill latency and the buffer
+# ablation come from synthesis, encodes and the cycle model, never a
+# clock, so the report repeats byte for byte: any moved paper number
+# fails here by row.  After a deliberate change regenerate the file with
+#   cargo run -q --release --offline -p p5-bench --bin paper > results/paper.txt
+cargo run -q --release --offline -p p5-bench --bin paper | diff -u results/paper.txt -
 
-echo "==> gate-sim smoke + perf gate (results/BENCH_gate_sim.json)"
+# The seven smoke reports write their wall-clock JSON under target/ and
+# end their output with exact readings: sorted `<report>.<key> <value>`
+# lines (counts, ticks, cycles) that repeat to the last digit on every
+# run and host.  `smoke` runs one report with its gates and collects its
+# lines into target/ledger.txt; the ledger step at the end compares them
+# with results/ledger.txt.
+ledger=target/ledger.txt
+mkdir -p target
+: > "$ledger"
+smoke() {
+    report=$1
+    shift
+    out="target/smoke_$report.txt"
+    status=0
+    cargo run -q --release --offline -p p5-bench --bin "${report}_report" -- \
+        --smoke "$@" > "$out" || status=$?
+    cat "$out"
+    grep "^$report\." "$out" >> "$ledger" || true
+    return "$status"
+}
+
+echo "==> throughput smoke + perf gate"
+# The sim-speed floors gate the fused fast path (measured ~9 Gbps both
+# widths on the reference host; the floors sit far below so shared-CI
+# noise cannot flake, yet far above the staged path's ~0.04/0.17 Gbps —
+# losing the fused path fails here).  The dense/clean gate holds the
+# fused link's rate on 25 %-escape datagrams to at least 0.35 of its
+# IMIX rate: one over the median of 15 per-pair ratios of seconds per
+# payload octet, each dense run read against the IMIX runs on either
+# side of it.  A ratio, so host speed cancels; the word-wide byte sorter
+# reads ~0.37 on the simplex Link, per-octet escape handling ~0.22.
+# Ledger: the cycle model's cycles and wire octets per width, the fused
+# link's steady-state pool allocations (0), and the line frames and
+# octets of 32 windows of 1024 IMIX datagrams over STM-16 (320 frames:
+# no hunt frames while the path's receiver is in frame).
+smoke throughput --min-sim8 0.25 --min-sim32 0.75 --min-dense-over-clean 0.35
+
+echo "==> gate-sim smoke + perf gate"
 # The compiled 64-lane engine must stay >=10x the scalar walker on the
 # 32-bit system aggregate (measured ~300x; 10x leaves noise headroom).
-cargo run -q --release --offline -p p5-bench --bin gate_sim_report -- \
-    --smoke --min-x64 10
+# Ledger: each netlist's node count and compiled tape length.
+smoke gate_sim --min-x64 10
 
-echo "==> trace smoke + overhead gate (results/BENCH_trace.json)"
-# The duplex lifecycle trace must match every frame end to end, the
-# instrumented-but-disabled device must stay within 3% of the baseline
-# bytes/cycle recorded by the throughput step above, and the fleet's
-# observability drive path (`run_sampled` with no collector) must stay
-# within 3% wall of the plain drive loop on a 256-link fleet.
-cargo run -q --release --offline -p p5-bench --bin trace_report -- \
-    --smoke --max-overhead-pct 3 --max-fleet-overhead-pct 3
+echo "==> trace smoke + overhead gate"
+# The duplex lifecycle trace must match every frame end to end, and the
+# fleet's observability drive path (`run_sampled` with no collector)
+# must stay within 3% wall of the plain drive loop on a 256-link fleet.
+# Ledger: the duplex latencies and event counts, the stalled link's
+# boundary counters, and the cycles and wire octets of the throughput
+# workload with tracing disabled (equal to throughput's) and attached.
+smoke trace --max-fleet-overhead-pct 3
 
-echo "==> obs smoke + live-detection gates (results/BENCH_obs.json)"
+echo "==> obs smoke + live-detection gates"
 # Live observability gates: an actively sampling collector on a
 # 256-link fleet must cost <= 25% wall (measured ~0 on the reference
 # host; the headroom absorbs shared-CI noise), a seeded BER burst on
@@ -100,47 +120,59 @@ echo "==> obs smoke + live-detection gates (results/BENCH_obs.json)"
 # budget (every * (degrade_after + 1) ticks) while the run is still in
 # progress — scraped live over real TCP — and the frozen flight
 # recorder must capture all four entry kinds around the trigger.
-cargo run -q --release --offline -p p5-bench --bin obs_report -- \
-    --smoke --max-sampling-overhead-pct 25
+# Ledger: the detection tick, the scrape and the flight recorder.
+smoke obs --max-sampling-overhead-pct 25
 
-echo "==> fault smoke + recovery gates (results/BENCH_fault.json)"
+echo "==> fault smoke + recovery gates"
 # Chaos gates: zero corrupt deliveries, one-sided drop accounting on
 # every injection scenario, re-delineation within the documented bound,
-# and renegotiation within the RFC 1661 restart budget.
-cargo run -q --release --offline -p p5-bench --bin fault_report -- --smoke
+# and renegotiation within the RFC 1661 restart budget.  Ledger: every
+# scenario's sent/delivered/dropped/injected counts, resync distances
+# and renegotiation ticks (all seeded).
+smoke fault
 
-echo "==> runtime smoke + scaling gate (results/BENCH_runtime.json)"
+echo "==> runtime smoke + scaling gate"
 # Carrier-scale fleet gates: the sweep must conserve every frame at
 # every link count (shed == rejected == 0 uncongested, delivered ==
-# accepted — asserted inside the report), p99 submit->delivery latency
-# must stay within 64 ticks on uncongested rows, and on hosts with
-# >= 4 cores the best aggregate throughput at >= 64 links must reach
-# 2x the single-link row (the gate self-skips below 4 cores, where the
-# scaling claim is vacuous).  The channelized-STM-4 fleet must reach
-# 0.06 of the single-link fleet's payload rate: one over the median of
-# 15 interleaved per-pair ratios of seconds per payload octet.  A ratio,
+# accepted — asserted inside the report), and on hosts with >= 4 cores
+# the best aggregate throughput at >= 64 links must reach 2x the
+# single-link row (the gate self-skips below 4 cores, where the scaling
+# claim is vacuous).  The channelized-STM-4 fleet must reach 0.06 of
+# the single-link fleet's payload rate: one over the median of 15
+# interleaved per-pair ratios of seconds per payload octet.  A ratio,
 # so host speed cancels; the word-wide SONET path reads ~0.08, a
 # bit-serial one ~0.02, so losing the word-wide scramblers or the
-# row-slice framer fails here.  The largest sweep row must stay within 40 resident kB per
-# link (VmRSS, fleet built and run to drain): a footprint, so it repeats
-# to a few hundred bytes where wall-clock numbers drift; process-wide CRC
-# tables read ~28 with this report's 1024 B frames, one private table
-# per engine ~93 (self-skips where /proc is absent).
-cargo run -q --release --offline -p p5-bench --bin runtime_report -- \
-    --smoke --min-uplift 2.0 --max-p99-ticks 64 \
-    --min-channelized-over-single 0.06 --max-rss-kb-per-link 40
+# row-slice framer fails here.  The largest sweep row must stay within
+# 40 resident kB per link (VmRSS, fleet built and run to drain): a
+# footprint, so it repeats to a few hundred bytes where wall-clock
+# numbers drift; process-wide CRC tables read ~28 with this report's
+# 1024 B frames, one private table per engine ~93 (self-skips where
+# /proc is absent).  Ledger: every row's p99 submit->delivery latency
+# in ticks, delivered frames and ticks run.
+smoke runtime --min-uplift 2.0 --min-channelized-over-single 0.06 --max-rss-kb-per-link 40
 
-echo "==> xport smoke + real-endpoint gates (results/BENCH_xport.json)"
+echo "==> xport smoke + real-endpoint gates"
 # Real-endpoint gates: LCP + IPCP bring-up on a TCP loopback socket
 # within 5 s (measured ~1-30 ms; the budget absorbs shared-CI thread
 # scheduling), sustained one-way 1500 B throughput of >= 0.05 Gbps
-# (measured ~0.2-0.3 Gbps even on a single-CPU host; the floor catches
+# (measured ~0.2-1.2 Gbps even on a single-CPU host; the floor catches
 # the transport path collapsing, not host variance), a scripted mid-run
-# sever over the deterministic pipe renegotiated within 66 session ticks
-# (two default restart budgets, one each for LCP and IPCP; an exact
-# count, measured 1), and zero corrupt deliveries across every
-# experiment.
-cargo run -q --release --offline -p p5-bench --bin xport_report -- \
-    --smoke --max-bringup-ms 5000 --min-gbps 0.05 --max-reconnect-ticks 66
+# sever over the deterministic pipe renegotiated within two default
+# restart budgets, and zero corrupt deliveries across every experiment.
+# Ledger: the pipe trial's bring-up and reconnect ticks (1 each),
+# delivered octets and disconnects.
+smoke xport --max-bringup-ms 5000 --min-gbps 0.05
+
+echo "==> ledger (results/ledger.txt)"
+# Every exact reading above against the committed ledger: a key whose
+# value moved, appeared or went fails by name.  After a deliberate
+# change accept the new readings with
+#   LC_ALL=C sort target/ledger.txt > results/ledger.txt
+LC_ALL=C sort "$ledger" > target/ledger_sorted.txt
+if ! cmp -s results/ledger.txt target/ledger_sorted.txt; then
+    LC_ALL=C join -a 1 -a 2 -e absent -o 0,1.2,2.2 results/ledger.txt target/ledger_sorted.txt |
+        awk '$2 != $3 { print "LEDGER: " $1 " committed " $2 ", now " $3 }'
+    exit 1
+fi
 
 echo "==> all checks passed"

@@ -24,7 +24,7 @@ pub use p5_hdlc::{DeframerConfig, FcsMode};
 pub use p5_link::{DuplexLink, Link, LinkBuilder, LinkError};
 pub use p5_obs::{serve, Collector, CollectorConfig, HealthPolicy, HealthState, ObsHub};
 pub use p5_ppp::{AuthPolicy, CredentialTable, NegotiationProfile, Session, SessionEvent};
-pub use p5_runtime::{Carrier, Fleet, FleetConfig, FleetStats, Sharding, TrafficSpec};
+pub use p5_runtime::{Carrier, Fleet, FleetConfig, FleetStats, TrafficSpec};
 pub use p5_sonet::{BitErrorChannel, OcPath, StmLevel, TributaryGroup};
 pub use p5_stream::{
     render_table, Observable, Offer, SharedRecorder, Snapshot, StageStats, WireBuf,
