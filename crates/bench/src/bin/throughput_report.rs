@@ -239,7 +239,7 @@ fn main() {
     // Byte-sorter gate: the fused link's payload rate on escape-dense
     // datagrams over its IMIX rate, the median of interleaved per-pair
     // ratios — a ratio, so host speed cancels; per-octet escape
-    // handling reads ~0.22, the word-wide byte sorter ~0.37.
+    // handling reads ~0.22, the word-wide byte sorter ~0.39.
     let min_dense = arg_value(&args, "--min-dense-over-clean");
     let mut ledger = Ledger::new("throughput");
     let datagrams = if smoke { 40 } else { 200 };

@@ -198,6 +198,12 @@ impl OamHandle {
         }
     }
 
+    /// Store TX_FRAMES (the first counter) alone: the one register a
+    /// fused transmit moves.
+    pub(crate) fn publish_tx_frames(&self, frames: u32) {
+        self.0.counters[0].store(frames, Ordering::Relaxed);
+    }
+
     /// Raise an interrupt cause; it latches into INT_PENDING regardless
     /// of the enable mask (the mask gates the output line).  Always an
     /// atomic OR, even when the bit is already latched: skipping it after

@@ -1,11 +1,11 @@
 //! The top-level P⁵ device: transmitter, receiver and OAM glued to a
 //! PHY byte interface (Figure 2), with a cycle-accurate `clock()`.
 
-use crate::oam::{ctrl, Interrupt, OamHandle};
+use crate::oam::{ctrl, regs, Interrupt, OamHandle};
 use crate::rx::{RxCounters, RxPipeline};
 use crate::tx::{fcs_params, TxDescriptor, TxPipeline, TxQueueFull};
 use crate::word::Word;
-use p5_crc::{fcs16_wire_bytes, fcs32_wire_bytes, CrcEngine, EngineKind, FcsEngine};
+use p5_crc::{fcs16_wire_bytes, fcs32_wire_bytes, CrcEngine, Slice8Engine};
 use p5_hdlc::sorter::{destuff_run, flag_run};
 use p5_hdlc::{stuff_into, Accm, FcsMode, FLAG};
 use p5_stream::{Event, EventKind, FrameId, NullSink, TraceSink, WireBuf};
@@ -109,8 +109,12 @@ pub const FUSED_WIRE_HIGH_WATER: usize = 64 * 1024;
 /// not being exercised.
 struct Fused {
     fcs: FcsMode,
-    tx_engine: Option<FcsEngine>,
-    rx_engine: Option<FcsEngine>,
+    tx_engine: Option<Slice8Engine>,
+    /// The last frame's 4-octet header and the transmit register after
+    /// it: the next frame with the same header starts its FCS there.
+    /// The key is the whole header, so a new ADDRESS or protocol misses.
+    tx_header: Option<([u8; 4], u32)>,
+    rx_engine: Option<Slice8Engine>,
     /// Destuffed bytes of the frame currently being delineated.
     rx_acc: Vec<u8>,
     rx_in_frame: bool,
@@ -119,11 +123,12 @@ struct Fused {
 }
 
 impl Fused {
-    fn new(width: usize, fcs: FcsMode) -> Self {
-        let make = || fcs_params(fcs).map(|p| FcsEngine::new(EngineKind::default(), p, width));
+    fn new(fcs: FcsMode) -> Self {
+        let make = || fcs_params(fcs).map(Slice8Engine::new);
         Self {
             fcs,
             tx_engine: make(),
+            tx_header: None,
             rx_engine: make(),
             rx_acc: Vec::new(),
             rx_in_frame: false,
@@ -188,6 +193,9 @@ impl P5 {
         let tx = TxPipeline::new(w, cfg.address, fcs);
         let mut rx = RxPipeline::new(w, cfg.address, fcs, max_body);
         rx.control.promiscuous = cfg.promiscuous;
+        // A reset pulse: STATUS and the counters start from this fresh
+        // device's image (all zero), which `synced` records.
+        oam.publish(0, [0; regs::COUNTERS]);
         Self {
             width,
             tx,
@@ -198,7 +206,7 @@ impl P5 {
             cycles: 0,
             cfg,
             synced: OamSyncedImage::default(),
-            fused: Fused::new(w, fcs),
+            fused: Fused::new(fcs),
             fused_enabled: true,
             sink: Box::new(NullSink),
             trace_enabled: false,
@@ -247,6 +255,9 @@ impl P5 {
         if res.is_ok() && self.trace_enabled {
             self.trace_submit(id, len);
         }
+        // A queued frame makes the transmitter busy, a refused one moves
+        // TX_REJECTS: either shows on the bus now.
+        self.sync_oam();
         res
     }
 
@@ -447,8 +458,14 @@ impl P5 {
         let fcs_len = self.fused.fcs.len();
         let mut fcs_bytes = [0u8; 4];
         if let Some(e) = &mut self.fused.tx_engine {
-            e.reset();
-            e.update(&header);
+            match self.fused.tx_header {
+                Some((key, residue)) if key == header => e.resume(residue),
+                _ => {
+                    e.reset();
+                    e.update(&header);
+                    self.fused.tx_header = Some((header, e.residue()));
+                }
+            }
             e.update(payload);
             match self.fused.fcs {
                 FcsMode::Fcs16 => {
@@ -490,7 +507,13 @@ impl P5 {
                 kind: EventKind::Wire { id },
             });
         }
-        self.sync_oam();
+        // Of the mirrored image a fused transmit moves TX_FRAMES alone
+        // (the staged transmitter stays idle, the receiver untouched),
+        // and every other path that moves it syncs the whole image: one
+        // store publishes this frame.
+        self.synced.tx_frames = self.tx.control.frames_sent;
+        debug_assert_eq!(self.synced, self.oam_image(), "stale OAM image");
+        self.oam.publish_tx_frames(self.synced.tx_frames as u32);
         // The frame completed within this call: that is the staged
         // pipeline's busy→idle edge, compressed to a point.
         self.oam.raise(Interrupt::TxDone);
@@ -731,15 +754,21 @@ impl P5 {
         self.cycles - start
     }
 
-    /// Mirror datapath state into the OAM registers and fire interrupts.
-    fn sync_oam(&mut self) {
-        let image = OamSyncedImage {
+    /// The status and counters the OAM registers mirror, read from the
+    /// datapath now.
+    fn oam_image(&self) -> OamSyncedImage {
+        OamSyncedImage {
             tx_busy: !self.tx.idle(),
             rx_in_frame: self.rx.escape.occupancy() > 0 || !self.rx.control.idle(),
             counters: *self.rx.counters(),
             tx_frames: self.tx.control.frames_sent,
             tx_rejects: self.tx.control.submit_rejects,
-        };
+        }
+    }
+
+    /// Mirror datapath state into the OAM registers and fire interrupts.
+    fn sync_oam(&mut self) {
+        let image = self.oam_image();
         // Steady-state early-out: when none of the mirrored signals
         // moved there is nothing to store and no interrupt edge.
         let prev = std::mem::replace(&mut self.synced, image);

@@ -193,3 +193,151 @@ fn traced_host_writes_arrive_as_oam_write_events_on_the_fused_path() {
         ]
     );
 }
+
+/// Every device-written register as the host reads it: STATUS,
+/// INT_PENDING, then `TX_FRAMES..=TX_REJECTS`.
+fn bus_image(bus: &Oam) -> Vec<u32> {
+    [regs::STATUS, regs::INT_PENDING]
+        .into_iter()
+        .chain((0..regs::COUNTERS as u32).map(|i| regs::TX_FRAMES + 4 * i))
+        .map(|addr| bus.read(addr))
+        .collect()
+}
+
+/// What the host has acknowledged: the counts at its last write to
+/// INT_PENDING, and whether a frame has left the transmitter since.
+#[derive(Default)]
+struct Acked {
+    frames_ok: u64,
+    errors: u64,
+    frames_sent: u64,
+    tx_done: bool,
+}
+
+/// The same registers built from scratch out of the datapath's state.
+fn fresh_image(dev: &P5, acked: &mut Acked) -> Vec<u32> {
+    let c = *dev.rx_counters();
+    let sent = dev.tx.control.frames_sent;
+    acked.tx_done |= sent > acked.frames_sent && dev.tx.idle();
+    let rx_busy = dev.rx.escape.occupancy() > 0 || !dev.rx.control.idle();
+    let pending = [
+        (c.frames_ok > acked.frames_ok, Interrupt::RxFrame),
+        (c.errors() > acked.errors, Interrupt::RxError),
+        (acked.tx_done, Interrupt::TxDone),
+    ]
+    .into_iter()
+    .filter(|&(on, _)| on)
+    .fold(0, |bits, (_, cause)| bits | cause as u32);
+    [
+        u64::from(!dev.tx.idle()) | u64::from(rx_busy) << 1,
+        u64::from(pending),
+        sent,
+        c.frames_ok,
+        c.fcs_errors,
+        c.aborts,
+        c.runts,
+        c.giants,
+        c.address_mismatches,
+        c.header_errors,
+        dev.tx.control.submit_rejects,
+    ]
+    .into_iter()
+    .map(|v| v as u32)
+    .collect()
+}
+
+#[test]
+fn every_register_equals_a_fresh_image_after_every_step() {
+    for width in [DatapathWidth::W8, DatapathWidth::W32] {
+        let mut dev = P5::new(width);
+        let mut bus = Oam::new(dev.oam.clone());
+        let mut acked = Acked::default();
+        let mut wire = WireBuf::new();
+        let mut step = 0;
+        let mut check = |dev: &P5, bus: &Oam, acked: &mut Acked, what: &str| {
+            step += 1;
+            let want = fresh_image(dev, acked);
+            assert_eq!(bus_image(bus), want, "{width:?} step {step}: {what}");
+        };
+        check(&dev, &bus, &mut acked, "power-on");
+
+        // Fused submits and ingests, the receive side fed in 7-octet
+        // bites so ingests end mid-frame: good frames, a corrupted one,
+        // a runt, an abort and another station's address.
+        for i in 0..6 {
+            assert!(dev.offer_frame(0x0021, &PAYLOAD[..8 * i], 0));
+            check(&dev, &bus, &mut acked, "fused submit");
+            let mut bytes = dev.take_wire_out();
+            if i == 2 {
+                bytes[6] ^= 0x01;
+            }
+            wire.push_slice(&bytes);
+            dev.recycle_wire_vec(bytes);
+        }
+        wire.push_slice(&[0x7E, 0x01, 0x7E]);
+        wire.push_slice(&[0xFF, 0x03, 0x00, 0x7D, 0x7E]);
+        wire.push_slice(
+            &p5_hdlc::Framer::default()
+                .encode(&[0x05, 0x03, 0x00, 0x21, 0x11, 0x22, 0x33, 0x44, 0x55]),
+        );
+        while !wire.is_empty() {
+            dev.ingest_wire(&mut wire, 7);
+            check(&dev, &bus, &mut acked, "fused ingest");
+        }
+        let c = *dev.rx_counters();
+        assert_eq!(
+            (c.frames_ok, c.fcs_errors, c.runts, c.aborts),
+            (5, 1, 1, 1),
+            "{c:?}"
+        );
+        assert_eq!(c.address_mismatches, 1, "{c:?}");
+        while let Some(f) = dev.pop_received() {
+            dev.recycle_rx_payload(f.payload);
+        }
+        check(&dev, &bus, &mut acked, "drained deliveries");
+
+        // The host acknowledges every cause; from here a cause latches
+        // only for what moves after it.
+        bus.write(regs::INT_PENDING, 0b111);
+        let c = *dev.rx_counters();
+        acked = Acked {
+            frames_ok: c.frames_ok,
+            errors: c.errors(),
+            frames_sent: dev.tx.control.frames_sent,
+            tx_done: false,
+        };
+        check(&dev, &bus, &mut acked, "acknowledged");
+
+        // Cycle-model duty: fill the staged queue until a submit is
+        // refused, clock it out, and clock the wire back in.
+        dev.fused_enabled = false;
+        let mut i = 0;
+        while dev.submit(0x0057, PAYLOAD[..i % 40].to_vec()).is_ok() {
+            check(&dev, &bus, &mut acked, "staged submit");
+            i += 1;
+        }
+        check(&dev, &bus, &mut acked, "staged submit refused");
+        assert_eq!(dev.tx.control.submit_rejects, 1);
+        dev.run_until_idle(1_000_000);
+        check(&dev, &bus, &mut acked, "staged transmit");
+        let bytes = dev.take_wire_out();
+        wire.push_slice(&bytes);
+        dev.ingest_wire(&mut wire, usize::MAX);
+        check(&dev, &bus, &mut acked, "staged ingest queued");
+        for _ in 0..50 {
+            dev.clock();
+            check(&dev, &bus, &mut acked, "staged clock");
+        }
+        dev.run_until_idle(1_000_000);
+        check(&dev, &bus, &mut acked, "staged receive");
+        assert_eq!(dev.rx_counters().frames_ok, acked.frames_ok + i as u64);
+
+        // Back to plain duty.
+        dev.fused_enabled = true;
+        let mut wire_back = WireBuf::new();
+        for corrupt in [false, true, false] {
+            round_trip(&mut dev, &mut wire_back, corrupt);
+            check(&dev, &bus, &mut acked, "fused round trip");
+        }
+    }
+}

@@ -13,8 +13,9 @@
 //! `LANES` words apart, through braid tables that carry each octet's
 //! contribution over the other lanes' words.  The last block folds the
 //! lanes into one register with the plain step, and the tail runs the
-//! 8-byte and byte loops.  Shorter inputs — a 40-byte datagram's frame —
-//! run only the plain loop.
+//! 8-byte and byte loops.  Shorter inputs — a 40-byte datagram's
+//! 40-octet transmit span (its header's register is cached) or its
+//! 48-octet received body — run only the plain loop.
 //!
 //! Both shipped parameter sets are reflected CRCs whose register lives
 //! in the low bits of the accumulator, so the identical tables and loops
@@ -38,6 +39,15 @@ impl Slice8Engine {
             "slicing-by-8 supports the 16- and 32-bit FCS parameter sets"
         );
         Self(TableEngine::new(params))
+    }
+
+    /// Continue from a register another engine of this parameter set
+    /// reported through [`CrcEngine::residue`]: after `update(a)` reads
+    /// `r`, `resume(r)` then `update(b)` is `update(a ++ b)`.  A
+    /// transmitter starts each frame's FCS from the register its header
+    /// left.
+    pub fn resume(&mut self, residue: u32) {
+        self.0.state = residue;
     }
 }
 
@@ -214,6 +224,56 @@ mod tests {
                     "{} cut {cut}",
                     params.name
                 );
+            }
+        }
+    }
+
+    /// Every span below the braid threshold, cut at every point: both
+    /// halves run the 8-octet and byte loops at every length and phase.
+    #[test]
+    fn every_split_of_every_short_span_matches_bitwise() {
+        let data = sweep_data();
+        for params in [FCS16, FCS32, crate::table::tests::CRC32C] {
+            for len in 0..2 * LANES * 8 {
+                let mut golden = BitwiseEngine::new(params);
+                golden.update(&data[..len]);
+                for cut in 0..=len {
+                    let mut split = Slice8Engine::new(params);
+                    split.update(&data[..cut]);
+                    split.update(&data[cut..len]);
+                    assert_eq!(
+                        split.residue(),
+                        golden.residue(),
+                        "{} len {len} cut {cut}",
+                        params.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resuming_from_a_header_residue_equals_the_whole_update() {
+        let data = sweep_data();
+        for params in [FCS16, FCS32, crate::table::tests::CRC32C] {
+            for header in [0usize, 1, 2, 4, 5, 8, 16] {
+                for payload in [0usize, 3, 4, 7, 12, 16, 40, 63, 64, 100, 250] {
+                    let (head, body) = data[..header + payload].split_at(header);
+                    let mut first = Slice8Engine::new(params);
+                    first.update(head);
+                    let mut resumed = Slice8Engine::new(params);
+                    resumed.update(b"anything before the resume");
+                    resumed.resume(first.residue());
+                    resumed.update(body);
+                    let mut whole = Slice8Engine::new(params);
+                    whole.update(&data[..header + payload]);
+                    assert_eq!(
+                        resumed.value(),
+                        whole.value(),
+                        "{} header {header} payload {payload}",
+                        params.name
+                    );
+                }
             }
         }
     }

@@ -82,15 +82,16 @@ smoke() {
 }
 
 echo "==> throughput smoke + perf gate"
-# The sim-speed floors gate the fused fast path (measured ~9 Gbps both
-# widths on the reference host; the floors sit far below so shared-CI
-# noise cannot flake, yet far above the staged path's ~0.04/0.17 Gbps —
-# losing the fused path fails here).  The dense/clean gate holds the
-# fused link's rate on 25 %-escape datagrams to at least 0.35 of its
-# IMIX rate: one over the median of 15 per-pair ratios of seconds per
-# payload octet, each dense run read against the IMIX runs on either
-# side of it.  A ratio, so host speed cancels; the word-wide byte sorter
-# reads ~0.37 on the simplex Link, per-octet escape handling ~0.22.
+# The sim-speed floors gate the fused fast path (measured 6.3-7.3 Gbps
+# at 8 bits and 4.8-7.2 at 32 in ten runs on a 2-vCPU host; the floors
+# sit far below so shared-CI noise cannot flake, yet far above the
+# staged path's ~0.04/0.17 Gbps — losing the fused path fails here).
+# The dense/clean gate holds the fused link's rate on 25 %-escape
+# datagrams to at least 0.35 of its IMIX rate: one over the median of
+# 15 per-pair ratios of seconds per payload octet, each dense run read
+# against the IMIX runs on either side of it.  A ratio, so host speed
+# cancels; the word-wide byte sorter reads 0.38-0.40 on the simplex
+# Link (ten runs, both widths), per-octet escape handling ~0.22.
 # Ledger: the cycle model's cycles and wire octets per width, the fused
 # link's steady-state pool allocations (0), and the line frames and
 # octets of 32 windows of 1024 IMIX datagrams over STM-16 (320 frames:
